@@ -1,12 +1,12 @@
 """Backtracking engine for bijections preserving families of operation tables.
 
-Serves automorphism groups (tables vs themselves), isomorphism testing
-(tables vs other tables), and lift searches.  Partial maps are extended
-along a dynamically chosen generating sequence; each candidate assignment is
-propagated to its closure by the kernel in biquandles._kernels, so the
-per-node cost is near-linear in the number of newly forced images.
-Candidates are pruned by per-element invariants (column cycle types and
-orbit size), which conjugation preserves.
+Serves automorphism groups of groups, quandles and biquandles (tables vs
+themselves), isomorphism testing (tables vs other tables), and lift
+searches.  Partial maps are extended along a dynamically chosen generating
+sequence; each candidate assignment is propagated to its closure by the
+kernel in biquandles._kernels, so the per-node cost is near-linear in the
+number of newly forced images.  Candidates are pruned by per-element
+invariants (column cycle types and orbit size), which conjugation preserves.
 """
 
 from __future__ import annotations
@@ -67,6 +67,15 @@ def _invariants(tables):
         diag = tuple(int(t[a, a]) == a for t in tables)
         inv.append((sig, diag, osz[a]))
     return inv
+
+
+def preserves_tables(images, tables) -> bool:
+    """Whether images is a bijection f with f(T[a,b]) = T[f(a), f(b)] for
+    every table T."""
+    img = np.asarray(images, dtype=np.int64)
+    if sorted(img.tolist()) != list(range(tables[0].shape[0])):
+        return False
+    return all(np.array_equal(img[t], t[np.ix_(img, img)]) for t in tables)
 
 
 def table_bijections(tables_a, tables_b, limit=None):

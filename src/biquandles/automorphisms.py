@@ -11,9 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from ._search import table_bijections
+from ._search import preserves_tables, table_bijections
 from .combinators import semidirect_biquandle, union_biquandle_constant, union_quandle
 from .core import (
     FiniteBiquandle,
@@ -48,14 +46,14 @@ from .structures import (
 def quandle_aut(q: FiniteQuandle) -> PermutationGroup:
     """All table-preserving bijections, by pruned backtracking."""
     maps = table_bijections([q.table], [q.table])
-    els = [Permutation(tuple(int(v) for v in m)) for m in maps]
+    els = [Permutation.from_array(m) for m in maps]
     return PermutationGroup.from_elements(q.n, els)
 
 
 def biquandle_aut(b: FiniteBiquandle) -> PermutationGroup:
     """All bijections preserving both tables."""
     maps = table_bijections([b.under, b.over], [b.under, b.over])
-    els = [Permutation(tuple(int(v) for v in m)) for m in maps]
+    els = [Permutation.from_array(m) for m in maps]
     return PermutationGroup.from_elements(b.n, els)
 
 
@@ -64,7 +62,7 @@ def find_quandle_isomorphism(q1: FiniteQuandle, q2: FiniteQuandle):
     if q1.n != q2.n:
         return None
     maps = table_bijections([q1.table], [q2.table], limit=1)
-    return Permutation(tuple(int(v) for v in maps[0])) if maps else None
+    return Permutation.from_array(maps[0]) if maps else None
 
 
 def centralizer(g: PermutationGroup, f: Permutation) -> PermutationGroup:
@@ -79,11 +77,6 @@ def normalizer_of_family(g: PermutationGroup, betas) -> PermutationGroup:
     fam = set(betas)
     els = [p for p in g.elements if {p * b * p.inverse() for b in fam} == fam]
     return PermutationGroup.from_elements(g.degree, els)
-
-
-def _preserves_tables(perm: Permutation, tables) -> bool:
-    img = perm.array()
-    return all(np.array_equal(img[t], t[np.ix_(img, img)]) for t in tables)
 
 
 def verify_constant_structure_aut(q: FiniteQuandle, f: Permutation) -> bool:
@@ -102,12 +95,11 @@ def verify_gen_dihedral_containment(g: FiniteGroup, phi: GroupAutomorphism) -> b
         raise DomainError("need an abelian group of odd order (no 2-torsion)")
     t = takasaki(g)
     aut_t = quandle_aut(t)
-    p = phi.as_permutation()
-    if p not in aut_t:
+    if phi not in aut_t:
         raise DomainError("phi does not induce an automorphism of the Takasaki quandle")
     b = gen_dihedral_biquandle(g, phi)
-    cent = centralizer(aut_t, p)
-    return all(_preserves_tables(c, [b.under, b.over]) for c in cent.elements)
+    cent = centralizer(aut_t, phi)
+    return all(preserves_tables(c.images, [b.under, b.over]) for c in cent.elements)
 
 
 def verify_gen_alexander_aut(g: FiniteGroup, phi: GroupAutomorphism, psi: GroupAutomorphism) -> bool:
@@ -264,7 +256,7 @@ def product_H_subgroup(q1: FiniteQuandle, q2: FiniteQuandle, psi) -> Permutation
             )
             p = Permutation(images)
             if p not in els:
-                if not _preserves_tables(p, [b.under, b.over]):
+                if not preserves_tables(p.images, [b.under, b.over]):
                     raise DomainError(f"predicted map is not an automorphism: {p.images}")
                 els.add(p)
     return PermutationGroup.from_elements(q1.n * q2.n, els)

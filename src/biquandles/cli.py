@@ -20,13 +20,17 @@ from .structures import BiquandleStructure
 
 
 def _read_json(path):
+    """The JSON object in a file; anything else is malformed input."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            d = json.load(fh)
     except OSError as e:
         raise MalformedInput(f"cannot read {path}: {e}") from None
     except json.JSONDecodeError as e:
         raise MalformedInput(f"{path}: bad JSON: {e}") from None
+    if not isinstance(d, dict):
+        raise MalformedInput(f"{path}: expected a JSON object, got {type(d).__name__}")
+    return d
 
 
 def _load_quandle(path) -> FiniteQuandle:

@@ -12,15 +12,16 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._search import preserves_tables
 from .core import FiniteBiquandle, FiniteQuandle, Permutation
 from .errors import DomainError
-from .structures import BiquandleStructure, is_quandle_automorphism
+from .structures import BiquandleStructure
 
 
 def _check_aut_valued(q_target: FiniteQuandle, maps, name):
     maps = tuple(maps)
     for i, m in enumerate(maps):
-        if not isinstance(m, Permutation) or m.n != q_target.n or not is_quandle_automorphism(q_target, m.images):
+        if not isinstance(m, Permutation) or not preserves_tables(m.images, [q_target.table]):
             raise DomainError(f"{name}[{i}] is not an automorphism of the target quandle")
     return maps
 
@@ -121,9 +122,9 @@ def union_biquandle_constant(q1: FiniteQuandle, q2: FiniteQuandle, f: Permutatio
     is trivial; across parts both operations apply f (on Q1 elements) or g
     (on Q2 elements).
     """
-    if not is_quandle_automorphism(q1, f.images):
+    if not preserves_tables(f.images, [q1.table]):
         raise DomainError("f is not an automorphism of Q1")
-    if not is_quandle_automorphism(q2, g.images):
+    if not preserves_tables(g.images, [q2.table]):
         raise DomainError("g is not an automorphism of Q2")
     n1, n2 = q1.n, q2.n
     n = n1 + n2

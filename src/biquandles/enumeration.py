@@ -17,6 +17,7 @@ from .core import FiniteBiquandle, FiniteQuandle, Permutation
 from .errors import DomainError
 from .group_constructions import trivial_quandle
 from .structures import BiquandleStructure
+from .verbal import invert, reduce_word
 
 DEFAULT_ENUM_CAP = 5
 
@@ -80,17 +81,20 @@ def _structure_root_worker(args):
 def trivial_structure_tuples_parallel(n, jobs=1, cap=DEFAULT_ENUM_CAP):
     """trivial_structure_tuples with the search roots (choices of the first
     permutation) split across worker processes; output order matches the
-    sequential enumeration."""
+    sequential enumeration.  The pool never exceeds the number of roots or
+    of CPUs."""
     import math
     import multiprocessing
+    import os
 
     if n < 1:
         raise DomainError("need n >= 1")
     if n > cap:
         raise DomainError(f"n={n} exceeds enumeration cap {cap}")
+    roots = list(range(math.factorial(n)))
+    jobs = min(jobs, len(roots), os.cpu_count() or 1)
     if jobs <= 1:
         return trivial_structure_tuples(n)
-    roots = list(range(math.factorial(n)))
     with multiprocessing.Pool(jobs) as pool:
         parts = pool.map(_structure_root_worker, [(n, r) for r in roots])
     out = []
@@ -156,27 +160,11 @@ def _canonical(i, w):
     return (i, w)
 
 
-def _reduce_syllables(w):
-    stack = []
-    for let, exp in w:
-        if exp == 0:
-            continue
-        if stack and stack[-1][0] == let:
-            merged = stack[-1][1] + exp
-            stack.pop()
-            if merged:
-                stack.append((let, merged))
-        else:
-            stack.append((let, exp))
-    return tuple(stack)
-
-
 def _free_quandle_op(a, b):
     """[(i, u)] * [(j, v)] = [(i, u v^{-1} x_j v)]."""
     i, u = a
     j, v = b
-    vinv = tuple((l, -e) for l, e in reversed(v))
-    w = _reduce_syllables(u + vinv + ((j, 1),) + v)
+    w = reduce_word(u + invert(v) + ((j, 1),) + v)
     return _canonical(i, w)
 
 

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 
+from ._search import preserves_tables
 from .core import FiniteBiquandle, FiniteQuandle
 from .errors import DomainError
 from .groups import FiniteGroup, GroupAutomorphism, commute, cyclic_group, is_central_automorphism
@@ -58,9 +59,7 @@ def dihedral_quandle(n) -> FiniteQuandle:
 
 def alexander_quandle(g: FiniteGroup, phi: GroupAutomorphism) -> FiniteQuandle:
     """x*y = phi(x y^{-1}) y."""
-    from .groups import is_automorphism
-
-    if not is_automorphism(g, phi.images):
+    if not preserves_tables(phi.images, [g.mul]):
         raise DomainError("phi is not an automorphism")
     ph = np.array(phi.images, dtype=np.int64)
     table = np.empty((g.n, g.n), dtype=np.int64)

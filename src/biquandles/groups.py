@@ -8,11 +8,11 @@ by default since every consumer is exhaustive.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Permutation, as_table
+from ._search import table_bijections
+from .core import Permutation, as_table, mulclose
 from .errors import DomainError, MalformedInput
 
 DEFAULT_ORDER_CAP = 64
@@ -105,30 +105,9 @@ class FiniteGroup:
         return g
 
 
-@dataclass(frozen=True, order=True)
-class GroupAutomorphism:
-    """A multiplication-preserving permutation of a group's elements."""
-
-    images: tuple
-
-    def __call__(self, x):
-        return self.images[x]
-
-    def __mul__(self, other):
-        return GroupAutomorphism(tuple(self.images[i] for i in other.images))
-
-    def inverse(self):
-        inv = [0] * len(self.images)
-        for i, x in enumerate(self.images):
-            inv[x] = i
-        return GroupAutomorphism(tuple(inv))
-
-    def as_permutation(self):
-        return Permutation(self.images)
-
-    @staticmethod
-    def identity(n):
-        return GroupAutomorphism(tuple(range(n)))
+# A group automorphism is a multiplication-preserving permutation of the
+# elements; it is a plain Permutation.
+GroupAutomorphism = Permutation
 
 
 def _check_cap(n, cap):
@@ -176,19 +155,7 @@ def group_from_permutations(gens, degree, name=None, cap=DEFAULT_ORDER_CAP) -> F
 
     Elements are indexed in sorted order of their image tuples.
     """
-    els = {Permutation.identity(degree)}
-    bdy = list(gens)
-    els.update(bdy)
-    while bdy:
-        new = []
-        for g in gens:
-            for h in bdy:
-                p = g * h
-                if p not in els:
-                    els.add(p)
-                    new.append(p)
-        bdy = new
-    ordered = sorted(els)
+    ordered = sorted(mulclose(gens, degree))
     _check_cap(len(ordered), cap)
     index = {p: i for i, p in enumerate(ordered)}
     n = len(ordered)
@@ -298,85 +265,10 @@ def small_groups(max_order=8):
 # automorphisms
 
 
-def _generating_sequence(g: FiniteGroup):
-    """Greedy generating sequence: each element enlarges the span."""
-    seq = []
-    span = {g.e}
-    while len(span) < g.n:
-        nxt = min(x for x in range(g.n) if x not in span)
-        seq.append(nxt)
-        # close span under multiplication
-        frontier = list(span | {nxt})
-        span.add(nxt)
-        while frontier:
-            a = frontier.pop()
-            for b in list(span):
-                for c in (g.op(a, b), g.op(b, a)):
-                    if c not in span:
-                        span.add(c)
-                        frontier.append(c)
-    return seq
-
-
-def _extend_hom(g: FiniteGroup, images):
-    """Extend generator images to a full map by word closure.
-
-    Returns the image array or None when the extension is inconsistent.
-    """
-    img = np.full(g.n, -1, dtype=np.int64)
-    img[g.e] = g.e
-    frontier = [g.e]
-    for x, y in images:
-        if img[x] == -1:
-            img[x] = y
-            frontier.append(x)
-        elif img[x] != y:
-            return None
-    dom = [x for x in range(g.n) if img[x] != -1]
-    while frontier:
-        a = frontier.pop()
-        for b in list(dom):
-            for c, fc in ((g.op(a, b), g.op(img[a], img[b])), (g.op(b, a), g.op(img[b], img[a]))):
-                if img[c] == -1:
-                    img[c] = fc
-                    dom.append(c)
-                    frontier.append(c)
-                elif img[c] != fc:
-                    return None
-    if any(v == -1 for v in img):
-        return None
-    return img
-
-
 def automorphism_group(g: FiniteGroup):
-    """All automorphisms, by generator-image backtracking.
-
-    Candidates for a generator are pruned by element order; results are
-    sorted by image tuple so list indices are deterministic.
-    """
-    seq = _generating_sequence(g)
-    orders = [g.element_order(x) for x in range(g.n)]
-    by_order = {}
-    for x in range(g.n):
-        by_order.setdefault(orders[x], []).append(x)
-    found = []
-
-    def rec(i, assigned):
-        if i == len(seq):
-            img = _extend_hom(g, assigned)
-            if img is None or len(set(img.tolist())) != g.n:
-                return
-            # full homomorphism check
-            if np.array_equal(img[g.mul], g.mul[np.ix_(img, img)]):
-                found.append(GroupAutomorphism(tuple(int(v) for v in img)))
-            return
-        x = seq[i]
-        for y in by_order.get(orders[x], ()):
-            rec(i + 1, assigned + [(x, y)])
-
-    rec(0, [])
-    uniq = sorted(set(found))
-    return uniq
+    """All automorphisms, sorted by image tuple so list indices are
+    deterministic."""
+    return [Permutation.from_array(m) for m in table_bijections([g.mul], [g.mul])]
 
 
 def center(g: FiniteGroup):
@@ -388,13 +280,6 @@ def is_central_automorphism(g: FiniteGroup, phi: GroupAutomorphism) -> bool:
     """x^{-1} phi(x) lies in the center for every x."""
     z = set(center(g))
     return all(g.op(g.inverse(x), phi(x)) in z for x in range(g.n))
-
-
-def is_automorphism(g: FiniteGroup, images) -> bool:
-    img = np.asarray(images, dtype=np.int64)
-    if sorted(img.tolist()) != list(range(g.n)):
-        return False
-    return bool(np.array_equal(img[g.mul], g.mul[np.ix_(img, img)]))
 
 
 def fixed_points(g: FiniteGroup, phi: GroupAutomorphism):

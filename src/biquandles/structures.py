@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._search import preserves_tables
 from .core import (
     AxiomReport,
     FiniteBiquandle,
@@ -23,13 +24,6 @@ from .core import (
     associated_quandle,
 )
 from .errors import DomainError, MalformedInput
-
-
-def is_quandle_automorphism(q: FiniteQuandle, images) -> bool:
-    img = np.asarray(images, dtype=np.int64)
-    if sorted(img.tolist()) != list(range(q.n)):
-        return False
-    return bool(np.array_equal(img[q.table], q.table[np.ix_(img, img)]))
 
 
 @dataclass(frozen=True)
@@ -78,7 +72,7 @@ def validate_structure(q: FiniteQuandle, betas) -> AxiomReport:
         raise MalformedInput(f"need {q.n} automorphisms, got {len(betas)}")
     bad = []
     for y, b in enumerate(betas):
-        if b.n != q.n or not is_quandle_automorphism(q, b.images):
+        if not preserves_tables(b.images, [q.table]):
             bad.append(("beta-not-automorphism", (y,)))
     if bad:
         return AxiomReport.from_violations(bad)
@@ -107,7 +101,7 @@ def validate_structure(q: FiniteQuandle, betas) -> AxiomReport:
 
 def constant_structure(q: FiniteQuandle, f: Permutation) -> BiquandleStructure:
     """The structure with beta_y = f for every y."""
-    if not is_quandle_automorphism(q, f.images):
+    if not preserves_tables(f.images, [q.table]):
         raise DomainError("f is not an automorphism of the base quandle")
     return BiquandleStructure(q, tuple(f for _ in range(q.n)))
 

@@ -42,6 +42,17 @@ class TestConstructAndCheck:
         p.write_text("garbage")
         code, _, err = run(capsys, "check", str(p))
         assert code == 2 and "error" in err
+        diagram = tmp_path / "unknot.txt"
+        diagram.write_text("= a a\n")
+        for top in ("5", '"under table"', "[1, 2]", "null"):
+            p.write_text(top)
+            for argv in (
+                ("check", str(p)),
+                ("iso", str(p), str(p)),
+                ("color", "--diagram", str(diagram), "--structure", str(p)),
+            ):
+                code, _, err = run(capsys, *argv)
+                assert code == 2 and "expected a JSON object" in err, (top, argv)
 
     def test_check_biquandle_file(self, capsys, tmp_path):
         from biquandles.group_constructions import wada_biquandle

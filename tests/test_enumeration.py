@@ -114,6 +114,40 @@ class TestTrivialStructures:
         par = trivial_structure_tuples_parallel(3, jobs=2)
         assert seq == par
 
+    def test_parallel_pool_is_clamped(self, monkeypatch):
+        import multiprocessing
+        import os
+
+        sizes = []
+
+        class FakePool:
+            def __init__(self, size):
+                sizes.append(size)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return [fn(x) for x in items]
+
+        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+        seq = trivial_structure_tuples(3)
+        # capped by the 3! = 6 search roots
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert trivial_structure_tuples_parallel(3, jobs=10**6) == seq
+        # capped by the CPU count
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert trivial_structure_tuples_parallel(3, jobs=10**6) == seq
+        assert sizes == [6, 4]
+        # one CPU, or an unknown count, runs in-process without a pool
+        for cpus in (1, None):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            assert trivial_structure_tuples_parallel(3, jobs=8) == seq
+        assert sizes == [6, 4]
+
 
 class TestFreeBaseLift:
     def test_constant_structures_pass(self):

@@ -1,5 +1,8 @@
+import itertools
+
 import pytest
 
+from biquandles._search import preserves_tables
 from biquandles.errors import DomainError, MalformedInput
 from biquandles.groups import (
     FiniteGroup,
@@ -96,6 +99,19 @@ class TestAutomorphisms:
             for a in some:
                 for b in some:
                     assert a * b in auts
+
+    @pytest.mark.parametrize("g", small_groups(7), ids=lambda g: g.name)
+    def test_matches_bruteforce_in_order(self, g):
+        # list positions matter: the CLI's --phi/--psi index into this list
+        brute = [p for p in itertools.permutations(range(g.n)) if preserves_tables(p, [g.mul])]
+        assert [a.images for a in automorphism_group(g)] == brute
+
+    def test_preserves_tables_needs_a_bijection(self):
+        g = cyclic_group(3)
+        assert preserves_tables((0, 2, 1), [g.mul])
+        assert not preserves_tables((0, 1, 1), [g.mul])
+        assert not preserves_tables((0, 1), [g.mul])
+        assert not preserves_tables((1, 2, 0), [g.mul])
 
     def test_preserve_multiplication(self):
         g = dihedral_group(4)
