@@ -1,66 +1,28 @@
 """Hot loops over operation tables: axiom sweeps, Yang-Baxter checks, map closure.
 
-Every kernel has two implementations with identical semantics: a numba
-``@njit`` loop (default) and a pure-numpy batched fallback.  Set the
-environment variable ``BIQUANDLES_NO_NUMBA=1`` before import to force the
-numpy path; it is also taken automatically when numba is unavailable.
-Both paths report the lexicographically first witness, so they are
-interchangeable bit for bit.
+Each kernel has one numpy implementation, batched over the last two
+indices of its triple loop.  A sweep returns the lexicographically first
+witness as a tuple of Python ints, or None when the identity holds.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_NO_NUMBA = os.environ.get("BIQUANDLES_NO_NUMBA", "") not in ("", "0")
-
-try:
-    if _NO_NUMBA:
-        raise ImportError("numba disabled by BIQUANDLES_NO_NUMBA")
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via the env flag
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(fn):
-            return fn
-
-        return wrap
+# read by the environment stamp of perfbench/run.py; there is no jitted path
+HAVE_NUMBA = False
 
 
-# ---------------------------------------------------------------------------
-# right self-distributivity: (a*b)*c == (a*c)*(b*c)
-
-
-@njit(cache=True)
-def _r2_violation_loop(t):
-    n = t.shape[0]
-    for a in range(n):
-        for b in range(n):
-            ab = t[a, b]
-            for c in range(n):
-                if t[ab, c] != t[t[a, c], t[b, c]]:
-                    return a, b, c
-    return -1, -1, -1
-
-
-def _r2_violation_np(t):
-    n = t.shape[0]
-    for a in range(n):
+def r2_violation(t):
+    """First (a, b, c) violating (a*b)*c == (a*c)*(b*c), or None."""
+    for a in range(t.shape[0]):
         lhs = t[t[a]]                      # lhs[b, c] = (a*b)*c
         rhs = t[t[a][None, :], t]          # rhs[b, c] = (a*c)*(b*c)
         bad = lhs != rhs
         if bad.any():
             b, c = np.unravel_index(int(np.argmax(bad)), bad.shape)
             return a, int(b), int(c)
-    return -1, -1, -1
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -71,44 +33,28 @@ def _r2_violation_np(t):
 # with u = under table, o = over table
 
 
-@njit(cache=True)
-def _exchange_violation_loop(u, o):
-    n = u.shape[0]
-    for x in range(n):
-        for y in range(n):
-            xuy = u[x, y]
-            xoy = o[x, y]
-            for z in range(n):
-                zuy = u[z, y]
-                zoy = o[z, y]
-                if u[xuy, zuy] != u[u[x, z], o[y, z]]:
-                    return 0, x, y, z
-                if o[xuy, zuy] != u[o[x, z], o[y, z]]:
-                    return 1, x, y, z
-                if o[xoy, zoy] != o[o[x, z], u[y, z]]:
-                    return 2, x, y, z
-    return -1, -1, -1, -1
+def exchange_violation(u, o):
+    """First violated exchange identity as (code, x, y, z), or None.
 
-
-def _exchange_violation_np(u, o):
-    n = u.shape[0]
-    for x in range(n):
+    Witnesses are ordered by (x, y, z, code).
+    """
+    for x in range(u.shape[0]):
         xu = u[x][:, None]                 # column over y
         xo = o[x][:, None]
-        bad0 = u[xu, u.T] != u[u[x][None, :], o]   # [y, z] grids
-        bad1 = o[xu, u.T] != u[o[x][None, :], o]
-        bad2 = o[xo, o.T] != o[o[x][None, :], u]
-        if bad0.any() or bad1.any() or bad2.any():
-            best = None
-            for code, bad in ((0, bad0), (1, bad1), (2, bad2)):
-                if bad.any():
-                    y, z = np.unravel_index(int(np.argmax(bad)), bad.shape)
-                    key = (int(y), int(z), code)
-                    if best is None or key < best:
-                        best = key
-            y, z, code = best
-            return code, x, y, z
-    return -1, -1, -1, -1
+        bads = (
+            u[xu, u.T] != u[u[x][None, :], o],   # [y, z] grids
+            o[xu, u.T] != u[o[x][None, :], o],
+            o[xo, o.T] != o[o[x][None, :], u],
+        )
+        hits = [
+            (*np.unravel_index(int(np.argmax(bad)), bad.shape), code)
+            for code, bad in enumerate(bads)
+            if bad.any()
+        ]
+        if hits:
+            y, z, code = min(hits)
+            return code, x, int(y), int(z)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -117,41 +63,16 @@ def _exchange_violation_np(u, o):
 # Checks (r x id)(id x r)(r x id) == (id x r)(r x id)(id x r) on all triples.
 
 
-@njit(cache=True)
-def _ybe_violation_loop(u, o, oinv):
+def ybe_violation(u, o, oinv):
+    """First triple breaking the braid relation of the pair map, or None."""
     n = u.shape[0]
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                # left composite, innermost (r x id) first
-                w = oinv[b, a]
-                p, q, r_ = w, u[a, w], c
-                w = oinv[r_, q]
-                q, r_ = w, u[q, w]
-                w = oinv[q, p]
-                l1, l2, l3 = w, u[p, w], r_
-                # right composite, innermost (id x r) first
-                w = oinv[c, b]
-                p, q, r_ = a, w, u[b, w]
-                w = oinv[q, p]
-                p, q = w, u[p, w]
-                w = oinv[r_, q]
-                r1, r2, r3 = p, w, u[q, w]
-                if l1 != r1 or l2 != r2 or l3 != r3:
-                    return a, b, c
-    return -1, -1, -1
-
-
-def _ybe_violation_np(u, o, oinv):
-    n = u.shape[0]
-    idx = np.arange(n)
 
     def rmap(x, y):
         w = oinv[y, x]
         return w, u[x, w]
 
+    B, C = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     for a in range(n):
-        B, C = np.meshgrid(idx, idx, indexing="ij")
         A = np.full_like(B, a)
         p, q = rmap(A, B)
         q, r_ = rmap(q, C)
@@ -164,66 +85,26 @@ def _ybe_violation_np(u, o, oinv):
         if bad.any():
             b, c = np.unravel_index(int(np.argmax(bad)), bad.shape)
             return a, int(b), int(c)
-    return -1, -1, -1
+    return None
 
 
 # ---------------------------------------------------------------------------
 # closure propagation for bijective-homomorphism search (aut / iso engine).
 #
 # tA, tB: stacked operation tables, shape (k, n, n).  img maps A-indices to
-# B-indices (-1 unassigned), pre is its partial inverse.  Propagates img over
-# all products until a fixpoint or a conflict; True on success.
+# B-indices (-1 unassigned), pre is its partial inverse.
 
 
-@njit(cache=True)
-def _closure_loop(tA, tB, img, pre, dom, ndom, stack, nstack):
-    k = tA.shape[0]
-    while nstack > 0:
-        nstack -= 1
-        a = stack[nstack]
-        fa = img[a]
-        di = 0
-        while di < ndom[0]:
-            d = dom[di]
-            fd = img[d]
-            for t in range(k):
-                c = tA[t, a, d]
-                fc = tB[t, fa, fd]
-                if img[c] == -1:
-                    if pre[fc] != -1:
-                        return False
-                    img[c] = fc
-                    pre[fc] = c
-                    dom[ndom[0]] = c
-                    ndom[0] += 1
-                    stack[nstack] = c
-                    nstack += 1
-                elif img[c] != fc:
-                    return False
-                c = tA[t, d, a]
-                fc = tB[t, fd, fa]
-                if img[c] == -1:
-                    if pre[fc] != -1:
-                        return False
-                    img[c] = fc
-                    pre[fc] = c
-                    dom[ndom[0]] = c
-                    ndom[0] += 1
-                    stack[nstack] = c
-                    nstack += 1
-                elif img[c] != fc:
-                    return False
-            di += 1
-    return True
+def closure_extend(tA, tB, img, pre):
+    """Propagate a partial bijective homomorphism to its closure in place.
 
-
-def _closure_np(tA, tB, img, pre):
-    k = tA.shape[0]
+    Returns True at a fixpoint, False (img/pre then undefined) on conflict.
+    """
     dom = np.flatnonzero(img >= 0)
     new = dom
     while new.size:
         before = img >= 0
-        for t in range(k):
+        for t in range(tA.shape[0]):
             for rows, cols in ((new, dom), (dom, new)):
                 P = tA[t][np.ix_(rows, cols)].ravel()
                 I = tB[t][np.ix_(img[rows], img[cols])].ravel()
@@ -241,41 +122,3 @@ def _closure_np(tA, tB, img, pre):
     # is absent from the batch; a final mutual-consistency sweep catches it
     mapped = np.flatnonzero(img >= 0)
     return bool(np.array_equal(pre[img[mapped]], mapped))
-
-
-def closure_extend(tA, tB, img, pre):
-    """Propagate a partial bijective homomorphism to its closure in place.
-
-    Returns False (img/pre then undefined) on conflict.
-    """
-    if HAVE_NUMBA:
-        n = img.shape[0]
-        dom0 = np.flatnonzero(img >= 0).astype(np.int64)
-        dom = np.empty(n, dtype=np.int64)
-        dom[: dom0.size] = dom0
-        ndom = np.array([dom0.size], dtype=np.int64)
-        stack = np.empty(n, dtype=np.int64)
-        stack[: dom0.size] = dom0
-        return bool(_closure_loop(tA, tB, img, pre, dom, ndom, stack, dom0.size))
-    return _closure_np(tA, tB, img, pre)
-
-
-def r2_violation(table):
-    """First (a, b, c) violating (a*b)*c == (a*c)*(b*c), or None."""
-    fn = _r2_violation_loop if HAVE_NUMBA else _r2_violation_np
-    a, b, c = fn(table)
-    return None if a < 0 else (int(a), int(b), int(c))
-
-
-def exchange_violation(under, over):
-    """First violated exchange identity as (code, x, y, z), or None."""
-    fn = _exchange_violation_loop if HAVE_NUMBA else _exchange_violation_np
-    code, x, y, z = fn(under, over)
-    return None if code < 0 else (int(code), int(x), int(y), int(z))
-
-
-def ybe_violation(under, over, over_inv):
-    """First triple breaking the braid relation of the pair map, or None."""
-    fn = _ybe_violation_loop if HAVE_NUMBA else _ybe_violation_np
-    a, b, c = fn(under, over, over_inv)
-    return None if a < 0 else (int(a), int(b), int(c))

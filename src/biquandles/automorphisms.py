@@ -19,7 +19,6 @@ from .core import (
     Permutation,
     PermutationGroup,
     associated_quandle,
-    inner_group,
     is_connected,
     is_faithful,
     orbits,
@@ -35,12 +34,7 @@ from .groups import (
     is_fixed_point_free,
 )
 from .group_constructions import gen_alexander_biquandle, gen_dihedral_biquandle, takasaki
-from .structures import (
-    BiquandleStructure,
-    biquandle_from_structure,
-    constant_structure,
-    structure_of_biquandle,
-)
+from .structures import biquandle_from_structure, constant_structure
 
 
 def quandle_aut(q: FiniteQuandle) -> PermutationGroup:

@@ -54,24 +54,29 @@ def _load_auto(path):
     raise MalformedInput(f"{path}: unrecognized JSON object")
 
 
+def _ints(texts, what):
+    """Parse each text as an integer, or raise MalformedInput naming what."""
+    try:
+        return [int(x) for x in texts]
+    except ValueError:
+        raise MalformedInput(f"bad {what}") from None
+
+
 def _group_from_spec(spec, cap) -> groups.FiniteGroup:
     """z5, z2x3x2, s3, d4, q8, or a path to {"n", "mul"} JSON."""
     s = spec.lower()
-    try:
-        if s.startswith("z"):
-            parts = s[1:].split("x")
-            g = groups.cyclic_group(int(parts[0]), cap=cap)
-            for p in parts[1:]:
-                g = groups.direct_product(g, groups.cyclic_group(int(p), cap=cap), cap=cap)
-            return g
-        if s.startswith("s") and s[1:].isdigit():
-            return groups.symmetric_group(int(s[1:]), cap=cap)
-        if s.startswith("d") and s[1:].isdigit():
-            return groups.dihedral_group(int(s[1:]), cap=cap)
-        if s == "q8":
-            return groups.quaternion_group()
-    except ValueError:
-        raise MalformedInput(f"bad group spec {spec!r}") from None
+    if s.startswith("z"):
+        first, *rest = _ints(s[1:].split("x"), f"group spec {spec!r}")
+        g = groups.cyclic_group(first, cap=cap)
+        for p in rest:
+            g = groups.direct_product(g, groups.cyclic_group(p, cap=cap), cap=cap)
+        return g
+    if s.startswith("s") and s[1:].isdigit():
+        return groups.symmetric_group(int(s[1:]), cap=cap)
+    if s.startswith("d") and s[1:].isdigit():
+        return groups.dihedral_group(int(s[1:]), cap=cap)
+    if s == "q8":
+        return groups.quaternion_group()
     return groups.FiniteGroup.from_dict(_read_json(spec))
 
 
@@ -80,6 +85,27 @@ def _aut_by_index(g: groups.FiniteGroup, idx):
     if not 0 <= idx < len(auts):
         raise DomainError(f"automorphism index {idx} out of range 0..{len(auts) - 1}")
     return auts[idx]
+
+
+# positional parameters of each construct family: how many, and whether
+# they are integers (otherwise JSON file paths); unlisted families take none
+_FAMILY_PARAMS = {
+    "trivial": (1, True),
+    "dihedral": (1, True),
+    "alexbq": (3, True),
+    "union": (2, False),
+    "unionbq": (2, False),
+    "product": (2, False),
+    "semidirect": (2, False),
+    "holomorph": (1, False),
+}
+
+
+def _family_params(family, params):
+    count, numeric = _FAMILY_PARAMS.get(family, (0, False))
+    if len(params) != count:
+        raise MalformedInput(f"construct {family} takes {count} parameter(s), got {len(params)}")
+    return _ints(params, f"{family} parameters {' '.join(params)!r}") if numeric else params
 
 
 def _perm_arg(text) -> Permutation:
@@ -92,10 +118,7 @@ def _perm_arg(text) -> Permutation:
 def _aut_list_arg(q: FiniteQuandle, text, length):
     """Comma list of indices into the (sorted) automorphism list of q."""
     auts = sorted(automorphisms.quandle_aut(q).elements)
-    try:
-        idxs = [int(x) for x in text.split(",")]
-    except ValueError:
-        raise MalformedInput(f"bad automorphism index list {text!r}") from None
+    idxs = _ints(text.split(","), f"automorphism index list {text!r}")
     if len(idxs) != length:
         raise MalformedInput(f"need {length} automorphism indices, got {len(idxs)}")
     if any(not 0 <= i < len(auts) for i in idxs):
@@ -137,10 +160,11 @@ def cmd_check(args):
 def cmd_construct(args):
     cap = args.cap_order
     fam = args.family
+    params = _family_params(fam, args.params)
     if fam == "trivial":
-        obj = group_constructions.trivial_quandle(int(args.params[0]))
+        obj = group_constructions.trivial_quandle(params[0])
     elif fam == "dihedral":
-        obj = group_constructions.dihedral_quandle(int(args.params[0]))
+        obj = group_constructions.dihedral_quandle(params[0])
     elif fam == "conj":
         g = _group_from_spec(args.group, cap)
         obj = group_constructions.conj_quandle(g, args.n)
@@ -162,27 +186,27 @@ def cmd_construct(args):
             g, _aut_by_index(g, args.phi), _aut_by_index(g, args.psi)
         )
     elif fam == "alexbq":
-        n, s, t = (int(x) for x in args.params)
+        n, s, t = params
         obj = group_constructions.alexander_biquandle(n, s, t)
     elif fam == "union":
-        q1, q2 = _load_quandle(args.params[0]), _load_quandle(args.params[1])
+        q1, q2 = _load_quandle(params[0]), _load_quandle(params[1])
         obj = combinators.union_quandle(q1, q2)
     elif fam == "unionbq":
-        q1, q2 = _load_quandle(args.params[0]), _load_quandle(args.params[1])
+        q1, q2 = _load_quandle(params[0]), _load_quandle(params[1])
         f = _perm_arg(args.f) if args.f else Permutation.identity(q1.n)
         g = _perm_arg(args.g) if args.g else Permutation.identity(q2.n)
         obj = combinators.union_biquandle_constant(q1, q2, f, g)
     elif fam == "product":
-        q1, q2 = _load_quandle(args.params[0]), _load_quandle(args.params[1])
+        q1, q2 = _load_quandle(params[0]), _load_quandle(params[1])
         phi = _aut_list_arg(q2, args.phi_map, q1.n) if args.phi_map else combinators._identity_maps(q1.n, q2.n)
         psi = _aut_list_arg(q1, args.psi_map, q2.n) if args.psi_map else combinators._identity_maps(q2.n, q1.n)
         obj = combinators.product_biquandle(q1, q2, phi, psi, case=args.case)
     elif fam == "semidirect":
-        q1, q2 = _load_quandle(args.params[0]), _load_quandle(args.params[1])
+        q1, q2 = _load_quandle(params[0]), _load_quandle(params[1])
         psi = _aut_list_arg(q1, args.psi_map, q2.n) if args.psi_map else combinators._identity_maps(q2.n, q1.n)
         obj = combinators.semidirect_biquandle(q1, q2, psi)
     elif fam == "holomorph":
-        obj = combinators.holomorph_biquandle(_load_quandle(args.params[0]))
+        obj = combinators.holomorph_biquandle(_load_quandle(params[0]))
     else:
         raise MalformedInput(f"unknown family {fam!r}")
     print(json.dumps(obj.to_dict(), sort_keys=True))
@@ -246,7 +270,7 @@ def cmd_color(args):
 
 
 def cmd_enumerate(args):
-    n = int(args.size)
+    (n,) = _ints([args.size], f"size {args.size!r}")
     if args.what == "trivial-structures":
         tuples = enumeration.trivial_structure_tuples_parallel(n, args.jobs, cap=args.cap_enum)
         for tup in tuples:
@@ -314,10 +338,7 @@ def cmd_iso(args):
 def cmd_cover(args):
     qt = _load_quandle(args.total)
     q = _load_quandle(args.base)
-    try:
-        pmap = np.array([int(x) for x in args.map.split(",")], dtype=np.int64)
-    except ValueError:
-        raise MalformedInput(f"bad map {args.map!r}") from None
+    pmap = np.array(_ints(args.map.split(","), f"map {args.map!r}"), dtype=np.int64)
     if args.action == "check":
         ok = coverings.is_quandle_covering(pmap, qt, q)
         _emit(args, {"covering": ok}, ["true" if ok else "false"])

@@ -13,7 +13,7 @@ All values are immutable after validated construction; operations are pure.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,21 +34,14 @@ def as_table(obj, what="table"):
     return t
 
 
-def _columns_are_permutations(t):
-    n = t.shape[0]
-    if t.min() < 0 or t.max() >= n:
-        return False
-    return bool((np.sort(t, axis=0) == np.arange(n)[:, None]).all())
+def _bad_columns(t):
+    """Ascending indices of the columns that are not permutations of 0..n-1.
 
-
-def _first_bad_column(t):
+    An out-of-range entry also breaks the sorted comparison, so no separate
+    range check is needed.
+    """
     n = t.shape[0]
-    target = np.arange(n)
-    for b in range(n):
-        col = t[:, b]
-        if col.min() < 0 or col.max() >= n or not np.array_equal(np.sort(col), target):
-            return b
-    return None
+    return np.flatnonzero((np.sort(t, axis=0) != np.arange(n)[:, None]).any(axis=0))
 
 
 def _invert_columns(t):
@@ -98,10 +91,8 @@ def check_quandle(table, all_witnesses=False):
     if diag.any():
         ws = np.flatnonzero(diag)
         bad += [("q1", (int(a),)) for a in (ws if all_witnesses else ws[:1])]
-    target = np.arange(n)
-    badcols = [b for b in range(n) if not np.array_equal(np.sort(t[:, b]), target)]
-    if badcols:
-        bad += [("r1", (int(b),)) for b in (badcols if all_witnesses else badcols[:1])]
+    badcols = _bad_columns(t)
+    bad += [("r1", (int(b),)) for b in (badcols if all_witnesses else badcols[:1])]
     if all_witnesses:
         for a in range(n):
             lhs = t[t[a]]
@@ -132,19 +123,11 @@ def check_biquandle(under, over, all_witnesses=False):
     d = np.flatnonzero(np.diagonal(u) != np.diagonal(o))
     if d.size:
         bad += [("b1", (int(a),)) for a in (d if all_witnesses else d[:1])]
+    cols_ok = True
     for name, t in (("b2-under-columns", u), ("b2-over-columns", o)):
-        if all_witnesses:
-            tgt = np.arange(n)
-            bad += [
-                (name, (int(b),))
-                for b in range(n)
-                if not np.array_equal(np.sort(t[:, b]), tgt)
-            ]
-        else:
-            b = _first_bad_column(t)
-            if b is not None:
-                bad.append((name, (int(b),)))
-    cols_ok = _columns_are_permutations(u) and _columns_are_permutations(o)
+        badcols = _bad_columns(t)
+        bad += [(name, (int(b),)) for b in (badcols if all_witnesses else badcols[:1])]
+        cols_ok = cols_ok and not badcols.size
     if cols_ok:
         # pair map S(x, y) = (over[y, x], under[x, y]) on n^2 points
         codes = (o.T * n + u).ravel()
@@ -563,7 +546,7 @@ def ybe_witness(under, over):
     o = as_table(over, "over")
     if u.shape != o.shape:
         raise MalformedInput(f"table sizes differ: {u.shape} vs {o.shape}")
-    if not _columns_are_permutations(o) or not _columns_are_permutations(u):
+    if _bad_columns(o).size or _bad_columns(u).size:
         raise DomainError("pair map undefined: a column is not a permutation")
     return _kernels.ybe_violation(u, o, _invert_columns(o))
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .automorphisms import quandle_aut
-from .core import FiniteQuandle, Permutation
+from .core import FiniteQuandle
 from .errors import DomainError
 from .structures import BiquandleStructure, biquandle_from_structure
 

@@ -13,7 +13,7 @@ import numpy as np
 from ._search import preserves_tables
 from .core import FiniteBiquandle, FiniteQuandle
 from .errors import DomainError
-from .groups import FiniteGroup, GroupAutomorphism, commute, cyclic_group, is_central_automorphism
+from .groups import FiniteGroup, GroupAutomorphism, commute, is_central_automorphism
 
 
 def trivial_quandle(n) -> FiniteQuandle:

@@ -37,7 +37,7 @@ class TestConstructAndCheck:
         code, out, _ = run(capsys, "check", str(p))
         assert code == 0 and "FAILED" in out and "r1" in out
 
-    def test_malformed_exits_2(self, capsys, tmp_path):
+    def test_malformed_exits_2(self, capsys, tmp_path, r3_file):
         p = tmp_path / "nope.json"
         p.write_text("garbage")
         code, _, err = run(capsys, "check", str(p))
@@ -53,6 +53,19 @@ class TestConstructAndCheck:
             ):
                 code, _, err = run(capsys, *argv)
                 assert code == 2 and "expected a JSON object" in err, (top, argv)
+        for argv in (
+            ("enumerate", "quandles", "abc"),
+            ("construct", "trivial", "abc"),
+            ("construct", "trivial"),
+            ("construct", "trivial", "2", "3"),
+            ("construct", "alexbq", "5", "3"),
+            ("construct", "union", r3_file),
+            ("construct", "wada", "3", "--group", "z3"),
+            ("aut", "--group", "zx"),
+            ("aut", "--group", "z2x"),
+        ):
+            code, _, err = run(capsys, *argv)
+            assert code == 2 and err.startswith("error:") and "Traceback" not in err, argv
 
     def test_check_biquandle_file(self, capsys, tmp_path):
         from biquandles.group_constructions import wada_biquandle
@@ -78,6 +91,9 @@ class TestConstructAndCheck:
     def test_domain_error_exits_1(self, capsys):
         code, _, err = run(capsys, "construct", "takasaki", "--group", "s3")
         assert code == 1 and "abelian" in err
+        # a well-formed group spec past the order cap is a domain error
+        code, _, err = run(capsys, "aut", "--group", "z300")
+        assert code == 1 and "exceeds cap" in err
 
     def test_construct_families_via_group_specs(self, capsys):
         for argv in (

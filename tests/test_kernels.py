@@ -1,7 +1,7 @@
-"""Parity of the numba and pure-numpy kernel paths.
+"""The numpy kernels against plain-Python reference loops.
 
-The dispatch itself is chosen at import time by BIQUANDLES_NO_NUMBA; here
-the two implementations are compared directly on the same inputs.
+Each oracle below walks the same triples in lexicographic order and stops
+at the first failure, so it pins both the verdict and the witness.
 """
 
 import random
@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from biquandles import _kernels as K
-from biquandles.core import _invert_columns
+from biquandles.core import _invert_columns, check_biquandle, check_quandle
 from biquandles.group_constructions import alexander_biquandle, dihedral_quandle, wada_biquandle
 from biquandles.groups import cyclic_group
 
@@ -20,70 +20,157 @@ def random_tables(rng, n):
     return t
 
 
-needs_numba = pytest.mark.skipif(not K.HAVE_NUMBA, reason="numba path disabled")
+# ---------------------------------------------------------------------------
+# reference oracles
 
 
-@needs_numba
-class TestPathParity:
+def r2_oracle(t):
+    n, t = len(t), t.tolist()
+    for a in range(n):
+        for b in range(n):
+            ab = t[a][b]
+            for c in range(n):
+                if t[ab][c] != t[t[a][c]][t[b][c]]:
+                    return a, b, c
+    return None
+
+
+def exchange_oracle(u, o):
+    n, u, o = len(u), u.tolist(), o.tolist()
+    for x in range(n):
+        for y in range(n):
+            xuy = u[x][y]
+            xoy = o[x][y]
+            for z in range(n):
+                zuy = u[z][y]
+                zoy = o[z][y]
+                if u[xuy][zuy] != u[u[x][z]][o[y][z]]:
+                    return 0, x, y, z
+                if o[xuy][zuy] != u[o[x][z]][o[y][z]]:
+                    return 1, x, y, z
+                if o[xoy][zoy] != o[o[x][z]][u[y][z]]:
+                    return 2, x, y, z
+    return None
+
+
+def ybe_oracle(u, o, oinv):
+    n, u, oinv = len(u), u.tolist(), oinv.tolist()
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                # left composite, innermost (r x id) first
+                w = oinv[b][a]
+                p, q, r_ = w, u[a][w], c
+                w = oinv[r_][q]
+                q, r_ = w, u[q][w]
+                w = oinv[q][p]
+                l1, l2, l3 = w, u[p][w], r_
+                # right composite, innermost (id x r) first
+                w = oinv[c][b]
+                p, q, r_ = a, w, u[b][w]
+                w = oinv[q][p]
+                p, q = w, u[p][w]
+                w = oinv[r_][q]
+                r1, r2, r3 = p, w, u[q][w]
+                if l1 != r1 or l2 != r2 or l3 != r3:
+                    return a, b, c
+    return None
+
+
+def closure_oracle(tA, tB, img, pre):
+    """Stack-based closure; same contract as K.closure_extend."""
+    k = tA.shape[0]
+    dom = [int(a) for a in np.flatnonzero(img >= 0)]
+    stack = list(dom)
+    while stack:
+        a = stack.pop()
+        fa = img[a]
+        di = 0
+        while di < len(dom):
+            d = dom[di]
+            fd = img[d]
+            for t in range(k):
+                for c, fc in ((tA[t, a, d], tB[t, fa, fd]), (tA[t, d, a], tB[t, fd, fa])):
+                    if img[c] == -1:
+                        if pre[fc] != -1:
+                            return False
+                        img[c] = fc
+                        pre[fc] = c
+                        dom.append(int(c))
+                        stack.append(int(c))
+                    elif img[c] != fc:
+                        return False
+            di += 1
+    return True
+
+
+# ---------------------------------------------------------------------------
+# corpus: the seeded random tables plus R_5, Wada(Z_4) and Alexander(5,3,2)
+
+R5 = dihedral_quandle(5)
+WADA4 = wada_biquandle(cyclic_group(4))
+ALEX532 = alexander_biquandle(5, 3, 2)
+
+
+def table_pairs(seed, count=40):
+    rng = random.Random(seed)
+    pairs = [(WADA4.under, WADA4.over), (ALEX532.under, ALEX532.over)]
+    for _ in range(count):
+        n = rng.randrange(1, 6)
+        pairs.append((random_tables(rng, n), random_tables(rng, n)))
+    return pairs
+
+
+class TestOracleParity:
     def test_r2_on_valid_and_broken_tables(self):
         rng = random.Random(11)
-        r5 = dihedral_quandle(5).table
-        assert K._r2_violation_loop(r5) == tuple(K._r2_violation_np(r5))
-        for _ in range(40):
-            t = random_tables(rng, rng.randrange(2, 6))
-            assert tuple(K._r2_violation_loop(t)) == tuple(K._r2_violation_np(t))
+        tables = [R5.table, WADA4.under, ALEX532.under]
+        tables += [random_tables(rng, rng.randrange(1, 6)) for _ in range(40)]
+        for t in tables:
+            assert K.r2_violation(t) == r2_oracle(t)
+        assert K.r2_violation(R5.table) is None
 
     def test_exchange_parity(self):
-        rng = random.Random(12)
-        w = wada_biquandle(cyclic_group(4))
-        assert tuple(K._exchange_violation_loop(w.under, w.over)) == tuple(
-            K._exchange_violation_np(w.under, w.over)
-        )
-        for _ in range(40):
-            n = rng.randrange(2, 5)
-            u, o = random_tables(rng, n), random_tables(rng, n)
-            assert tuple(K._exchange_violation_loop(u, o)) == tuple(K._exchange_violation_np(u, o))
+        for u, o in table_pairs(12):
+            assert K.exchange_violation(u, o) == exchange_oracle(u, o)
+        assert K.exchange_violation(WADA4.under, WADA4.over) is None
 
     def test_ybe_parity(self):
-        rng = random.Random(13)
-        b = alexander_biquandle(5, 3, 2)
-        args = (b.under, b.over, b.over_inv)
-        assert tuple(K._ybe_violation_loop(*args)) == tuple(K._ybe_violation_np(*args))
-        for _ in range(40):
-            n = rng.randrange(2, 5)
-            u, o = random_tables(rng, n), random_tables(rng, n)
+        for u, o in table_pairs(13):
             oinv = _invert_columns(o)
-            assert tuple(K._ybe_violation_loop(u, o, oinv)) == tuple(K._ybe_violation_np(u, o, oinv))
+            assert K.ybe_violation(u, o, oinv) == ybe_oracle(u, o, oinv)
+        assert K.ybe_violation(ALEX532.under, ALEX532.over, ALEX532.over_inv) is None
 
-    def test_closure_parity(self):
+    @pytest.mark.parametrize("case", ["R5", "random"])
+    def test_closure_parity(self, case):
         rng = random.Random(14)
-        t = dihedral_quandle(5).table
-        tA = np.stack([t])
+        outcomes = set()
         for _ in range(60):
-            img1 = np.full(5, -1, dtype=np.int64)
-            pre1 = np.full(5, -1, dtype=np.int64)
-            a = rng.randrange(5)
-            b = rng.randrange(5)
+            if case == "R5":
+                n, tA, tB = 5, np.stack([R5.table]), np.stack([R5.table])
+            else:
+                n = rng.randrange(1, 6)
+                tA = np.stack([random_tables(rng, n) for _ in range(2)])
+                tB = np.stack([random_tables(rng, n) for _ in range(2)])
+            img1 = np.full(n, -1, dtype=np.int64)
+            pre1 = np.full(n, -1, dtype=np.int64)
+            a, b = rng.randrange(n), rng.randrange(n)
             img1[a] = b
             pre1[b] = a
             img2, pre2 = img1.copy(), pre1.copy()
-            dom0 = np.flatnonzero(img1 >= 0).astype(np.int64)
-            dom = np.empty(5, dtype=np.int64)
-            dom[: dom0.size] = dom0
-            ndom = np.array([dom0.size], dtype=np.int64)
-            stack = np.empty(5, dtype=np.int64)
-            stack[: dom0.size] = dom0
-            ok1 = bool(K._closure_loop(tA, tA, img1, pre1, dom, ndom, stack, dom0.size))
-            ok2 = K._closure_np(tA, tA, img2, pre2)
-            assert ok1 == ok2
-            if ok1:
-                assert np.array_equal(img1, img2)
+            ok = K.closure_extend(tA, tB, img1, pre1)
+            assert ok is closure_oracle(tA, tB, img2, pre2)
+            if ok:
+                assert np.array_equal(img1, img2) and np.array_equal(pre1, pre2)
+            outcomes.add(ok)
+        if case == "random":
+            assert outcomes == {True, False}
 
 
 class TestClosureInjectivity:
     def test_numpy_closure_rejects_forced_collision(self):
         # crafted tables that funnel two elements onto one image through
-        # rounds that never revisit the first witness; both paths must fail
+        # rounds that never revisit the first witness
         # from img = {0 -> 0}: 0*0 forces 1 -> 1, then 1*0 forces 2 -> 3,
         # then 2*0 forces 3 -> 3, colliding with the image of 2
         tA = np.array([[
@@ -98,36 +185,83 @@ class TestClosureInjectivity:
             [2, 2, 2, 2],
             [3, 3, 3, 3],
         ]], dtype=np.int64)
-        img = np.full(4, -1, dtype=np.int64)
-        pre = np.full(4, -1, dtype=np.int64)
-        img[0] = 0
-        pre[0] = 0
-        assert K._closure_np(tA, tB, img, pre) is False
-        if K.HAVE_NUMBA:
-            img2 = np.full(4, -1, dtype=np.int64)
-            pre2 = np.full(4, -1, dtype=np.int64)
-            img2[0] = 0
-            pre2[0] = 0
-            dom = np.empty(4, dtype=np.int64)
-            dom[0] = 0
-            stack = np.empty(4, dtype=np.int64)
-            stack[0] = 0
-            ok = K._closure_loop(tA, tB, img2, pre2, dom, np.array([1], dtype=np.int64), stack, 1)
-            assert not ok
+        for closure in (K.closure_extend, closure_oracle):
+            img = np.full(4, -1, dtype=np.int64)
+            pre = np.full(4, -1, dtype=np.int64)
+            img[0] = 0
+            pre[0] = 0
+            assert closure(tA, tB, img, pre) is False
+
+    def test_closure_rejects_collision_hidden_from_its_batch(self):
+        # from img = {0 -> 0, 1 -> 1} every product forces 2 -> 1; no batch
+        # holds 1 itself, so only the final consistency sweep sees the clash
+        tA = np.full((1, 3, 3), 2, dtype=np.int64)
+        tB = np.ones((1, 3, 3), dtype=np.int64)
+        for closure in (K.closure_extend, closure_oracle):
+            img = np.array([0, 1, -1], dtype=np.int64)
+            pre = np.array([0, 1, -1], dtype=np.int64)
+            assert closure(tA, tB, img, pre) is False
 
 
-class TestDispatch:
-    def test_wrappers_return_none_on_valid_input(self):
-        r5 = dihedral_quandle(5).table
-        assert K.r2_violation(r5) is None
+class TestWitnessModes:
+    """The default report's witness is the first one of the all-witness sweep."""
+
+    def test_quandle_r2_witness_is_first(self):
+        rng = random.Random(15)
+        seen = 0
+        for _ in range(60):
+            t = random_tables(rng, rng.randrange(1, 6))
+            one = [w for ax, w in check_quandle(t).violations if ax == "r2"]
+            every = [w for ax, w in check_quandle(t, all_witnesses=True).violations if ax == "r2"]
+            assert one == every[:1]
+            seen += bool(one)
+        assert seen
+
+    def test_column_witnesses_ascend(self):
+        rng = random.Random(17)
+        for _ in range(60):
+            n = rng.randrange(1, 6)
+            u, o = (np.array([[rng.randrange(n) for _ in range(n)] for _ in range(n)]) for _ in "uo")
+            quandle = (check_quandle(u), check_quandle(u, all_witnesses=True))
+            biquandle = (check_biquandle(u, o), check_biquandle(u, o, all_witnesses=True))
+            for axiom, t, (one, every) in (
+                ("r1", u, quandle),
+                ("b2-under-columns", u, biquandle),
+                ("b2-over-columns", o, biquandle),
+            ):
+                cols = [(b,) for b in range(n) if sorted(t[:, b]) != list(range(n))]
+                assert [w for ax, w in every.violations if ax == axiom] == cols
+                assert [w for ax, w in one.violations if ax == axiom] == cols[:1]
+
+    def test_biquandle_b3_witness_is_min_by_kernel_order(self):
+        codes = {"b3a": 0, "b3b": 1, "b3c": 2}
+        seen = 0
+        for u, o in table_pairs(16, count=60):
+            one = [(w, codes[ax]) for ax, w in check_biquandle(u, o).violations if ax in codes]
+            every = [
+                (w, codes[ax])
+                for ax, w in check_biquandle(u, o, all_witnesses=True).violations
+                if ax in codes
+            ]
+            assert one == ([min(every, key=lambda e: (*e[0], e[1]))] if every else [])
+            seen += bool(one)
+        assert seen
+
+
+class TestPublicKernels:
+    def test_kernels_return_none_on_valid_input(self):
+        assert K.r2_violation(R5.table) is None
         w = wada_biquandle(cyclic_group(5))
         assert K.exchange_violation(w.under, w.over) is None
         assert K.ybe_violation(w.under, w.over, w.over_inv) is None
 
-    def test_wrappers_return_witness(self):
+    def test_kernels_return_witness(self):
         a = np.arange(3)
         under = (a[:, None] + a[None, :]) % 3
         over = np.broadcast_to(a[:, None], (3, 3)).copy()
         code, x, y, z = K.exchange_violation(under, over)
         assert code in (0, 1, 2)
-        assert K.ybe_violation(under, over, _invert_columns(over)) is not None
+        ybe = K.ybe_violation(under, over, _invert_columns(over))
+        r2 = K.r2_violation(under)
+        # witnesses end up in JSON, which takes Python ints only
+        assert all(type(v) is int for v in (code, x, y, z, *ybe, *r2))
