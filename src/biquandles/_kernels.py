@@ -13,15 +13,29 @@ import numpy as np
 HAVE_NUMBA = False
 
 
-def r2_violation(t):
-    """First (a, b, c) violating (a*b)*c == (a*c)*(b*c), or None."""
+def _first(bad):
+    """Index pair of the first True entry of a 2-D mask, as Python ints."""
+    i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
+    return int(i), int(j)
+
+
+def r2_slabs(t):
+    """Per row a, yield (a, bad) with bad[b, c] set where
+    (a*b)*c != (a*c)*(b*c)."""
     for a in range(t.shape[0]):
+        # both operands stay alive across the yield: freeing them together
+        # lets malloc trim and re-fault their pages on every row (2x slower
+        # at n = 301)
         lhs = t[t[a]]                      # lhs[b, c] = (a*b)*c
         rhs = t[t[a][None, :], t]          # rhs[b, c] = (a*c)*(b*c)
-        bad = lhs != rhs
+        yield a, lhs != rhs
+
+
+def r2_violation(t):
+    """First (a, b, c) violating (a*b)*c == (a*c)*(b*c), or None."""
+    for a, bad in r2_slabs(t):
         if bad.any():
-            b, c = np.unravel_index(int(np.argmax(bad)), bad.shape)
-            return a, int(b), int(c)
+            return (a, *_first(bad))
     return None
 
 
@@ -33,27 +47,29 @@ def r2_violation(t):
 # with u = under table, o = over table
 
 
+def exchange_slabs(u, o):
+    """Per row x, yield (x, (bad0, bad1, bad2)): the [y, z] grids where
+    identities 0, 1 and 2 fail."""
+    for x in range(u.shape[0]):
+        xu = u[x][:, None]                 # column over y
+        xo = o[x][:, None]
+        yield x, (
+            u[xu, u.T] != u[u[x][None, :], o],
+            o[xu, u.T] != u[o[x][None, :], o],
+            o[xo, o.T] != o[o[x][None, :], u],
+        )
+
+
 def exchange_violation(u, o):
     """First violated exchange identity as (code, x, y, z), or None.
 
     Witnesses are ordered by (x, y, z, code).
     """
-    for x in range(u.shape[0]):
-        xu = u[x][:, None]                 # column over y
-        xo = o[x][:, None]
-        bads = (
-            u[xu, u.T] != u[u[x][None, :], o],   # [y, z] grids
-            o[xu, u.T] != u[o[x][None, :], o],
-            o[xo, o.T] != o[o[x][None, :], u],
-        )
-        hits = [
-            (*np.unravel_index(int(np.argmax(bad)), bad.shape), code)
-            for code, bad in enumerate(bads)
-            if bad.any()
-        ]
+    for x, bads in exchange_slabs(u, o):
+        hits = [(*_first(bad), code) for code, bad in enumerate(bads) if bad.any()]
         if hits:
             y, z, code = min(hits)
-            return code, x, int(y), int(z)
+            return code, x, y, z
     return None
 
 
@@ -83,8 +99,7 @@ def ybe_violation(u, o, oinv):
         q3, r3 = rmap(q2, r2_)
         bad = (l1 != p2) | (l2 != q3) | (l3 != r3)
         if bad.any():
-            b, c = np.unravel_index(int(np.argmax(bad)), bad.shape)
-            return a, int(b), int(c)
+            return (a, *_first(bad))
     return None
 
 

@@ -11,6 +11,8 @@ invariants (column cycle types and orbit size), which conjugation preserves.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 
 from . import _kernels
@@ -33,8 +35,9 @@ def _column_cycle_type(col):
     return tuple(sorted(out))
 
 
-def _orbit_sizes(tables):
-    """Size of each element's orbit under all column maps of all tables."""
+def orbit_roots(tables):
+    """A representative of each element's orbit under all column maps of
+    all tables (union-find); equal roots mean the same orbit."""
     n = tables.shape[1]
     parent = list(range(n))
 
@@ -45,27 +48,23 @@ def _orbit_sizes(tables):
         return a
 
     for t in tables:
-        for x in range(n):
-            col = t[:, x]
-            for a in range(n):
-                ra, rb = find(a), find(int(col[a]))
+        for col in t.T.tolist():
+            for a, b in enumerate(col):
+                ra, rb = find(a), find(b)
                 if ra != rb:
                     parent[ra] = rb
-    sizes = {}
-    roots = [find(a) for a in range(n)]
-    for r in roots:
-        sizes[r] = sizes.get(r, 0) + 1
-    return [sizes[r] for r in roots]
+    return [find(a) for a in range(n)]
 
 
 def _invariants(tables):
     n = tables.shape[1]
-    osz = _orbit_sizes(tables)
+    roots = orbit_roots(tables)
+    size = Counter(roots)
     inv = []
     for a in range(n):
         sig = tuple(_column_cycle_type(t[:, a]) for t in tables)
         diag = tuple(int(t[a, a]) == a for t in tables)
-        inv.append((sig, diag, osz[a]))
+        inv.append((sig, diag, size[roots[a]]))
     return inv
 
 

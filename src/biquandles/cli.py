@@ -22,10 +22,12 @@ from .structures import BiquandleStructure
 def _read_json(path):
     """The JSON object in a file; anything else is malformed input."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             d = json.load(fh)
     except OSError as e:
         raise MalformedInput(f"cannot read {path}: {e}") from None
+    except UnicodeDecodeError as e:
+        raise MalformedInput(f"{path}: not UTF-8 text: {e}") from None
     except json.JSONDecodeError as e:
         raise MalformedInput(f"{path}: bad JSON: {e}") from None
     if not isinstance(d, dict):
@@ -245,10 +247,12 @@ def cmd_color(args):
     if len(picked) != 1:
         raise MalformedInput("give exactly one of --structure, --quandle, --biquandle")
     try:
-        with open(args.diagram) as fh:
+        with open(args.diagram, encoding="utf-8") as fh:
             diagram = links.parse_diagram(fh.read())
     except OSError as e:
         raise MalformedInput(f"cannot read {args.diagram}: {e}") from None
+    except UnicodeDecodeError as e:
+        raise MalformedInput(f"{args.diagram}: not UTF-8 text: {e}") from None
     if args.quandle:
         count = links.coloring_count_quandle(diagram, _load_quandle(args.quandle))
     elif args.biquandle:

@@ -18,30 +18,37 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from ._search import orbit_roots
 from .errors import AxiomError, DomainError, MalformedInput
 
 
 def as_table(obj, what="table"):
-    """Coerce to a read-only square int64 array or raise MalformedInput."""
+    """Coerce to a read-only square int64 array or raise MalformedInput.
+
+    Entries must already be integers: floats, strings and bools are refused,
+    not truncated or parsed.
+    """
     try:
-        t = np.asarray(obj, dtype=np.int64)
+        t = np.asarray(obj)
     except (TypeError, ValueError) as e:
         raise MalformedInput(f"{what} is not an integer matrix: {e}") from None
     if t.ndim != 2 or t.shape[0] != t.shape[1] or t.shape[0] == 0:
         raise MalformedInput(f"{what} must be square and nonempty, got shape {t.shape}")
-    t = t.copy()
+    if t.dtype.kind not in "iu":
+        raise MalformedInput(f"{what} entries must be int64 integers, got dtype {t.dtype}")
+    t = t.astype(np.int64)  # a private copy, so the read-only flag is ours
     t.setflags(write=False)
     return t
 
 
 def _bad_columns(t):
-    """Ascending indices of the columns that are not permutations of 0..n-1.
+    """Mask of the columns that are not permutations of 0..n-1.
 
     An out-of-range entry also breaks the sorted comparison, so no separate
     range check is needed.
     """
     n = t.shape[0]
-    return np.flatnonzero((np.sort(t, axis=0) != np.arange(n)[:, None]).any(axis=0))
+    return (np.sort(t, axis=0) != np.arange(n)[:, None]).any(axis=0)
 
 
 def _invert_columns(t):
@@ -72,38 +79,35 @@ class AxiomReport:
         return AxiomReport(passed=not vs, violations=vs)
 
 
+def _witnesses(axiom, bad, all_witnesses, prefix=()):
+    """(axiom, prefix + index) for each set entry of the mask bad, in C
+    order; only the first unless all_witnesses."""
+    hits = np.argwhere(bad)[: None if all_witnesses else 1].tolist()
+    return [(axiom, (*prefix, *w)) for w in hits]
+
+
 def check_quandle(table, all_witnesses=False):
     """Verify entry range, idempotency (q1), column bijectivity (r1) and
     right self-distributivity (r2); report one witness per violated axiom
     (all witnesses when all_witnesses is set)."""
     t = as_table(table)
     n = t.shape[0]
-    bad = []
     inrange = (t >= 0) & (t < n)
     if not inrange.all():
-        if all_witnesses:
-            bad += [("entry-range", (int(a), int(b))) for a, b in np.argwhere(~inrange)]
-        else:
-            a, b = np.argwhere(~inrange)[0]
-            bad.append(("entry-range", (int(a), int(b))))
-        return AxiomReport.from_violations(bad)
-    diag = np.diagonal(t) != np.arange(n)
-    if diag.any():
-        ws = np.flatnonzero(diag)
-        bad += [("q1", (int(a),)) for a in (ws if all_witnesses else ws[:1])]
-    badcols = _bad_columns(t)
-    bad += [("r1", (int(b),)) for b in (badcols if all_witnesses else badcols[:1])]
+        return AxiomReport.from_violations(_witnesses("entry-range", ~inrange, all_witnesses))
+    bad = _witnesses("q1", np.diagonal(t) != np.arange(n), all_witnesses)
+    bad += _witnesses("r1", _bad_columns(t), all_witnesses)
     if all_witnesses:
-        for a in range(n):
-            lhs = t[t[a]]
-            rhs = t[t[a][None, :], t]
-            for b, c in np.argwhere(lhs != rhs):
-                bad.append(("r2", (a, int(b), int(c))))
+        for a, slab in _kernels.r2_slabs(t):
+            bad += _witnesses("r2", slab, True, (a,))
     else:
         w = _kernels.r2_violation(t)
         if w is not None:
             bad.append(("r2", w))
     return AxiomReport.from_violations(bad)
+
+
+_B3 = ("b3a", "b3b", "b3c")  # exchange identities by kernel code
 
 
 def check_biquandle(under, over, all_witnesses=False):
@@ -115,52 +119,31 @@ def check_biquandle(under, over, all_witnesses=False):
     if u.shape != o.shape:
         raise MalformedInput(f"table sizes differ: {u.shape} vs {o.shape}")
     n = u.shape[0]
-    bad = []
     inr = (u >= 0) & (u < n) & (o >= 0) & (o < n)
     if not inr.all():
-        a, b = np.argwhere(~inr)[0]
-        return AxiomReport.from_violations([("entry-range", (int(a), int(b)))])
-    d = np.flatnonzero(np.diagonal(u) != np.diagonal(o))
-    if d.size:
-        bad += [("b1", (int(a),)) for a in (d if all_witnesses else d[:1])]
-    cols_ok = True
-    for name, t in (("b2-under-columns", u), ("b2-over-columns", o)):
-        badcols = _bad_columns(t)
-        bad += [(name, (int(b),)) for b in (badcols if all_witnesses else badcols[:1])]
-        cols_ok = cols_ok and not badcols.size
-    if cols_ok:
-        # pair map S(x, y) = (over[y, x], under[x, y]) on n^2 points
-        codes = (o.T * n + u).ravel()
-        if not np.array_equal(np.sort(codes), np.arange(n * n)):
-            seen = np.zeros(n * n, dtype=bool)
-            for x in range(n):
-                for y in range(n):
-                    cd = codes[x * n + y]
-                    if seen[cd]:
-                        bad.append(("b2-pairmap", (x, y)))
-                        if not all_witnesses:
-                            break
-                    seen[cd] = True
-                else:
-                    continue
-                break
-        names = {0: "b3a", 1: "b3b", 2: "b3c"}
-        if all_witnesses:
-            for x in range(n):
-                xu = u[x][:, None]
-                xo = o[x][:, None]
-                for code, badm in (
-                    (0, u[xu, u.T] != u[u[x][None, :], o]),
-                    (1, o[xu, u.T] != u[o[x][None, :], o]),
-                    (2, o[xo, o.T] != o[o[x][None, :], u]),
-                ):
-                    for y, z in np.argwhere(badm):
-                        bad.append((names[code], (x, int(y), int(z))))
-        else:
-            w = _kernels.exchange_violation(u, o)
-            if w is not None:
-                code, x, y, z = w
-                bad.append((names[code], (x, y, z)))
+        return AxiomReport.from_violations(_witnesses("entry-range", ~inr, all_witnesses))
+    bad = _witnesses("b1", np.diagonal(u) != np.diagonal(o), all_witnesses)
+    cols = {"b2-under-columns": _bad_columns(u), "b2-over-columns": _bad_columns(o)}
+    for name, mask in cols.items():
+        bad += _witnesses(name, mask, all_witnesses)
+    if any(mask.any() for mask in cols.values()):
+        return AxiomReport.from_violations(bad)
+    # pair map S(x, y) = (over[y, x], under[x, y]) on n^2 points; a point
+    # whose code an earlier point already took is a witness
+    codes = (o.T * n + u).ravel()
+    if not np.array_equal(np.sort(codes), np.arange(n * n)):
+        repeat = np.ones(n * n, dtype=bool)
+        repeat[np.unique(codes, return_index=True)[1]] = False
+        bad += _witnesses("b2-pairmap", repeat.reshape(n, n), all_witnesses)
+    if all_witnesses:
+        for x, slabs in _kernels.exchange_slabs(u, o):
+            for name, slab in zip(_B3, slabs):
+                bad += _witnesses(name, slab, True, (x,))
+    else:
+        w = _kernels.exchange_violation(u, o)
+        if w is not None:
+            code, *xyz = w
+            bad.append((_B3[code], tuple(xyz)))
     return AxiomReport.from_violations(bad)
 
 
@@ -461,25 +444,10 @@ def inner_group(q: FiniteQuandle) -> PermutationGroup:
 
 def orbits(q: FiniteQuandle):
     """Orbit partition of the inner-group action, sorted by smallest member."""
-    n = q.n
-    seen = [False] * n
-    out = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        orb = [s]
-        seen[s] = True
-        stack = [s]
-        while stack:
-            a = stack.pop()
-            for x in range(n):
-                for b in (int(q.table[a, x]), int(q.tinv[a, x])):
-                    if not seen[b]:
-                        seen[b] = True
-                        orb.append(b)
-                        stack.append(b)
-        out.append(sorted(orb))
-    return out
+    out = {}
+    for a, root in enumerate(orbit_roots(q.table[None])):
+        out.setdefault(root, []).append(a)
+    return list(out.values())
 
 
 def is_connected(q: FiniteQuandle) -> bool:
@@ -546,7 +514,7 @@ def ybe_witness(under, over):
     o = as_table(over, "over")
     if u.shape != o.shape:
         raise MalformedInput(f"table sizes differ: {u.shape} vs {o.shape}")
-    if _bad_columns(o).size or _bad_columns(u).size:
+    if _bad_columns(o).any() or _bad_columns(u).any():
         raise DomainError("pair map undefined: a column is not a permutation")
     return _kernels.ybe_violation(u, o, _invert_columns(o))
 

@@ -16,8 +16,6 @@ from .core import FiniteQuandle
 from .errors import DomainError
 from .structures import BiquandleStructure, biquandle_from_structure
 
-_UNSET = object()
-
 
 def is_quandle_covering(p, qt: FiniteQuandle, q: FiniteQuandle) -> bool:
     """p is a surjective homomorphism and collapses right translations:

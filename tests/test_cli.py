@@ -66,6 +66,18 @@ class TestConstructAndCheck:
         ):
             code, _, err = run(capsys, *argv)
             assert code == 2 and err.startswith("error:") and "Traceback" not in err, argv
+        # entries that are not integers are refused, not truncated or parsed
+        for table in ("[[0.9, 0], [1, 1]]", '[["0", "0"], ["1", "1"]]', "[[100000000000000000000000, 0], [1, 1]]"):
+            p.write_text(f'{{"n": 2, "table": {table}}}')
+            for argv in (("check", str(p)), ("aut", "--quandle", str(p))):
+                code, out, err = run(capsys, *argv)
+                assert code == 2 and err.startswith("error:") and not out, (table, argv)
+        # files that are not UTF-8 text
+        p.write_bytes(b"\xff\xfe{}")
+        diagram.write_bytes(b"\xff\xfe= a a\n")
+        for argv in (("check", str(p)), ("color", "--diagram", str(diagram), "--quandle", r3_file)):
+            code, _, err = run(capsys, *argv)
+            assert code == 2 and "not UTF-8" in err, argv
 
     def test_check_biquandle_file(self, capsys, tmp_path):
         from biquandles.group_constructions import wada_biquandle
@@ -87,6 +99,13 @@ class TestConstructAndCheck:
         assert not got["passed"]
         axioms = {v[0] for v in got["violations"]}
         assert {"q1", "r1"} <= axioms
+
+    def test_check_all_witnesses_lists_every_out_of_range_entry(self, capsys, tmp_path):
+        p = tmp_path / "oor.json"
+        p.write_text('{"n": 2, "under": [[0, 5], [1, 1]], "over": [[0, 0], [-1, 1]]}')
+        code, out, _ = run(capsys, "--format", "json", "check", str(p), "--all-witnesses")
+        assert code == 0
+        assert json.loads(out)["violations"] == [["entry-range", [0, 1]], ["entry-range", [1, 0]]]
 
     def test_domain_error_exits_1(self, capsys):
         code, _, err = run(capsys, "construct", "takasaki", "--group", "s3")

@@ -40,6 +40,28 @@ def wada_tables(n):
     return (-a[:, None] + 0 * a[None, :]) % n, (a[:, None] - 2 * a[None, :]) % n
 
 
+def orbits_by_search(q):
+    """Orbit partition by breadth-first search along S_x and S_x^{-1}."""
+    seen = [False] * q.n
+    out = []
+    for s in range(q.n):
+        if seen[s]:
+            continue
+        orb = [s]
+        seen[s] = True
+        stack = [s]
+        while stack:
+            a = stack.pop()
+            for x in range(q.n):
+                for b in (q.op(a, x), q.op_inv(a, x)):
+                    if not seen[b]:
+                        seen[b] = True
+                        orb.append(b)
+                        stack.append(b)
+        out.append(sorted(orb))
+    return out
+
+
 class TestCheckQuandle:
     def test_dihedral_table_passes(self):
         assert check_quandle(R3_TABLE).passed
@@ -78,6 +100,32 @@ class TestCheckQuandle:
         rep = check_quandle([[0, 0], [0, 1]], all_witnesses=True)
         assert len(rep.violations) >= 1
 
+    @pytest.mark.parametrize(
+        "table",
+        [
+            [[0.9, 0], [1, 1]],
+            [["0", "0"], ["1", "1"]],
+            [[10**23, 0], [1, 1]],
+            [[True, False], [False, True]],
+            np.array([[0, 0], [1, 1]], dtype=np.float64),
+        ],
+        ids=["float", "string", "overflow", "bool", "float-array"],
+    )
+    def test_non_integer_entries_are_malformed(self, table):
+        # neither truncated, parsed nor overflowed into a traceback
+        with pytest.raises(MalformedInput):
+            check_quandle(table)
+        with pytest.raises(MalformedInput):
+            FiniteQuandle(table)
+
+    def test_integer_arrays_of_any_width_are_accepted(self):
+        for dtype in (np.int8, np.uint16, np.int32, np.int64):
+            t = np.array(R3_TABLE, dtype=dtype)
+            assert check_quandle(t).passed
+            q = FiniteQuandle(t)
+            assert q.table.dtype == np.int64
+            assert t.flags.writeable and not q.table.flags.writeable
+
 
 class TestCheckBiquandle:
     def test_embedded_quandle(self):
@@ -96,6 +144,13 @@ class TestCheckBiquandle:
     def test_size_mismatch(self):
         with pytest.raises(MalformedInput):
             check_biquandle([[0]], [[0, 1], [1, 0]])
+
+    def test_all_witnesses_lists_every_out_of_range_entry(self):
+        under = [[0, 5], [1, 1]]
+        over = [[0, 0], [-1, 1]]
+        assert check_biquandle(under, over).violations == (("entry-range", (0, 1)),)
+        rep = check_biquandle(under, over, all_witnesses=True)
+        assert rep.violations == (("entry-range", (0, 1)), ("entry-range", (1, 0)))
 
     def test_diagonal_axiom_violation(self):
         a = np.arange(3)
@@ -146,6 +201,12 @@ class TestOrbitsAndPredicates:
         q = trivial_quandle(2)
         assert not is_faithful(q)
         assert is_involutory_quandle(q)
+
+    def test_orbits_match_breadth_first_search(self):
+        from biquandles.enumeration import enumerate_quandles
+
+        for q in [*enumerate_quandles(4), *(dihedral_quandle(n) for n in range(3, 12))]:
+            assert orbits(q) == orbits_by_search(q)
 
     def test_orbits_stable_under_inner_generators(self):
         q = conj_quandle(symmetric_group(3))

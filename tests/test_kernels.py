@@ -1,13 +1,17 @@
 """The numpy kernels against plain-Python reference loops.
 
-Each oracle below walks the same triples in lexicographic order and stops
-at the first failure, so it pins both the verdict and the witness.
+Each first-witness oracle below walks the same triples in lexicographic
+order and stops at the first failure, so it pins both the verdict and the
+witness; each all-witness oracle lists every failure in report order.
 """
 
 import random
+from operator import ne
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biquandles import _kernels as K
 from biquandles.core import _invert_columns, check_biquandle, check_quandle
@@ -102,6 +106,53 @@ def closure_oracle(tA, tB, img, pre):
                         return False
             di += 1
     return True
+
+
+# all-witness oracles: every failure, in the order the reports list them
+
+
+def r2_all_oracle(t):
+    """Every (a, b, c) violating (a*b)*c == (a*c)*(b*c), in (a, b, c) order."""
+    n, t = len(t), t.tolist()
+    return [
+        (a, b, c)
+        for a in range(n)
+        for b in range(n)
+        for c in range(n)
+        if t[t[a][b]][c] != t[t[a][c]][t[b][c]]
+    ]
+
+
+def exchange_all_oracle(u, o):
+    """Every violated exchange identity as (x, code, y, z), in that order."""
+    n, u, o = len(u), u.tolist(), o.tolist()
+    sides = (
+        lambda x, y, z: (u[u[x][y]][u[z][y]], u[u[x][z]][o[y][z]]),
+        lambda x, y, z: (o[u[x][y]][u[z][y]], u[o[x][z]][o[y][z]]),
+        lambda x, y, z: (o[o[x][y]][o[z][y]], o[o[x][z]][u[y][z]]),
+    )
+    return [
+        (x, code, y, z)
+        for x in range(n)
+        for code, side in enumerate(sides)
+        for y in range(n)
+        for z in range(n)
+        if ne(*side(x, y, z))
+    ]
+
+
+def pairmap_repeat_oracle(u, o):
+    """Points (x, y), in (x, y) order, whose image (y o x, x u y) under the
+    pair map an earlier point already took."""
+    n, u, o = len(u), u.tolist(), o.tolist()
+    seen, out = set(), []
+    for x in range(n):
+        for y in range(n):
+            image = (o[y][x], u[x][y])
+            if image in seen:
+                out.append((x, y))
+            seen.add(image)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +297,70 @@ class TestWitnessModes:
             assert one == ([min(every, key=lambda e: (*e[0], e[1]))] if every else [])
             seen += bool(one)
         assert seen
+
+
+B3_CODES = {"b3a": 0, "b3b": 1, "b3c": 2}
+
+
+def assert_quandle_report_matches_oracle(t):
+    every = check_quandle(t, all_witnesses=True).violations
+    assert [w for ax, w in every if ax == "r2"] == r2_all_oracle(t)
+
+
+def assert_biquandle_report_matches_oracles(u, o):
+    every = check_biquandle(u, o, all_witnesses=True).violations
+    b3 = [(w[0], B3_CODES[ax], *w[1:]) for ax, w in every if ax in B3_CODES]
+    assert b3 == exchange_all_oracle(u, o)
+    assert [w for ax, w in every if ax == "b2-pairmap"] == pairmap_repeat_oracle(u, o)
+
+
+@st.composite
+def permutation_column_tables(draw, count):
+    """count tables of one size n <= 5 whose columns are permutations."""
+    n = draw(st.integers(1, 5))
+    return [
+        np.array([draw(st.permutations(range(n))) for _ in range(n)], dtype=np.int64).T
+        for _ in range(count)
+    ]
+
+
+@st.composite
+def in_range_tables(draw):
+    n = draw(st.integers(1, 5))
+    row = st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+    return np.array(draw(st.lists(row, min_size=n, max_size=n)), dtype=np.int64)
+
+
+ORACLE_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+
+
+class TestAllWitnessOracles:
+    """Both report modes read the kernels' row sweeps, so only these plain
+    loops can catch a sweep bug the two modes share."""
+
+    def test_quandle_r2_on_seeded_corpus(self):
+        rng = random.Random(18)
+        tables = [R5.table, WADA4.under] + [random_tables(rng, rng.randrange(1, 6)) for _ in range(60)]
+        for t in tables:
+            assert_quandle_report_matches_oracle(t)
+        assert any(r2_all_oracle(t) for t in tables)
+
+    def test_biquandle_b3_and_pair_map_on_seeded_corpus(self):
+        pairs = table_pairs(19, count=60)
+        for u, o in pairs:
+            assert_biquandle_report_matches_oracles(u, o)
+        assert any(exchange_all_oracle(u, o) for u, o in pairs)
+        assert any(pairmap_repeat_oracle(u, o) for u, o in pairs)
+
+    @ORACLE_SETTINGS
+    @given(in_range_tables())
+    def test_quandle_r2_on_drawn_tables(self, t):
+        assert_quandle_report_matches_oracle(t)
+
+    @ORACLE_SETTINGS
+    @given(permutation_column_tables(2))
+    def test_biquandle_b3_and_pair_map_on_drawn_tables(self, tables):
+        assert_biquandle_report_matches_oracles(*tables)
 
 
 class TestPublicKernels:

@@ -1,4 +1,5 @@
-"""Every name a library module imports is referenced in that module.
+"""Every name a library module imports, and every private name it defines
+at module level, is referenced in that module.
 
 ``__init__.py`` is exempt: its imports are the package's re-exports.
 """
@@ -12,6 +13,10 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "biquandles"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
+def _loaded(tree):
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
 def unused_imports(source):
     tree = ast.parse(source)
     imported = {}
@@ -22,8 +27,29 @@ def unused_imports(source):
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used = _loaded(tree)
     return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def unused_private_names(source):
+    """Module-level _names (assigned, def or class) never loaded in the module."""
+    tree = ast.parse(source)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        defined[name.id] = node.lineno
+    used = _loaded(tree)
+    return sorted(
+        (line, name)
+        for name, line in defined.items()
+        if name.startswith("_") and not name.startswith("__") and name not in used
+    )
 
 
 def test_scanner_flags_an_unused_name():
@@ -31,6 +57,16 @@ def test_scanner_flags_an_unused_name():
     assert unused_imports(src) == [(1, "path"), (2, "json")]
 
 
+def test_scanner_flags_an_unused_private_name():
+    src = "_A = 1\n_B, C = 2, 3\n\ndef _f():\n    return _A\n\nclass _K:\n    pass\n\n__all__ = []\n"
+    assert unused_private_names(src) == [(2, "_B"), (4, "_f"), (7, "_K")]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_private_names(path):
+    assert unused_private_names(path.read_text()) == []
