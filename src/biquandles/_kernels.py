@@ -110,30 +110,39 @@ def ybe_violation(u, o, oinv):
 # B-indices (-1 unassigned), pre is its partial inverse.
 
 
-def closure_extend(tA, tB, img, pre):
+def closure_extend(tA, tB, img, pre, new=None):
     """Propagate a partial bijective homomorphism to its closure in place.
+
+    new: the frontier, i.e. the elements mapped since img was last a
+    fixpoint; None means every mapped element.  Each round gathers only the
+    products with a frontier factor, (new, dom) and (dom, new), and the
+    elements it maps form the next round's frontier.  So a caller that
+    extends a fixpoint by one assignment a -> b passes new=[a] and pays for
+    the products of the new assignments alone.
 
     Returns True at a fixpoint, False (img/pre then undefined) on conflict.
     """
     dom = np.flatnonzero(img >= 0)
-    new = dom
+    new = dom if new is None else np.asarray(new, dtype=np.int64)
     while new.size:
         before = img >= 0
-        for t in range(tA.shape[0]):
+        for ta, tb in zip(tA, tB):
             for rows, cols in ((new, dom), (dom, new)):
-                P = tA[t][np.ix_(rows, cols)].ravel()
-                I = tB[t][np.ix_(img[rows], img[cols])].ravel()
+                P = ta[rows[:, None], cols].ravel()
+                I = tb[img[rows][:, None], img[cols]].ravel()
                 unm = img[P] == -1
-                img[P[unm]] = I[unm]
-                if not np.array_equal(img[P], I):
+                Pu, Iu = P[unm], I[unm]
+                # an unmapped product may not land on an image already used
+                if (pre[Iu] != -1).any():
                     return False
-                pre[I[unm]] = P[unm]
-                if not np.array_equal(pre[I], P):
+                img[Pu] = Iu
+                if (img[P] != I).any():
+                    return False
+                # two unmapped products of this batch landing on one image
+                pre[Iu] = Pu
+                if (pre[Iu] != Pu).any():
                     return False
         now = img >= 0
         new = np.flatnonzero(now & ~before)
         dom = np.flatnonzero(now)
-    # batch assignment can overwrite pre on a collision whose older witness
-    # is absent from the batch; a final mutual-consistency sweep catches it
-    mapped = np.flatnonzero(img >= 0)
-    return bool(np.array_equal(pre[img[mapped]], mapped))
+    return True

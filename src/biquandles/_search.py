@@ -3,10 +3,15 @@
 Serves automorphism groups of groups, quandles and biquandles (tables vs
 themselves), isomorphism testing (tables vs other tables), and lift
 searches.  Partial maps are extended along a dynamically chosen generating
-sequence; each candidate assignment is propagated to its closure by the
-kernel in biquandles._kernels, so the per-node cost is near-linear in the
-number of newly forced images.  Candidates are pruned by per-element
-invariants (column cycle types and orbit size), which conjugation preserves.
+sequence, depth first with an explicit stack.  Every search node holds a
+closed partial map; a candidate assignment a -> b is propagated to its
+closure by the kernel in biquandles._kernels with frontier [a], so a node
+gathers only the products that involve a or an element it forces: with d
+elements mapped before and f after, at most 2k(f - d)f products for k
+tables, where a closure restarted from the whole domain gathers 2kf^2 in
+its first round alone.  Candidates are pruned by per-element invariants
+(column cycle types and orbit size), which relabeling preserves for tables
+whose columns are permutations.
 """
 
 from __future__ import annotations
@@ -19,17 +24,17 @@ from . import _kernels
 
 
 def _column_cycle_type(col):
-    n = col.shape[0]
-    seen = np.zeros(n, dtype=bool)
+    """Sorted cycle lengths of the map i -> col[i] (a list)."""
+    seen = [False] * len(col)
     out = []
-    for i in range(n):
+    for i in range(len(col)):
         if seen[i]:
             continue
         length = 0
         j = i
         while not seen[j]:
             seen[j] = True
-            j = int(col[j])
+            j = col[j]
             length += 1
         out.append(length)
     return tuple(sorted(out))
@@ -57,13 +62,21 @@ def orbit_roots(tables):
 
 
 def _invariants(tables):
+    """Per element a: the cycle types of column a in each table, whether a
+    is idempotent in each, and the size of its orbit.
+
+    A relabeling carries these over only when every column is a permutation:
+    [[1, 1], [1, 1]] and [[0, 0], [0, 0]] are swapped by 0 <-> 1, yet the
+    cycle walk reads (2,) on column 0 of the first and (1, 1) on the second.
+    """
     n = tables.shape[1]
     roots = orbit_roots(tables)
     size = Counter(roots)
+    cols = [t.T.tolist() for t in tables]
     inv = []
     for a in range(n):
-        sig = tuple(_column_cycle_type(t[:, a]) for t in tables)
-        diag = tuple(int(t[a, a]) == a for t in tables)
+        sig = tuple(_column_cycle_type(c[a]) for c in cols)
+        diag = tuple(c[a][a] == a for c in cols)
         inv.append((sig, diag, size[roots[a]]))
     return inv
 
@@ -80,7 +93,10 @@ def preserves_tables(images, tables) -> bool:
 def table_bijections(tables_a, tables_b, limit=None):
     """All bijections f with f(T[a,b]) = T'[f(a), f(b)] for every table pair.
 
-    tables_a, tables_b: equal-length lists of equal-size square int arrays.
+    tables_a, tables_b: equal-length lists of equal-size square int arrays
+    whose columns are permutations (group, quandle and biquandle tables).
+    The invariants that prune candidates assume this; on other tables a
+    bijection may be missed.
     Returns image arrays sorted lexicographically; pass limit=1 for a plain
     existence/witness search.
     """
@@ -90,32 +106,42 @@ def table_bijections(tables_a, tables_b, limit=None):
         return []
     n = tA.shape[1]
     invA = _invariants(tA)
-    invB = _invariants(tB)
-    if sorted(invA) != sorted(invB):
+    invB = invA if np.array_equal(tA, tB) else _invariants(tB)
+    if Counter(invA) != Counter(invB):
         return []
-    candidates = [[b for b in range(n) if invB[b] == invA[a]] for a in range(n)]
+    classes = {}
+    for b, key in enumerate(invB):
+        classes.setdefault(key, []).append(b)
+    candidates = [classes[key] for key in invA]
     found = []
+    # frames (img, pre, a, candidates of a not yet tried): img is closed,
+    # a is its first unmapped element
+    stack = []
 
-    def rec(img, pre):
+    def push(img, pre):
+        """Record a complete map or open a frame; True once limit is met."""
         free = np.flatnonzero(img < 0)
         if free.size == 0:
-            found.append(img.copy())
+            found.append(img)
             return limit is not None and len(found) >= limit
         a = int(free[0])
-        for b in candidates[a]:
+        stack.append((img, pre, a, iter(candidates[a])))
+        return False
+
+    done = push(np.full(n, -1, dtype=np.int64), np.full(n, -1, dtype=np.int64))
+    while stack and not done:
+        img, pre, a, untried = stack[-1]
+        for b in untried:
             if pre[b] != -1:
                 continue
             img2 = img.copy()
             pre2 = pre.copy()
             img2[a] = b
             pre2[b] = a
-            if _kernels.closure_extend(tA, tB, img2, pre2):
-                if rec(img2, pre2):
-                    return True
-        return False
-
-    img0 = np.full(n, -1, dtype=np.int64)
-    pre0 = np.full(n, -1, dtype=np.int64)
-    rec(img0, pre0)
+            if _kernels.closure_extend(tA, tB, img2, pre2, [a]):
+                done = push(img2, pre2)
+                break
+        else:
+            stack.pop()
     found.sort(key=lambda a: a.tolist())
     return found

@@ -36,6 +36,9 @@ def as_table(obj, what="table"):
         raise MalformedInput(f"{what} must be square and nonempty, got shape {t.shape}")
     if t.dtype.kind not in "iu":
         raise MalformedInput(f"{what} entries must be int64 integers, got dtype {t.dtype}")
+    # numpy coerces booleans mixed with integers in a list to integers
+    if not isinstance(obj, np.ndarray) and any(isinstance(x, (bool, np.bool_)) for row in obj for x in row):
+        raise MalformedInput(f"{what} entries must be integers, got a boolean")
     t = t.astype(np.int64)  # a private copy, so the read-only flag is ours
     t.setflags(write=False)
     return t

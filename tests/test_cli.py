@@ -67,7 +67,12 @@ class TestConstructAndCheck:
             code, _, err = run(capsys, *argv)
             assert code == 2 and err.startswith("error:") and "Traceback" not in err, argv
         # entries that are not integers are refused, not truncated or parsed
-        for table in ("[[0.9, 0], [1, 1]]", '[["0", "0"], ["1", "1"]]', "[[100000000000000000000000, 0], [1, 1]]"):
+        for table in (
+            "[[0.9, 0], [1, 1]]",
+            '[["0", "0"], ["1", "1"]]',
+            "[[100000000000000000000000, 0], [1, 1]]",
+            "[[0, 0], [true, 1]]",
+        ):
             p.write_text(f'{{"n": 2, "table": {table}}}')
             for argv in (("check", str(p)), ("aut", "--quandle", str(p))):
                 code, out, err = run(capsys, *argv)

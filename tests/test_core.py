@@ -107,9 +107,11 @@ class TestCheckQuandle:
             [["0", "0"], ["1", "1"]],
             [[10**23, 0], [1, 1]],
             [[True, False], [False, True]],
+            [[0, 0], [True, 1]],
+            [np.array([0, 0]), np.array([True, True])],
             np.array([[0, 0], [1, 1]], dtype=np.float64),
         ],
-        ids=["float", "string", "overflow", "bool", "float-array"],
+        ids=["float", "string", "overflow", "bool", "mixed-bool", "mixed-bool-rows", "float-array"],
     )
     def test_non_integer_entries_are_malformed(self, table):
         # neither truncated, parsed nor overflowed into a traceback

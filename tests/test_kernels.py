@@ -254,6 +254,77 @@ class TestClosureInjectivity:
             assert closure(tA, tB, img, pre) is False
 
 
+@st.composite
+def closed_seed_and_fresh_pair(draw):
+    """Tables tA, tB (k <= 2, n <= 6), a closed partial map img/pre on
+    m >= 1 elements, and a fresh assignment a -> b, a unmapped, b unused.
+
+    Rows and columns 0..m-1 of each A table form a subtable.  The seed map
+    is a drawn permutation s of 0..m-1, and the B subtables are the A ones
+    relabeled by s, so the seed is closed.  Outside the subtables, tB is tA
+    relabeled by s extended to all n points, or drawn freely."""
+    n = draw(st.integers(2, 6))
+    m = draw(st.integers(1, n - 1))
+    k = draw(st.integers(1, 2))
+
+    def entries():
+        cells = st.lists(st.integers(0, n - 1), min_size=k * n * n, max_size=k * n * n)
+        return np.array(draw(cells), dtype=np.int64).reshape(k, n, n)
+
+    s = np.array(draw(st.permutations(range(m))) + draw(st.permutations(range(m, n))), dtype=np.int64)
+    tA = entries()
+    tA[:, :m, :m] %= m
+    inv = np.argsort(s)
+    tB = s[tA[:, inv][:, :, inv]]
+    if draw(st.booleans()):
+        free = entries()
+        free[:, :m, :m] = tB[:, :m, :m]
+        tB = free
+    img = np.full(n, -1, dtype=np.int64)
+    pre = np.full(n, -1, dtype=np.int64)
+    img[:m] = s[:m]
+    pre[s[:m]] = np.arange(m)
+    return tA, tB, img, pre, draw(st.integers(m, n - 1)), draw(st.integers(m, n - 1))
+
+
+class TestClosureFrontier:
+    """closure_extend(..., new=[a]) on a closed map plus a -> b agrees with
+    the whole-domain call and with the stack oracle."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(closed_seed_and_fresh_pair())
+    def test_frontier_call_matches_whole_domain_and_oracle(self, case):
+        tA, tB, img, pre, a, b = case
+        assert closure_oracle(tA, tB, img.copy(), pre.copy())
+        img[a] = b
+        pre[b] = a
+        runs = []
+        for closure, kwargs in (
+            (K.closure_extend, {"new": [a]}),
+            (K.closure_extend, {}),
+            (closure_oracle, {}),
+        ):
+            img_i, pre_i = img.copy(), pre.copy()
+            runs.append((closure(tA, tB, img_i, pre_i, **kwargs), img_i, pre_i))
+        (ok, img1, pre1), *others = runs
+        for ok_i, img_i, pre_i in others:
+            assert ok is ok_i
+            if ok:
+                assert np.array_equal(img1, img_i) and np.array_equal(pre1, pre_i)
+
+    def test_frontier_rejects_product_landing_on_used_image(self):
+        # {0 -> 0} is closed; adding 1 -> 1 sends the unmapped product
+        # 1*0 = 2 to 1*0 = 0 in B, already the image of 0, while no product
+        # of the batch is 0 itself
+        tA = np.full((1, 3, 3), 2, dtype=np.int64)
+        tA[0, 0, 0] = 0
+        tB = np.zeros((1, 3, 3), dtype=np.int64)
+        for closure, kwargs in ((K.closure_extend, {"new": [1]}), (closure_oracle, {})):
+            img = np.array([0, 1, -1], dtype=np.int64)
+            pre = np.array([0, 1, -1], dtype=np.int64)
+            assert closure(tA, tB, img, pre, **kwargs) is False
+
+
 class TestWitnessModes:
     """The default report's witness is the first one of the all-witness sweep."""
 
