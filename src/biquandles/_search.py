@@ -90,13 +90,17 @@ def preserves_tables(images, tables) -> bool:
     return all(np.array_equal(img[t], t[np.ix_(img, img)]) for t in tables)
 
 
-def table_bijections(tables_a, tables_b, limit=None):
+def table_bijections(tables_a, tables_b, limit=None, colours=None):
     """All bijections f with f(T[a,b]) = T'[f(a), f(b)] for every table pair.
 
     tables_a, tables_b: equal-length lists of equal-size square int arrays
     whose columns are permutations (group, quandle and biquandle tables).
     The invariants that prune candidates assume this; on other tables a
     bijection may be missed.
+    colours: None, or integer labellings (cA, cB) of the two carriers; then
+    only bijections with cB[f(a)] == cA[a] are returned (a covering lift is
+    coloured by (phi o p, p)).  The colour joins each element's invariant,
+    and a node whose closure breaks a colour is dropped.
     Returns image arrays sorted lexicographically; pass limit=1 for a plain
     existence/witness search.
     """
@@ -107,6 +111,9 @@ def table_bijections(tables_a, tables_b, limit=None):
     n = tA.shape[1]
     invA = _invariants(tA)
     invB = invA if np.array_equal(tA, tB) else _invariants(tB)
+    if colours is not None:
+        cA, cB = (np.asarray(c, dtype=np.int64) for c in colours)
+        invA, invB = list(zip(invA, cA.tolist())), list(zip(invB, cB.tolist()))
     if Counter(invA) != Counter(invB):
         return []
     classes = {}
@@ -138,7 +145,9 @@ def table_bijections(tables_a, tables_b, limit=None):
             pre2 = pre.copy()
             img2[a] = b
             pre2[b] = a
-            if _kernels.closure_extend(tA, tB, img2, pre2, [a]):
+            if _kernels.closure_extend(tA, tB, img2, pre2, [a]) and (
+                colours is None or (cB[img2] == cA)[img2 >= 0].all()
+            ):
                 done = push(img2, pre2)
                 break
         else:

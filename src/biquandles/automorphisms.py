@@ -23,6 +23,7 @@ from .core import (
     is_faithful,
     orbits,
 )
+from .enumeration import are_isomorphic
 from .errors import DomainError
 from .groups import (
     FiniteGroup,
@@ -53,23 +54,24 @@ def biquandle_aut(b: FiniteBiquandle) -> PermutationGroup:
 
 def find_quandle_isomorphism(q1: FiniteQuandle, q2: FiniteQuandle):
     """A table-preserving bijection Q1 -> Q2, or None."""
-    if q1.n != q2.n:
-        return None
-    maps = table_bijections([q1.table], [q2.table], limit=1)
-    return Permutation.from_array(maps[0]) if maps else None
+    return are_isomorphic(q1, q2)
 
 
 def centralizer(g: PermutationGroup, f: Permutation) -> PermutationGroup:
     if f not in g:
         raise DomainError("f is not a member of the group")
-    els = [p for p in g.elements if p * f == f * p]
-    return PermutationGroup.from_elements(g.degree, els)
+    return PermutationGroup.from_elements(g.degree, centralizer_of_set(g.elements, [f]))
+
+
+def normalizes(p: Permutation, fam: set) -> bool:
+    """Whether conjugation by p maps the set fam onto itself."""
+    return {p * f * p.inverse() for f in fam} == fam
 
 
 def normalizer_of_family(g: PermutationGroup, betas) -> PermutationGroup:
     """Members conjugating the family onto itself as a set."""
     fam = set(betas)
-    els = [p for p in g.elements if {p * b * p.inverse() for b in fam} == fam]
+    els = [p for p in g.elements if normalizes(p, fam)]
     return PermutationGroup.from_elements(g.degree, els)
 
 
@@ -223,7 +225,7 @@ def _psi_inn_centralizer(q1: FiniteQuandle, psi):
     """C_{Aut(Q1)}(psi(Q2) u Inn(Q1)) as a sorted element list."""
     a1 = quandle_aut(q1)
     gens = set(psi) | {q1.sx(x) for x in range(q1.n)}
-    return [a for a in sorted(a1.elements) if all(a * s == s * a for s in gens)]
+    return centralizer_of_set(sorted(a1.elements), gens)
 
 
 def product_H_subgroup(q1: FiniteQuandle, q2: FiniteQuandle, psi) -> PermutationGroup:
@@ -314,12 +316,7 @@ def verify_structure_normalizer(b: FiniteBiquandle) -> bool:
     aq = quandle_aut(q)
     fam = {Permutation(tuple(int(v) for v in b.over[:, y])) for y in range(b.n)}
     ab = biquandle_aut(b)
-    for p in ab.elements:
-        if p not in aq:
-            return False
-        if {p * f * p.inverse() for f in fam} != fam:
-            return False
-    return True
+    return all(p in aq and normalizes(p, fam) for p in ab.elements)
 
 
 def verify_structure_normalizer_printed(b: FiniteBiquandle) -> bool:
@@ -328,4 +325,4 @@ def verify_structure_normalizer_printed(b: FiniteBiquandle) -> bool:
     q = associated_quandle(b)
     aq = quandle_aut(q)
     fam = {Permutation(tuple(int(v) for v in b.over[:, y])) for y in range(b.n)}
-    return all({p * f * p.inverse() for f in fam} == fam for p in aq.elements)
+    return all(normalizes(p, fam) for p in aq.elements)

@@ -4,15 +4,21 @@ automorphism checks.
 
 Lifting is solved by constraint search over fiber-constant automorphism
 families, not through fundamental-group machinery; a failed search is
-reported as "not found within search", never as non-existence.
+reported as "not found within search", never as non-existence.  The lifts
+of one base automorphism come from the bijection engine in
+biquandles._search, with each element coloured by the fibre it must map
+into, so Aut of the covering is never materialised.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
-from .automorphisms import quandle_aut
-from .core import FiniteQuandle
+from ._search import table_bijections
+from .automorphisms import biquandle_aut, normalizes
+from .core import FiniteQuandle, Permutation
 from .errors import DomainError
 from .structures import BiquandleStructure, biquandle_from_structure
 
@@ -60,6 +66,12 @@ def image_quandle_SQ(q: FiniteQuandle):
     return FiniteQuandle(t), p
 
 
+def _lifts(p, qt: FiniteQuandle, phi):
+    """The automorphisms g of the covering with p(g(x)) = phi(p(x)), sorted."""
+    maps = table_bijections([qt.table], [qt.table], colours=(phi[p], p))
+    return [Permutation.from_array(m) for m in maps]
+
+
 def lift_structure_search(p, qt: FiniteQuandle, q: FiniteQuandle, a: BiquandleStructure):
     """First fiber-constant automorphism family on the covering satisfying
     the commuting squares p(alpha_y(x)) = beta_{p(y)}(p(x)) and the two
@@ -70,33 +82,14 @@ def lift_structure_search(p, qt: FiniteQuandle, q: FiniteQuandle, a: BiquandleSt
         raise DomainError("p is not a quandle covering")
     if a.base != q:
         raise DomainError("structure must live on the covering's base")
-    aut = sorted(quandle_aut(qt).elements)
-    beta_arr = [b.array() for b in a.betas]
-    # candidates per base element: lifts of beta_y through p
-    cand = []
-    for y in range(q.n):
-        by = beta_arr[y]
-        cand.append([g for g in aut if np.array_equal(p[g.array()], by[p])])
-        if not cand[-1]:
-            return None
-    chosen = [None] * q.n
-
-    def rec(y):
-        if y == q.n:
-            betas = tuple(chosen[int(p[x])] for x in range(qt.n))
-            try:
-                return BiquandleStructure(qt, betas)
-            except DomainError:
-                return None
-        for g in cand[y]:
-            chosen[y] = g
-            got = rec(y + 1)
-            if got is not None:
-                return got
-        chosen[y] = None
-        return None
-
-    return rec(0)
+    # candidates per base element y: the lifts of beta_y through p
+    cand = [_lifts(p, qt, b.array()) for b in a.betas]
+    for chosen in itertools.product(*cand):
+        try:
+            return BiquandleStructure(qt, tuple(chosen[y] for y in p.tolist()))
+        except DomainError:
+            pass
+    return None
 
 
 def verify_covering_biquandle_hom(p, lifted: BiquandleStructure, base: BiquandleStructure) -> bool:
@@ -116,20 +109,10 @@ def verify_lift_normalizer(p, lifted: BiquandleStructure, base: BiquandleStructu
     Returns True/False, or None (inconclusive) when some automorphism of
     the base biquandle admits no lift at all.
     """
-    from .automorphisms import biquandle_aut
-
     p = np.asarray(p, dtype=np.int64)
-    qt = lifted.base
-    bb = biquandle_from_structure(base)
-    aut_b = biquandle_aut(bb)
-    aut_t = sorted(quandle_aut(qt).elements)
+    aut_b = biquandle_aut(biquandle_from_structure(base))
+    lifts = [_lifts(p, lifted.base, phi.array()) for phi in sorted(aut_b.elements)]
+    if not all(lifts):
+        return None
     fam = set(lifted.betas)
-    result = True
-    for phi in sorted(aut_b.elements):
-        phi_arr = phi.array()
-        lifts = [g for g in aut_t if np.array_equal(p[g.array()], phi_arr[p])]
-        if not lifts:
-            return None
-        if not any({g * f * g.inverse() for f in fam} == fam for g in lifts):
-            result = False
-    return result
+    return all(any(normalizes(g, fam) for g in gs) for gs in lifts)

@@ -225,22 +225,30 @@ def _check_full(diagram, b: FiniteBiquandle, color) -> bool:
 
 
 def coloring_count_biquandle(diagram: VirtualLinkDiagram, b: FiniteBiquandle) -> int:
-    """Number of proper arc colorings, by DFS with constraint propagation."""
+    """Number of proper arc colorings, by DFS with constraint propagation
+    on an explicit stack, so deep diagrams do not hit the recursion limit."""
     arcs = diagram.arcs
 
-    def count(color):
-        free = next((a for a in arcs if a not in color), None)
-        if free is None:
-            return 1 if _check_full(diagram, b, color) else 0
-        total = 0
+    def children(color):
+        """The propagated colorings giving the first free arc each value."""
+        free = next(a for a in arcs if a not in color)
         for v in range(b.n):
             trial = dict(color)
             trial[free] = v
             if _propagate(diagram, b, trial):
-                total += count(trial)
-        return total
+                yield trial
 
-    return count({})
+    total = 0
+    stack = [iter([{}])]  # per open node, an iterator over its untried children
+    while stack:
+        color = next(stack[-1], None)
+        if color is None:
+            stack.pop()
+        elif len(color) == len(arcs):
+            total += _check_full(diagram, b, color)
+        else:
+            stack.append(children(color))
+    return total
 
 
 def coloring_count_quandle(diagram: VirtualLinkDiagram, q: FiniteQuandle) -> int:

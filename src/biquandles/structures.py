@@ -21,6 +21,7 @@ from .core import (
     FiniteBiquandle,
     FiniteQuandle,
     Permutation,
+    as_table,
     associated_quandle,
 )
 from .errors import DomainError, MalformedInput
@@ -51,7 +52,7 @@ class BiquandleStructure:
         except (KeyError, TypeError):
             raise MalformedInput("structure JSON needs keys 'base' and 'betas'") from None
         q = FiniteQuandle.from_dict(base)
-        return BiquandleStructure(q, tuple(Permutation(tuple(b)) for b in betas))
+        return BiquandleStructure(q, tuple(Permutation.from_array(b) for b in as_table(betas, "betas")))
 
     def to_json(self):
         return json.dumps(self.to_dict())

@@ -77,6 +77,23 @@ class TestConstructAndCheck:
             for argv in (("check", str(p)), ("aut", "--quandle", str(p))):
                 code, out, err = run(capsys, *argv)
                 assert code == 2 and err.startswith("error:") and not out, (table, argv)
+        # structure files whose betas are not integer permutation rows
+        base = dihedral_quandle(3).to_json()
+        for betas in (
+            "[[0, true, 2], [0, 1, 2], [0, 1, 2]]",
+            "[[0.0, 1, 2], [0, 1, 2], [0, 1, 2]]",
+            '[["0", 1, 2], [0, 1, 2], [0, 1, 2]]',
+            "[[[0], 1, 2], [0, 1, 2], [0, 1, 2]]",
+            "5",
+            '{"0": [0, 1, 2]}',
+        ):
+            p.write_text(f'{{"base": {base}, "betas": {betas}}}')
+            for argv in (
+                ("cover", "lift", "--total", r3_file, "--base", r3_file, "--map", "0,1,2", "--structure", str(p)),
+                ("color", "--diagram", str(diagram), "--structure", str(p)),
+            ):
+                code, out, err = run(capsys, *argv)
+                assert code == 2 and err.startswith("error:") and not out, (betas, argv)
         # files that are not UTF-8 text
         p.write_bytes(b"\xff\xfe{}")
         diagram.write_bytes(b"\xff\xfe= a a\n")
@@ -186,6 +203,14 @@ class TestColor:
         diagram.write_text("= a a\n")
         code, out, _ = run(capsys, "color", "--diagram", str(diagram), "--structure", r3_file)
         assert code == 0 and out.strip() == "3"
+
+    def test_unlink_deeper_than_the_recursion_limit(self, capsys, tmp_path):
+        diagram = tmp_path / "unlink.txt"
+        diagram.write_text("".join(f"= a{i} a{i}\n" for i in range(1100)))
+        point = tmp_path / "t1.json"
+        point.write_text(trivial_quandle(1).to_json())
+        code, out, _ = run(capsys, "color", "--diagram", str(diagram), "--quandle", str(point))
+        assert code == 0 and out.strip() == "1"
 
     def test_exactly_one_input(self, capsys, tmp_path, r3_file):
         diagram = tmp_path / "unknot.txt"

@@ -1,7 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from biquandles.automorphisms import quandle_aut
+from biquandles.automorphisms import biquandle_aut, quandle_aut
 from biquandles.core import Permutation, associated_quandle
 from biquandles.coverings import (
     image_quandle_SQ,
@@ -10,10 +12,16 @@ from biquandles.coverings import (
     verify_covering_biquandle_hom,
     verify_lift_normalizer,
 )
+from biquandles.enumeration import enumerate_quandles, enumerate_trivial_structures
 from biquandles.errors import DomainError
 from biquandles.group_constructions import conj_quandle, dihedral_quandle, trivial_quandle
 from biquandles.groups import symmetric_group
-from biquandles.structures import constant_structure, inverse_inner_structure
+from biquandles.structures import (
+    BiquandleStructure,
+    biquandle_from_structure,
+    constant_structure,
+    inverse_inner_structure,
+)
 from helpers import projection_quandle
 
 PROJ = np.array([0, 0, 1, 1, 2, 2])
@@ -129,3 +137,76 @@ class TestLiftNormalizer:
         st = constant_structure(r3, Permutation.identity(3))
         lifted = lift_structure_search(PROJ, qt, r3, st)
         assert verify_lift_normalizer(PROJ, lifted, st) is True
+
+
+# the materialise-and-filter search that the engine's fibre colours replaced:
+# list aut = sorted Aut of the covering, keep the g with p o g = phi o p
+
+
+def lifts_oracle(p, aut, phi):
+    phi = phi.array()
+    return [g for g in aut if np.array_equal(p[g.array()], phi[p])]
+
+
+def lift_oracle(p, aut, qt, a):
+    cand = [lifts_oracle(p, aut, b) for b in a.betas]
+    for chosen in itertools.product(*cand):
+        try:
+            return BiquandleStructure(qt, tuple(chosen[y] for y in p.tolist()))
+        except DomainError:
+            pass
+    return None
+
+
+def normalizer_oracle(p, aut, lifted, base):
+    fam = set(lifted.betas)
+    result = True
+    for phi in sorted(biquandle_aut(biquandle_from_structure(base)).elements):
+        lifts = lifts_oracle(p, aut, phi)
+        if not lifts:
+            return None
+        if not any({g * f * g.inverse() for f in fam} == fam for g in lifts):
+            result = False
+    return result
+
+
+def all_structures(q):
+    """Every biquandle structure on q, from all |Aut(q)|^n families."""
+    out = []
+    for betas in itertools.product(sorted(quandle_aut(q).elements), repeat=q.n):
+        try:
+            out.append(BiquandleStructure(q, betas))
+        except DomainError:
+            pass
+    return out
+
+
+def covering_cases():
+    """(p, covering, base, structures on the base) for the oracle comparison."""
+    r3 = dihedral_quandle(3)
+    yield PROJ, projection_quandle(), r3, all_structures(r3)
+    for m in range(1, 4):
+        sts = enumerate_trivial_structures(m)
+        for n in range(m, 7):
+            # balanced fibres, then all surplus in the last fibre
+            for p in (np.arange(n) % m, np.minimum(np.arange(n), m - 1)):
+                yield p, trivial_quandle(n), trivial_quandle(m), sts
+    for q in enumerate_quandles(4):
+        sq, p = image_quandle_SQ(q)
+        sts = [constant_structure(sq, f) for f in sorted(quandle_aut(sq).elements)]
+        yield p, q, sq, sts + [inverse_inner_structure(sq)]
+
+
+class TestLiftOracle:
+    def test_lifts_and_normalizer_verdicts_match_the_filter_search(self):
+        found = 0
+        for p, qt, q, sts in covering_cases():
+            aut = sorted(quandle_aut(qt).elements)
+            for st in sts:
+                lifted = lift_structure_search(p, qt, q, st)
+                assert lifted == lift_oracle(p, aut, qt, st), (p.tolist(), st.betas)
+                if lifted is not None:
+                    found += 1
+                    verdict = normalizer_oracle(p, aut, lifted, st)
+                    assert verify_lift_normalizer(p, lifted, st) == verdict
+        assert found > 100

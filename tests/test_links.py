@@ -92,6 +92,11 @@ class TestQuandleCounts:
         for name, d in builtin_diagrams().items():
             assert coloring_count_quandle(d, tn) == n ** d.components(), name
 
+    def test_depth_beyond_the_recursion_limit(self):
+        # each component's arc is a free DFS level, so a recursive search
+        # would nest 1,100 frames deep
+        assert coloring_count_quandle(unlink(1100), trivial_quandle(1)) == 1
+
     def test_monochrome_always_proper(self):
         r5 = dihedral_quandle(5)
         for d in builtin_diagrams().values():

@@ -20,18 +20,25 @@ def maps_onto(f, tables_a, tables_b):
     )
 
 
-def bijections_oracle(tables_a, tables_b):
-    """Every permutation mapping each A table onto its B table, sorted."""
+def bijections_oracle(tables_a, tables_b, colours=None):
+    """Every permutation mapping each A table onto its B table, and colour
+    cA[x] onto colour cB[f(x)] when colours = (cA, cB) is given, sorted."""
     tables_a = [t.tolist() for t in tables_a]
     tables_b = [t.tolist() for t in tables_b]
     n = len(tables_a[0])
-    return [list(f) for f in itertools.permutations(range(n)) if maps_onto(f, tables_a, tables_b)]
+    cA, cB = colours if colours is not None else ([0] * n, [0] * n)
+    return [
+        list(f)
+        for f in itertools.permutations(range(n))
+        if maps_onto(f, tables_a, tables_b) and all(cB[f[x]] == cA[x] for x in range(n))
+    ]
 
 
 @st.composite
 def table_pairs(draw):
-    """1-2 tables of size n <= 5 with permutation columns, and a B stack
-    that is A itself, A relabeled by a drawn permutation, or unrelated."""
+    """1-2 tables of size n <= 5 with permutation columns, a B stack that is
+    A itself, A relabeled by a drawn permutation s, or unrelated, and a
+    colouring that is None, carried over by s (cB[s(x)] = cA[x]) or random."""
     n = draw(st.integers(1, 5))
     k = draw(st.integers(1, 2))
 
@@ -41,7 +48,11 @@ def table_pairs(draw):
             for _ in range(k)
         ]
 
+    def labels():
+        return np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)), dtype=np.int64)
+
     tables_a = stack()
+    s = np.arange(n)
     kind = draw(st.sampled_from(["same", "relabeled", "unrelated"]))
     if kind == "same":
         tables_b = tables_a
@@ -51,17 +62,29 @@ def table_pairs(draw):
         tables_b = [s[t[inv][:, inv]] for t in tables_a]
     else:
         tables_b = stack()
-    return tables_a, tables_b
+    colouring = draw(st.sampled_from([None, "carried", "random"]))
+    if colouring is None:
+        colours = None
+    elif colouring == "carried":
+        cA = labels()
+        cB = np.empty_like(cA)
+        cB[s] = cA
+        colours = (cA, cB)
+    else:
+        colours = (labels(), labels())
+    return tables_a, tables_b, colours
 
 
 class TestEngineOracle:
-    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
     @given(table_pairs())
     def test_all_bijections_in_order_and_first_witness(self, pair):
-        tables_a, tables_b = pair
-        expected = bijections_oracle(tables_a, tables_b)
-        assert [f.tolist() for f in table_bijections(tables_a, tables_b)] == expected
-        assert [f.tolist() for f in table_bijections(tables_a, tables_b, limit=1)] == expected[:1]
+        tables_a, tables_b, colours = pair
+        expected = bijections_oracle(tables_a, tables_b, colours)
+        got = table_bijections(tables_a, tables_b, colours=colours)
+        assert [f.tolist() for f in got] == expected
+        got = table_bijections(tables_a, tables_b, limit=1, colours=colours)
+        assert [f.tolist() for f in got] == expected[:1]
 
 
 class TestSearchDepth:
