@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import automorphisms, combinators, coverings, enumeration, group_constructions, groups, links, verbal
-from .core import FiniteBiquandle, FiniteQuandle, Permutation, check_biquandle, check_quandle, check_ybe
+from .core import FiniteBiquandle, FiniteQuandle, Permutation, check_biquandle, check_quandle, check_ybe, read_json_tables
 from .errors import DomainError, MalformedInput
 from .structures import BiquandleStructure
 
@@ -146,13 +146,12 @@ def _report_payload(report):
 def cmd_check(args):
     d = _read_json(args.file)
     if "under" in d:
-        report = check_biquandle(d.get("under"), d.get("over"), all_witnesses=args.all_witnesses)
-        kind = "biquandle"
+        kind, check = "biquandle", check_biquandle
     elif "table" in d:
-        report = check_quandle(d.get("table"), all_witnesses=args.all_witnesses)
-        kind = "quandle"
+        kind, check = "quandle", check_quandle
     else:
         raise MalformedInput(f"{args.file}: expected quandle or biquandle JSON")
+    report = read_json_tables(d, kind, lambda *tables: check(*tables, all_witnesses=args.all_witnesses))
     lines = [f"{kind}: {'ok' if report.passed else 'FAILED'}"]
     lines += [f"  {axiom} witness {tuple(w)}" for axiom, w in report.violations]
     _emit(args, {"kind": kind, **_report_payload(report)}, lines)

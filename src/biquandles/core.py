@@ -295,6 +295,28 @@ class PermutationGroup:
 # quandles
 
 
+# per JSON kind: its table keys, the error for a missing key, the size's noun
+_JSON_KINDS = {
+    "quandle": (("table",), "quandle JSON needs keys 'n' and 'table'", "table is"),
+    "biquandle": (("under", "over"), "biquandle JSON needs keys 'n', 'under', 'over'", "tables are"),
+}
+
+
+def read_json_tables(d, kind, build):
+    """build(*tables) on the tables of a quandle or biquandle JSON object,
+    which must declare their size as n."""
+    keys, missing, noun = _JSON_KINDS[kind]
+    try:
+        n, *tables = [d[k] for k in ("n", *keys)]
+    except (KeyError, TypeError):
+        raise MalformedInput(missing) from None
+    out = build(*tables)
+    size = len(tables[0])
+    if size != n:
+        raise MalformedInput(f"declared n={n} but {noun} {size}x{size}")
+    return out
+
+
 class FiniteQuandle:
     """A finite quandle as its validated operation table."""
 
@@ -333,14 +355,7 @@ class FiniteQuandle:
 
     @staticmethod
     def from_dict(d):
-        try:
-            n, table = d["n"], d["table"]
-        except (KeyError, TypeError):
-            raise MalformedInput("quandle JSON needs keys 'n' and 'table'") from None
-        q = FiniteQuandle(table)
-        if q.n != n:
-            raise MalformedInput(f"declared n={n} but table is {q.n}x{q.n}")
-        return q
+        return read_json_tables(d, "quandle", FiniteQuandle)
 
     def to_json(self):
         return json.dumps(self.to_dict())
@@ -357,7 +372,7 @@ class FiniteQuandle:
 class FiniteBiquandle:
     """A finite biquandle as its validated pair of operation tables."""
 
-    __slots__ = ("n", "under", "over", "under_inv", "over_inv", "sinv_x", "sinv_y")
+    __slots__ = ("n", "under", "over", "under_inv", "over_inv")
 
     def __init__(self, under, over):
         u = as_table(under, "under")
@@ -370,17 +385,6 @@ class FiniteBiquandle:
         self.over = o
         self.under_inv = _invert_columns(u)  # alpha_b^{-1}
         self.over_inv = _invert_columns(o)   # beta_b^{-1}
-        n = self.n
-        sx = np.empty((n, n), dtype=np.int64)
-        sy = np.empty((n, n), dtype=np.int64)
-        X = np.broadcast_to(np.arange(n)[:, None], (n, n))
-        Y = np.broadcast_to(np.arange(n)[None, :], (n, n))
-        sx[o.T, u] = X  # S(x, y) = (over[y, x], under[x, y])
-        sy[o.T, u] = Y
-        sx.setflags(write=False)
-        sy.setflags(write=False)
-        self.sinv_x = sx
-        self.sinv_y = sy
 
     def op_under(self, a, b):
         return int(self.under[a, b])
@@ -412,14 +416,7 @@ class FiniteBiquandle:
 
     @staticmethod
     def from_dict(d):
-        try:
-            n, under, over = d["n"], d["under"], d["over"]
-        except (KeyError, TypeError):
-            raise MalformedInput("biquandle JSON needs keys 'n', 'under', 'over'") from None
-        b = FiniteBiquandle(under, over)
-        if b.n != n:
-            raise MalformedInput(f"declared n={n} but tables are {b.n}x{b.n}")
-        return b
+        return read_json_tables(d, "biquandle", FiniteBiquandle)
 
     def to_json(self):
         return json.dumps(self.to_dict())

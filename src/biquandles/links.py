@@ -20,6 +20,13 @@ the through color x, so one-sided curls pin exactly one coloring per color
 of the strand, and on trivial-over biquandles the under relation collapses
 to the familiar quandle rule under_out = under_in * over_in.
 
+Counting compiles the diagram to integers: each class of arcs joined by
+virtual crossings and splices is one color variable, and each classical
+crossing one (u_in, o_in, u_out, o_out) tuple of variables.  A depth-first
+search branches on the first free variable and forces the crossings to a
+fixpoint at every node; the colors live in one int list, and a trail of
+assignments is cut back on backtrack, so no node copies the coloring.
+
 Text format, one element per line (# starts a comment):
     X + a b c d     classical, sign, in_under in_over out_under out_over
     X - a b c d
@@ -33,7 +40,10 @@ from dataclasses import dataclass
 
 import itertools
 
-from .core import FiniteBiquandle, FiniteQuandle, biquandle_of_quandle
+import numpy as np
+
+from ._search import orbit_roots
+from .core import FiniteBiquandle, FiniteQuandle
 from .errors import MalformedInput
 
 
@@ -87,33 +97,14 @@ class VirtualLinkDiagram:
         self.arcs = arcs
         self.arc_index = {a: i for i, a in enumerate(arcs)}
         # strand successor: arc consumed here -> arc produced on the same strand
-        succ = {}
-        for c in self.crossings:
-            if isinstance(c, Classical):
-                succ[c.in_under] = c.out_under
-                succ[c.in_over] = c.out_over
-            else:
-                succ[c.in1] = c.out1
-                succ[c.in2] = c.out2
-        for out_arc, in_arc in self.closures:
-            succ[out_arc] = in_arc
-        self.successor = succ
+        self.successor = dict(zip(inputs, outputs))
 
     @property
     def arc_count(self):
         return len(self.arcs)
 
     def components(self) -> int:
-        seen = set()
-        comps = 0
-        for a in self.arcs:
-            if a in seen:
-                continue
-            comps += 1
-            while a not in seen:
-                seen.add(a)
-                a = self.successor[a]
-        return comps
+        return len(set(_orbits([self.arc_index[self.successor[a]] for a in self.arcs])))
 
 
 def parse_diagram(text) -> VirtualLinkDiagram:
@@ -148,63 +139,97 @@ def parse_diagram(text) -> VirtualLinkDiagram:
         raise MalformedInput(str(e)) from None
 
 
-def _propagate(diagram, b: FiniteBiquandle, color):
-    """Forward/backward constraint propagation; False on contradiction."""
-    changed = True
+def _orbits(nxt):
+    """A representative of each arc's orbit under the arc map nxt."""
+    return orbit_roots(np.array(nxt, dtype=np.int64)[None, :, None])
 
-    def assign(arc, value):
-        nonlocal changed
-        old = color.get(arc)
-        if old is None:
-            color[arc] = value
-            changed = True
-            return True
-        return old == value
 
-    while changed:
-        changed = False
-        for c in diagram.crossings:
-            if isinstance(c, Virtual):
-                pairs = ((c.in1, c.out1), (c.in2, c.out2))
-                for p, q in pairs:
-                    if p in color and not assign(q, color[p]):
+def _relations(diagram):
+    """Per color variable, the (u_in, o_in, u_out, o_out) tuples of the
+    classical crossings it takes part in, read against orientation at a
+    negative crossing.  The variables are the orbits of the continuation map
+    through virtual crossings and splices, numbered by first arc in sorted
+    order."""
+    index = diagram.arc_index
+    nxt = list(range(diagram.arc_count))
+    ends = []
+    for c in diagram.crossings:
+        if isinstance(c, Virtual):
+            nxt[index[c.in1]] = index[c.out1]
+            nxt[index[c.in2]] = index[c.out2]
+        elif c.sign > 0:
+            ends.append((c.in_under, c.in_over, c.out_under, c.out_over))
+        else:
+            ends.append((c.out_under, c.out_over, c.in_under, c.in_over))
+    for out_arc, in_arc in diagram.closures:
+        nxt[index[out_arc]] = index[in_arc]
+    roots = _orbits(nxt)
+    var = {}
+    for root in roots:
+        var.setdefault(root, len(var))
+    watch = [[] for _ in var]
+    for e in ends:
+        rel = tuple(var[roots[index[a]]] for a in e)
+        for v in set(rel):
+            watch[v].append(rel)
+    return watch
+
+
+def _count(diagram, n, under, over, under_inv, over_inv) -> int:
+    """Colorings of the diagram by the n x n operation tables, on an explicit
+    stack so deep diagrams do not hit the recursion limit.  The trail's tail
+    is the fixpoint's worklist: only relations of newly colored variables are
+    re-read."""
+    watch = _relations(diagram)
+    k = len(watch)
+    u, o, ui, oi = (t.tolist() for t in (under, over, under_inv, over_inv))
+    color = [-1] * k
+    trail = []
+
+    def fixpoint(v, value):
+        """Color v and force the crossings; False on a contradiction.  Since
+        o_out = o_in o^{-1} u_in and u_out = u_in u o_out, (u_in, o_in) gives
+        o_out, (u_out, o_out) gives u_in, and (u_in, o_out) the rest."""
+        color[v] = value
+        trail.append(v)
+        i = len(trail) - 1
+        while i < len(trail):
+            for a, b, c, d in watch[trail[i]]:
+                x, y, z, w = color[a], color[b], color[c], color[d]
+                if x >= 0 and y >= 0:
+                    w = oi[y][x]
+                elif z >= 0 and w >= 0:
+                    x = ui[z][w]
+                elif x < 0 or w < 0:
+                    continue
+                for var, val in ((a, x), (b, o[w][x]), (c, u[x][w]), (d, w)):
+                    old = color[var]
+                    if old < 0:
+                        color[var] = val
+                        trail.append(var)
+                    elif old != val:
                         return False
-                    if q in color and not assign(p, color[q]):
-                        return False
-                continue
-            if c.sign > 0:
-                u_in, o_in = c.in_under, c.in_over
-                u_out, o_out = c.out_under, c.out_over
-            else:
-                u_in, o_in = c.out_under, c.out_over
-                u_out, o_out = c.in_under, c.in_over
-            # relations: o_out = o_in o^{-1} u_in,  u_out = u_in u o_out
-            if u_in in color and o_in in color:
-                x, y = color[u_in], color[o_in]
-                v = int(b.over_inv[y, x])
-                if not assign(o_out, v):
-                    return False
-                if not assign(u_out, int(b.under[x, v])):
-                    return False
-            if u_out in color and o_out in color:
-                uo, v = color[u_out], color[o_out]
-                x = int(b.under_inv[uo, v])
-                if not assign(u_in, x):
-                    return False
-                if not assign(o_in, int(b.over[v, x])):
-                    return False
-            if u_in in color and o_out in color:
-                x, v = color[u_in], color[o_out]
-                if not assign(o_in, int(b.over[v, x])):
-                    return False
-                if not assign(u_out, int(b.under[x, v])):
-                    return False
-        for out_arc, in_arc in diagram.closures:
-            if out_arc in color and not assign(in_arc, color[out_arc]):
-                return False
-            if in_arc in color and not assign(out_arc, color[in_arc]):
-                return False
-    return True
+            i += 1
+        return True
+
+    total = 0
+    stack = [[0, 0, 0]]  # per open node: first free variable, trail length, next value
+    while stack:
+        node = stack[-1]
+        v, mark, value = node
+        for w in trail[mark:]:
+            color[w] = -1
+        del trail[mark:]
+        if v == k or value == n:  # a node with no free variable is a coloring
+            total += v == k
+            stack.pop()
+        else:
+            node[2] = value + 1
+            if fixpoint(v, value):
+                while v < k and color[v] >= 0:
+                    v += 1
+                stack.append([v, len(trail), 0])
+    return total
 
 
 def _check_full(diagram, b: FiniteBiquandle, color) -> bool:
@@ -225,35 +250,14 @@ def _check_full(diagram, b: FiniteBiquandle, color) -> bool:
 
 
 def coloring_count_biquandle(diagram: VirtualLinkDiagram, b: FiniteBiquandle) -> int:
-    """Number of proper arc colorings, by DFS with constraint propagation
-    on an explicit stack, so deep diagrams do not hit the recursion limit."""
-    arcs = diagram.arcs
-
-    def children(color):
-        """The propagated colorings giving the first free arc each value."""
-        free = next(a for a in arcs if a not in color)
-        for v in range(b.n):
-            trial = dict(color)
-            trial[free] = v
-            if _propagate(diagram, b, trial):
-                yield trial
-
-    total = 0
-    stack = [iter([{}])]  # per open node, an iterator over its untried children
-    while stack:
-        color = next(stack[-1], None)
-        if color is None:
-            stack.pop()
-        elif len(color) == len(arcs):
-            total += _check_full(diagram, b, color)
-        else:
-            stack.append(children(color))
-    return total
+    """Number of proper arc colorings, by DFS with constraint propagation."""
+    return _count(diagram, b.n, b.under, b.over, b.under_inv, b.over_inv)
 
 
 def coloring_count_quandle(diagram: VirtualLinkDiagram, q: FiniteQuandle) -> int:
     """Quandle coloring count; over-strand colors pass through crossings."""
-    return coloring_count_biquandle(diagram, biquandle_of_quandle(q))
+    trivial = np.broadcast_to(np.arange(q.n)[:, None], (q.n, q.n))
+    return _count(diagram, q.n, q.table, trivial, q.tinv, trivial)
 
 
 def coloring_count_bruteforce(diagram: VirtualLinkDiagram, b: FiniteBiquandle) -> int:

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biquandles.cli import main
-from biquandles.group_constructions import dihedral_quandle, trivial_quandle
+from biquandles.group_constructions import dihedral_quandle, trivial_quandle, wada_biquandle
 from biquandles.combinators import union_biquandle_constant
 from biquandles.core import Permutation
+from biquandles.groups import cyclic_group
 
 
 @pytest.fixture
@@ -77,6 +82,23 @@ class TestConstructAndCheck:
             for argv in (("check", str(p)), ("aut", "--quandle", str(p))):
                 code, out, err = run(capsys, *argv)
                 assert code == 2 and err.startswith("error:") and not out, (table, argv)
+        # a declared n that is missing or is not the tables' size, on tables
+        # that pass and tables that fail the axioms
+        r3 = dihedral_quandle(3).to_dict()["table"]
+        bad = [[0, 0, 0], [1, 1, 1], [2, 2, 0]]
+        wada = wada_biquandle(cyclic_group(3)).to_dict()
+        for doc in (
+            {"n": 5, "table": r3},
+            {"table": r3},
+            {"n": 2, "table": bad},
+            {"table": bad},
+            {**wada, "n": 4},
+            {"under": wada["under"], "over": wada["over"]},
+        ):
+            p.write_text(json.dumps(doc))
+            code, out, err = run(capsys, "check", str(p))
+            assert code == 2 and not out, doc
+            assert ("declared n=" if "n" in doc else "JSON needs keys 'n'") in err, (doc, err)
         # structure files whose betas are not integer permutation rows
         base = dihedral_quandle(3).to_json()
         for betas in (
@@ -286,3 +308,63 @@ class TestVerbalYbeIsoCoverEnumerate:
             "--total", str(qt), "--base", r3_file, "--map", "0,0,1,1,2,2", "--structure", str(st),
         )
         assert code == 0 and json.loads(out)["found"]
+
+
+# JSON near the quandle, biquandle, structure and group formats: a valid
+# document with keys dropped or replaced by small tables or arbitrary values
+_REAL = [
+    dihedral_quandle(3).to_dict(),
+    trivial_quandle(2).to_dict(),
+    wada_biquandle(cyclic_group(3)).to_dict(),
+    {"base": dihedral_quandle(3).to_dict(), "betas": [[1, 2, 0]] * 3},
+    {"n": 2, "mul": [[0, 1], [1, 0]]},
+]
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 4), st.floats(), st.text(max_size=3),
+    st.lists(st.lists(st.integers(-1, 3), max_size=4), max_size=4),
+    st.lists(st.lists(st.integers(0, 2), min_size=3, max_size=3), min_size=3, max_size=3),
+    st.sampled_from([v for d in _REAL for v in d.values()]),
+)
+_VALUES = st.recursive(
+    _LEAVES, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=6,
+)
+_KEYS = st.sampled_from(["n", "table", "under", "over", "base", "betas", "mul"])
+
+
+@st.composite
+def _mutated(draw):
+    doc = dict(draw(st.sampled_from(_REAL)))
+    for key in draw(st.lists(_KEYS, max_size=2)):
+        if draw(st.booleans()):
+            doc.pop(key, None)
+        else:
+            doc[key] = draw(_VALUES)
+    return doc
+
+
+_DOCS = st.one_of(_mutated(), _VALUES)
+
+
+class TestLoaderFuzz:
+    @settings(max_examples=300)
+    @given(doc=_DOCS)
+    def test_exit_code_and_no_traceback(self, tmp_path_factory, doc):
+        wd = tmp_path_factory.getbasetemp()
+        f, diagram = wd / "fuzz.json", wd / "fuzz_unknot.txt"
+        f.write_text(json.dumps(doc))
+        diagram.write_text("= a a\n")
+        f = str(f)
+        for argv in (
+            ("check", f),
+            ("aut", "--quandle", f),
+            ("aut", "--biquandle", f),
+            ("iso", f, f),
+            ("ybe", "--biquandle", f),
+            ("color", "--diagram", str(diagram), "--structure", f),
+        ):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(list(argv))
+            assert code in (0, 1, 2), (doc, argv)
+            assert (code == 0) != err.getvalue().startswith("error:"), (doc, argv, err.getvalue())

@@ -291,7 +291,7 @@ class TestClosureFrontier:
     """closure_extend(..., new=[a]) on a closed map plus a -> b agrees with
     the whole-domain call and with the stack oracle."""
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @settings(max_examples=300)
     @given(closed_seed_and_fresh_pair())
     def test_frontier_call_matches_whole_domain_and_oracle(self, case):
         tA, tB, img, pre, a, b = case
@@ -402,7 +402,7 @@ def in_range_tables(draw):
     return np.array(draw(st.lists(row, min_size=n, max_size=n)), dtype=np.int64)
 
 
-ORACLE_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+ORACLE_SETTINGS = settings(max_examples=150)
 
 
 class TestAllWitnessOracles:

@@ -1,4 +1,8 @@
+import tracemalloc
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biquandles.combinators import holomorph_biquandle, semidirect_biquandle, union_biquandle_constant
 from biquandles.core import FiniteBiquandle, Permutation, biquandle_of_quandle
@@ -11,6 +15,7 @@ from biquandles.group_constructions import (
     wada_biquandle,
 )
 from biquandles.links import (
+    VirtualLinkDiagram,
     builtin_diagrams,
     coloring_count_biquandle,
     coloring_count_bruteforce,
@@ -97,6 +102,17 @@ class TestQuandleCounts:
         # would nest 1,100 frames deep
         assert coloring_count_quandle(unlink(1100), trivial_quandle(1)) == 1
 
+    def test_deep_search_memory_is_linear(self):
+        # one color list and one trail for the whole search: a search that
+        # copied the coloring at every level would hold 3000^2 / 2 entries
+        tracemalloc.start()
+        try:
+            assert coloring_count_quandle(unlink(3000), trivial_quandle(1)) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+
     def test_monochrome_always_proper(self):
         r5 = dihedral_quandle(5)
         for d in builtin_diagrams().values():
@@ -145,3 +161,94 @@ class TestBruteForceAgreement:
     def test_bruteforce_cap(self):
         with pytest.raises(MalformedInput):
             coloring_count_bruteforce(parse_diagram("\n".join(f"= a{i} a{i}" for i in range(9))), alexander_biquandle(3, 2, 1))
+
+
+# (bi)quandles for the random-diagram oracle, of orders 2 to 6
+ORACLE_BIQUANDLES = [
+    FiniteBiquandle([[1, 1], [0, 0]], [[1, 1], [0, 0]]),
+    alexander_biquandle(3, 2, 1),
+    wada_biquandle(cyclic_group(3)),
+    union_biquandle_constant(trivial_quandle(2), trivial_quandle(2), cycle(2), cycle(2)),
+    holomorph_biquandle(trivial_quandle(2)),
+    alexander_biquandle(5, 3, 2),
+    wada_biquandle(symmetric_group(3)),
+]
+ORACLE_QUANDLES = [trivial_quandle(2), dihedral_quandle(3), dihedral_quandle(4), dihedral_quandle(5)]
+
+
+def max_arcs(n):
+    """The most arcs the brute-force oracle may color by n colors: n^arcs
+    stays at most 5,000, and the oracle's cap is 8 arcs."""
+    arcs = 0
+    while arcs < 8 and n ** (arcs + 1) <= 5000:
+        arcs += 1
+    return arcs
+
+
+@st.composite
+def wired_diagrams(draw, arcs):
+    """A virtual diagram of at most `arcs` arcs: signed classical crossings,
+    virtual crossings and splices, whose input slots take the arcs in one
+    drawn order and whose output slots take them in another, so every draw
+    uses each arc once as an input and once as an output."""
+    classical = draw(st.integers(0, arcs // 2))
+    virtual = draw(st.integers(0, arcs // 2 - classical))
+    splices = draw(st.integers(0, arcs - 2 * classical - 2 * virtual))
+    m = 2 * classical + 2 * virtual + splices
+    ins = [f"a{i}" for i in draw(st.permutations(range(m)))]
+    outs = [f"a{i}" for i in draw(st.permutations(range(m)))]
+    lines = []
+    for j in range(0, 2 * classical, 2):
+        sign = draw(st.sampled_from("+-"))
+        lines.append(f"X {sign} {ins[j]} {ins[j + 1]} {outs[j]} {outs[j + 1]}")
+    for j in range(2 * classical, 2 * classical + 2 * virtual, 2):
+        lines.append(f"V {ins[j]} {ins[j + 1]} {outs[j]} {outs[j + 1]}")
+    for j in range(2 * classical + 2 * virtual, m):
+        lines.append(f"= {ins[j]} {outs[j]}")
+    return parse_diagram("\n".join(draw(st.permutations(lines))))
+
+
+@st.composite
+def colored_diagrams(draw, pool):
+    x = draw(st.sampled_from(pool))
+    return draw(wired_diagrams(max_arcs(x.n))), x
+
+
+class TestRandomDiagramOracle:
+    """The search equals the brute-force count on randomly wired diagrams."""
+
+    @settings(max_examples=150)
+    @given(colored_diagrams(ORACLE_BIQUANDLES))
+    def test_biquandle_counts(self, case):
+        d, b = case
+        assert coloring_count_biquandle(d, b) == coloring_count_bruteforce(d, b)
+
+    @settings(max_examples=150)
+    @given(colored_diagrams(ORACLE_QUANDLES))
+    def test_quandle_counts(self, case):
+        d, q = case
+        assert coloring_count_quandle(d, q) == coloring_count_bruteforce(d, biquandle_of_quandle(q))
+
+
+# lines of the diagram format, as records on a few arcs or as token soup
+_ARCS = st.sampled_from("abcd")
+_RECORDS = st.one_of(
+    st.tuples(st.just("X"), st.sampled_from("+-?"), _ARCS, _ARCS, _ARCS, _ARCS),
+    st.tuples(st.just("V"), _ARCS, _ARCS, _ARCS, _ARCS),
+    st.tuples(st.just("="), _ARCS, _ARCS),
+).map(" ".join)
+_TOKENS = st.sampled_from(["X", "V", "=", "+", "-", "?", "#", "a", "b", "Y"])
+_LINES = st.one_of(_RECORDS, st.lists(_TOKENS, max_size=7).map(" ".join))
+
+
+class TestParseFuzz:
+    @settings(max_examples=400)
+    @given(st.one_of(st.lists(_LINES, max_size=6).map("\n".join), st.text(max_size=40)))
+    def test_diagram_or_malformed_input(self, text):
+        try:
+            d = parse_diagram(text)
+        except MalformedInput:
+            return
+        assert isinstance(d, VirtualLinkDiagram)
+        # one color colors every diagram exactly one way
+        assert coloring_count_quandle(d, trivial_quandle(1)) == 1

@@ -67,7 +67,7 @@ def corpus_invariants(i):
     return invariants(CORPUS[i])
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@settings(max_examples=60)
 @given(st.data())
 def test_relabeling_keeps_invariants_and_is_witnessed(data):
     i = data.draw(st.integers(0, len(CORPUS) - 1))

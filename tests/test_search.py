@@ -76,7 +76,7 @@ def table_pairs(draw):
 
 
 class TestEngineOracle:
-    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @settings(max_examples=300)
     @given(table_pairs())
     def test_all_bijections_in_order_and_first_witness(self, pair):
         tables_a, tables_b, colours = pair
