@@ -304,17 +304,18 @@ _JSON_KINDS = {
 
 def read_json_tables(d, kind, build):
     """build(*tables) on the tables of a quandle or biquandle JSON object,
-    which must declare their size as n."""
+    which must declare their size as n; the size is checked before build
+    sweeps any axiom."""
     keys, missing, noun = _JSON_KINDS[kind]
     try:
         n, *tables = [d[k] for k in ("n", *keys)]
     except (KeyError, TypeError):
         raise MalformedInput(missing) from None
-    out = build(*tables)
-    size = len(tables[0])
+    tables = [as_table(t, key) for t, key in zip(tables, keys)]
+    size = tables[0].shape[0]
     if size != n:
         raise MalformedInput(f"declared n={n} but {noun} {size}x{size}")
-    return out
+    return build(*tables)
 
 
 class FiniteQuandle:

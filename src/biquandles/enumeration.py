@@ -58,18 +58,26 @@ def trivial_structure_tuples(n, first_choice=None):
         diag = [apply_[assign[y], y] for y in range(j + 1)]
         return len(set(diag)) == j + 1
 
-    def rec(j):
+    def opened(j):
+        # the choice iterator of level j, or none at a full assignment
         if j == n:
             out.append(tuple(assign))
-            return
-        choices = range(m) if (j > 0 or first_choice is None) else [first_choice]
-        for p in choices:
-            assign[j] = p
-            if consistent(j):
-                rec(j + 1)
-            assign[j] = -1
+            return []
+        return [iter(range(m) if (j > 0 or first_choice is None) else [first_choice])]
 
-    rec(0)
+    # depth-first on an explicit stack, one choice iterator per open level;
+    # consistent(j) reads every later index as unassigned (-1)
+    stack = opened(0)
+    while stack:
+        j = len(stack) - 1
+        p = next(stack[j], None)
+        if p is None:
+            assign[j] = -1
+            stack.pop()
+            continue
+        assign[j] = p
+        if consistent(j):
+            stack += opened(j + 1)
     return [tuple(perms[i] for i in tup) for tup in out]
 
 
@@ -278,17 +286,25 @@ def enumerate_quandles(n, cap=DEFAULT_ENUM_CAP):
                         return False
         return True
 
-    def rec(j):
+    def opened(j):
+        # the column iterator of level j, or none at a full table
         if j == n:
             out.append(t.copy())
-            return
-        for col in cols[j]:
-            t[:, j] = col
-            if ok_after(j):
-                rec(j + 1)
-        t[:, j] = -1
+            return []
+        return [iter(cols[j])]
 
-    rec(0)
+    # depth-first on an explicit stack, one column iterator per open level
+    stack = opened(0)
+    while stack:
+        j = len(stack) - 1
+        col = next(stack[j], None)
+        if col is None:
+            t[:, j] = -1
+            stack.pop()
+            continue
+        t[:, j] = col
+        if ok_after(j):
+            stack += opened(j + 1)
     out.sort(key=lambda a: a.ravel().tolist())
     return [FiniteQuandle(a) for a in out]
 

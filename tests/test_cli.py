@@ -99,6 +99,22 @@ class TestConstructAndCheck:
             code, out, err = run(capsys, "check", str(p))
             assert code == 2 and not out, doc
             assert ("declared n=" if "n" in doc else "JSON needs keys 'n'") in err, (doc, err)
+        # the declared n is checked before the axioms, by every loader
+        p.write_text(json.dumps({"n": 2, "table": bad}))
+        flat = [[0, 0, 0], [1, 1, 1], [2, 2, 2]]
+        q = tmp_path / "bq.json"
+        q.write_text(json.dumps({"n": 2, "under": bad, "over": flat}))
+        for argv in (
+            ("check", str(p)),
+            ("aut", "--quandle", str(p)),
+            ("iso", str(p), str(p)),
+            ("check", str(q)),
+            ("aut", "--biquandle", str(q)),
+            ("iso", str(q), str(q)),
+            ("ybe", "--biquandle", str(q)),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and not out and "declared n=2 but" in err, (argv, err)
         # structure files whose betas are not integer permutation rows
         base = dihedral_quandle(3).to_json()
         for betas in (

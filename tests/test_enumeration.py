@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -55,6 +57,50 @@ def oracle_quandle_count(n):
         if check_quandle(np.array(combo, dtype=np.int64).T).passed:
             cnt += 1
     return cnt
+
+
+def digest(obj):
+    """Short hash of repr(obj), to pin a long output."""
+    return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
+
+
+class TestOutputPins:
+    """Outputs pinned by hash to those of the recursive searches that the
+    explicit stacks replaced: same tables and tuples, in the same order."""
+
+    @pytest.mark.parametrize(
+        "n,count,pin",
+        [
+            (1, 1, "7ae717c9aac47e3a"),
+            (2, 1, "f33f2ba614466921"),
+            (3, 5, "b63447988d4a5535"),
+            (4, 36, "de54b4d9da4d043c"),
+            (5, 404, "26c77a601ba63afa"),
+        ],
+    )
+    def test_enumerate_quandles(self, n, count, pin):
+        got = [q.table.tolist() for q in enumerate_quandles(n)]
+        assert (len(got), digest(got)) == (count, pin)
+
+    @pytest.mark.parametrize(
+        "n,count,pin,roots_pin",
+        [
+            (0, 1, "b18a48f02566e615", "4f53cda18c2baa0c"),
+            (1, 1, "4ac279b94d8c735e", "5fdebee21522cbf8"),
+            (2, 2, "25a0580d7f200203", "4f1320569f4512a0"),
+            (3, 12, "434a6e723374f3ea", "0776035f0831f233"),
+            (4, 168, "f47e9da46e70ca7f", "1f858bc78349db58"),
+        ],
+    )
+    def test_trivial_structure_tuples(self, n, count, pin, roots_pin):
+        got = trivial_structure_tuples(n)
+        assert (len(got), digest(got)) == (count, pin)
+        # one output per first_choice root; n = 0 has no root to choose
+        roots = range(math.factorial(n)) if n else ()
+        by_root = [trivial_structure_tuples(n, first_choice=r) for r in roots]
+        assert digest([digest(part) for part in by_root]) == roots_pin
+        if n:
+            assert [t for part in by_root for t in part] == got
 
 
 class TestTrivialStructures:

@@ -3,6 +3,8 @@
 Each first-witness oracle below walks the same triples in lexicographic
 order and stops at the first failure, so it pins both the verdict and the
 witness; each all-witness oracle lists every failure in report order.
+The plain loops only reach n <= 8, so the sweeps are also pinned at
+n = 31 and 100 against numpy oracles that index each product as t[I, J].
 """
 
 import random
@@ -14,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biquandles import _kernels as K
-from biquandles.core import _invert_columns, check_biquandle, check_quandle
+from biquandles.combinators import holomorph_biquandle
+from biquandles.core import _bad_columns, _invert_columns, check_biquandle, check_quandle
 from biquandles.group_constructions import alexander_biquandle, dihedral_quandle, wada_biquandle
 from biquandles.groups import cyclic_group
 
@@ -153,6 +156,49 @@ def pairmap_repeat_oracle(u, o):
                 out.append((x, y))
             seen.add(image)
     return out
+
+
+# 2-D-index numpy oracles: each product x op y read as t[X, Y] on two
+# broadcast index grids, which raises on an out-of-range entry
+
+
+def r2_slabs_2d(t):
+    for a in range(t.shape[0]):
+        yield a, t[t[a]] != t[t[a][None, :], t]
+
+
+def exchange_slabs_2d(u, o):
+    for x in range(u.shape[0]):
+        xu = u[x][:, None]
+        xo = o[x][:, None]
+        yield x, (
+            u[xu, u.T] != u[u[x][None, :], o],
+            o[xu, u.T] != u[o[x][None, :], o],
+            o[xo, o.T] != o[o[x][None, :], u],
+        )
+
+
+def ybe_violation_2d(u, o, oinv):
+    n = u.shape[0]
+
+    def rmap(x, y):
+        w = oinv[y, x]
+        return w, u[x, w]
+
+    B, C = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    for a in range(n):
+        A = np.full_like(B, a)
+        p, q = rmap(A, B)
+        q, r_ = rmap(q, C)
+        l1, l2 = rmap(p, q)
+        q2, r2_ = rmap(B, C)
+        p2, q2 = rmap(A, q2)
+        q3, r3 = rmap(q2, r2_)
+        bad = (l1 != p2) | (l2 != q3) | (r_ != r3)
+        if bad.any():
+            i, j = np.argwhere(bad)[0].tolist()
+            return a, i, j
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -451,3 +497,114 @@ class TestPublicKernels:
         r2 = K.r2_violation(under)
         # witnesses end up in JSON, which takes Python ints only
         assert all(type(v) is int for v in (code, x, y, z, *ybe, *r2))
+
+
+HOL5 = holomorph_biquandle(R5)            # n = 100
+ALEX31 = alexander_biquandle(31, 3, 2)
+
+
+def corrupted(rng, t, kind, cell=None):
+    """t with one entry changed, or two entries of one column swapped (the
+    columns stay bijective); cell fixes the entry or the column's first
+    entry, by default a drawn one."""
+    n = t.shape[0]
+    i, j = cell or (rng.randrange(n), rng.randrange(n))
+    out = np.array(t)
+    if kind == "entry":
+        out[i, j] = (t[i, j] + rng.randrange(1, n)) % n
+    else:
+        k = rng.choice([r for r in range(n) if r != i])
+        out[[i, k], j] = out[[k, i], j]
+    return out
+
+
+def mid_size_pairs(seed):
+    """(u, o) pairs at n = 31 and 100: valid, then seeded corruptions of
+    either table, some pinned to the last row or the last column."""
+    rng = random.Random(seed)
+    pairs = []
+    for b in (ALEX31, HOL5):
+        n = b.n
+        pairs.append((b.under, b.over))
+        for cell in (None, None, (n - 1, rng.randrange(n)), (rng.randrange(n), n - 1), (n - 1, n - 1)):
+            for kind in ("entry", "swap"):
+                side = rng.randrange(2)
+                tables = [b.under, b.over]
+                tables[side] = corrupted(rng, tables[side], kind, cell)
+                pairs.append(tuple(tables))
+    return pairs
+
+
+def layouts(*tables):
+    """The tables as given (read-only or not), as writable F-ordered copies,
+    and as read-only F-ordered copies."""
+    fortran = [np.asfortranarray(t) for t in tables]
+    frozen = [np.asfortranarray(t) for t in tables]
+    for t in frozen:
+        t.setflags(write=False)
+    return [tables, fortran, frozen]
+
+
+def assert_same_slabs(got, want):
+    """The same rows, each with the same boolean mask or masks."""
+    got, want = list(got), list(want)
+    assert [a for a, _ in got] == [a for a, _ in want]
+    for (_, g), (_, w) in zip(got, want):
+        g = np.asarray(g)
+        assert g.dtype == bool and np.array_equal(g, w)
+
+
+def exchange_violation_of(slabs):
+    """First (code, x, y, z) of the oracle's slabs, by (x, y, z, code)."""
+    for x, bads in slabs:
+        hits = [(*np.argwhere(bad)[0].tolist(), code) for code, bad in enumerate(bads) if bad.any()]
+        if hits:
+            y, z, code = min(hits)
+            return code, x, y, z
+    return None
+
+
+class TestFlatOffsetsAtMidSize:
+    """The flat-offset sweeps against the 2-D-index oracles at n = 31 and
+    100, where a wrong row offset or memory-order slip first shows."""
+
+    def test_r2_slabs_and_witness(self):
+        tables = [t for pair in mid_size_pairs(20) for t in pair]
+        tables += [HOL5.under.T, dihedral_quandle(101).table]
+        seen = 0
+        for t in tables:
+            want = list(r2_slabs_2d(t))
+            first = next(((a, *np.argwhere(bad)[0].tolist()) for a, bad in want if bad.any()), None)
+            for laid in layouts(t):
+                assert_same_slabs(K.r2_slabs(*laid), want)
+                assert K.r2_violation(*laid) == first
+            seen += first is not None
+        assert 0 < seen < len(tables)
+
+    def test_exchange_slabs_and_witness(self):
+        pairs = mid_size_pairs(21) + [(HOL5.under.T, HOL5.over), (HOL5.under, HOL5.over.T)]
+        seen = 0
+        for u, o in pairs:
+            want = list(exchange_slabs_2d(u, o))
+            for laid in layouts(u, o):
+                assert_same_slabs(K.exchange_slabs(*laid), want)
+                assert K.exchange_violation(*laid) == exchange_violation_of(want)
+            seen += exchange_violation_of(want) is not None
+        assert 0 < seen < len(pairs)
+
+    def test_ybe_witness(self):
+        # the pair map needs bijective over columns, so entry corruptions
+        # are left to the under table
+        pairs = [(u, o) for u, o in mid_size_pairs(22) if not _bad_columns(o).any()]
+        witnesses = []
+        for u, o in pairs:
+            oinv = _invert_columns(o)
+            want = ybe_violation_2d(u, o, oinv)
+            for laid in layouts(u, o, oinv):
+                got = K.ybe_violation(*laid)
+                assert got == want
+                assert got is None or all(type(v) is int for v in got)
+            witnesses.append(want)
+        assert None in witnesses and any(w is not None and w[0] == 0 for w in witnesses)
+        assert any(w is not None and w[0] > 0 for w in witnesses)
+
