@@ -12,6 +12,17 @@ tables, where a closure restarted from the whole domain gathers 2kf^2 in
 its first round alone.  Candidates are pruned by per-element invariants
 (column cycle types and orbit size), which relabeling preserves for tables
 whose columns are permutations.
+
+A search never runs past its first leaf.  A witness search stops there; a
+full list is built from the automorphism group of the A side held as a
+transversal chain (Sims 1970): per base point a, the first element the
+closed identity prefix leaves free, one automorphism for each image b of
+a, the first leaf below a -> b; then a is fixed and the prefix closed.
+The group is the set of products of one member per level, formed by numpy
+gathers and sorted once, and a list between two different sides is that
+group composed with the witness.  So the search work grows with the sum of
+the level sizes, not with their product: the 5,040 automorphisms of the
+trivial quandle of order 7 take 119 closures, not 13,699.
 """
 
 from __future__ import annotations
@@ -21,6 +32,11 @@ from collections import Counter
 import numpy as np
 
 from . import _kernels
+from .errors import DomainError
+
+# the most maps table_bijections lists: 10**6 permutations of degree 10
+# are 80 MB as an array, and each becomes a Python object downstream
+MAX_LISTED = 10**6
 
 
 def _column_cycle_type(col):
@@ -90,6 +106,92 @@ def preserves_tables(images, tables) -> bool:
     return all(np.array_equal(img[t], t[np.ix_(img, img)]) for t in tables)
 
 
+def _first_leaf(tables, candidates, colours, img, pre, a, untried=None):
+    """The first complete map from tables[0] onto tables[1] below the closed
+    partial map img whose first unmapped element a takes one of untried (by
+    default its candidates), in depth-first order, or None.
+
+    Every node assigns the first unmapped element of its closed map, and
+    tries its candidates in ascending order; since the closure fixes every
+    element before the next one assigned, the first leaf is the least
+    bijection below img in lexicographic order.
+    """
+    tA, tB = tables
+    # frames (img, pre, a, candidates of a not yet tried): img is closed, a
+    # is its first unmapped element
+    stack = [(img, pre, a, iter(candidates[a] if untried is None else untried))]
+    while stack:
+        img, pre, a, untried = stack[-1]
+        for b in untried:
+            if pre[b] != -1:
+                continue
+            img2 = img.copy()
+            pre2 = pre.copy()
+            img2[a] = b
+            pre2[b] = a
+            if _kernels.closure_extend(tA, tB, img2, pre2, [a]) and (
+                colours is None or (colours[1][img2] == colours[0])[img2 >= 0].all()
+            ):
+                free = np.flatnonzero(img2 < 0)
+                if free.size == 0:
+                    return img2
+                a2 = int(free[0])
+                stack.append((img2, pre2, a2, iter(candidates[a2])))
+                break
+        else:
+            stack.pop()
+    return None
+
+
+def _transversals(tA, candidates, colour):
+    """The transversal chain of the automorphisms of tables tA that keep
+    the labelling colour (None: no labelling): per base point a (the first
+    element the closed identity prefix leaves free), one automorphism
+    fixing the prefix for each image of a, found as the first leaf below
+    a -> b; the identity stands for b = a.  Every automorphism is
+    t1 o t2 o ... o tk for exactly one choice of ti in level i, so the
+    group's order is known before any product is formed.
+
+    Raises DomainError once that order exceeds MAX_LISTED.
+    """
+    n = tA.shape[1]
+    colours = None if colour is None else (colour, colour)
+    img = np.full(n, -1, dtype=np.int64)
+    pre = np.full(n, -1, dtype=np.int64)
+    levels = []
+    order = 1
+    free = np.flatnonzero(img < 0)
+    while free.size:
+        a = int(free[0])
+        reps = []
+        for b in candidates[a]:
+            if b == a:
+                reps.append(np.arange(n, dtype=np.int64))
+            elif pre[b] == -1:
+                leaf = _first_leaf((tA, tA), candidates, colours, img, pre, a, [b])
+                if leaf is not None:
+                    reps.append(leaf)
+        order *= len(reps)
+        if order > MAX_LISTED:
+            raise DomainError(
+                f"the automorphism group has at least {order} elements, "
+                f"more than the {MAX_LISTED} that can be listed"
+            )
+        levels.append(np.stack(reps))
+        img[a] = pre[a] = a
+        _kernels.closure_extend(tA, tA, img, pre, [a])
+        free = np.flatnonzero(img < 0)
+    return levels
+
+
+def _classes(inv_a, inv_b):
+    """Per element of A, the elements of B with its invariant, ascending."""
+    classes = {}
+    for b, key in enumerate(inv_b):
+        classes.setdefault(key, []).append(b)
+    return [classes[key] for key in inv_a]
+
+
 def table_bijections(tables_a, tables_b, limit=None, colours=None):
     """All bijections f with f(T[a,b]) = T'[f(a), f(b)] for every table pair.
 
@@ -101,56 +203,42 @@ def table_bijections(tables_a, tables_b, limit=None, colours=None):
     only bijections with cB[f(a)] == cA[a] are returned (a covering lift is
     coloured by (phi o p, p)).  The colour joins each element's invariant,
     and a node whose closure breaks a colour is dropped.
-    Returns image arrays sorted lexicographically; pass limit=1 for a plain
-    existence/witness search.
+    Returns image arrays sorted lexicographically; limit=k keeps the first k
+    (limit=1 is a plain existence/witness search, which lists nothing).
+    Raises DomainError when the full list would exceed MAX_LISTED maps.
+
+    The full list is t o G: G the automorphisms of the A side (preserving
+    cA), as products of a transversal chain, and t the least bijection, the
+    witness; t is the identity, and is not searched for, when the two sides
+    and their colourings are equal.
     """
     tA = np.stack([np.asarray(t, dtype=np.int64) for t in tables_a])
     tB = np.stack([np.asarray(t, dtype=np.int64) for t in tables_b])
     if tA.shape != tB.shape:
         return []
     n = tA.shape[1]
+    same = np.array_equal(tA, tB)
     invA = _invariants(tA)
-    invB = invA if np.array_equal(tA, tB) else _invariants(tB)
+    invB = invA if same else _invariants(tB)
     if colours is not None:
         cA, cB = (np.asarray(c, dtype=np.int64) for c in colours)
-        invA, invB = list(zip(invA, cA.tolist())), list(zip(invB, cB.tolist()))
+        same = same and np.array_equal(cA, cB)
+        invB = list(zip(invB, cB.tolist()))
+        invA = list(zip(invA, cA.tolist()))
+        colours = (cA, cB)
     if Counter(invA) != Counter(invB):
         return []
-    classes = {}
-    for b, key in enumerate(invB):
-        classes.setdefault(key, []).append(b)
-    candidates = [classes[key] for key in invA]
-    found = []
-    # frames (img, pre, a, candidates of a not yet tried): img is closed,
-    # a is its first unmapped element
-    stack = []
-
-    def push(img, pre):
-        """Record a complete map or open a frame; True once limit is met."""
-        free = np.flatnonzero(img < 0)
-        if free.size == 0:
-            found.append(img)
-            return limit is not None and len(found) >= limit
-        a = int(free[0])
-        stack.append((img, pre, a, iter(candidates[a])))
-        return False
-
-    done = push(np.full(n, -1, dtype=np.int64), np.full(n, -1, dtype=np.int64))
-    while stack and not done:
-        img, pre, a, untried = stack[-1]
-        for b in untried:
-            if pre[b] != -1:
-                continue
-            img2 = img.copy()
-            pre2 = pre.copy()
-            img2[a] = b
-            pre2[b] = a
-            if _kernels.closure_extend(tA, tB, img2, pre2, [a]) and (
-                colours is None or (cB[img2] == cA)[img2 >= 0].all()
-            ):
-                done = push(img2, pre2)
-                break
-        else:
-            stack.pop()
-    found.sort(key=lambda a: a.tolist())
-    return found
+    if limit == 1 or not same:
+        img = np.full(n, -1, dtype=np.int64)
+        witness = _first_leaf((tA, tB), _classes(invA, invB), colours, img, img.copy(), 0)
+        if witness is None:
+            return []
+        if limit == 1:
+            return [witness]
+    group = np.arange(n, dtype=np.int64)[None, :]
+    for level in reversed(_transversals(tA, _classes(invA, invA), None if colours is None else cA)):
+        group = level[:, group].reshape(-1, n)  # t o g for t in level, g below
+    if not same:
+        group = witness[group]
+    group = group[np.lexsort(group.T[::-1])]
+    return list(group[:limit])

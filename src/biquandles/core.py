@@ -171,7 +171,7 @@ class Permutation:
 
     @staticmethod
     def from_array(a):
-        return Permutation(tuple(int(x) for x in a))
+        return Permutation(tuple(np.asarray(a, dtype=np.int64).tolist()))
 
     @property
     def n(self):
@@ -258,21 +258,54 @@ class PermutationGroup:
 
     @staticmethod
     def from_elements(degree, elements):
-        """Wrap an explicit element set, picking a small generating set."""
+        """Wrap an explicit element set, picking a small generating set: in
+        sorted order, each element outside the span of those picked so far.
+
+        The span grows on image rows by whole cosets (Dimino's algorithm):
+        adding g to a span H gives the union of the cosets H o r for r the
+        words in the generators, and a coset met once is met whole.
+        """
         els = frozenset(elements)
-        ident = Permutation.identity(degree)
+        if any(len(p.images) != degree for p in els):
+            raise MalformedInput("element degree mismatch")
+        ordered = sorted(els, key=lambda p: p.images)
+        rows = np.array([p.images for p in ordered], dtype=np.int64).reshape(len(ordered), degree)
+        index = dict(zip(rows.view(f"V{8 * degree}").ravel().tolist(), range(len(ordered))))
+
+        def lookup(block):
+            """Indices of the rows of block, which must all be elements."""
+            keys = np.ascontiguousarray(block).view(f"V{8 * degree}").ravel().tolist()
+            found = [index.get(key) for key in keys]
+            if None in found:
+                raise MalformedInput("element set is not closed under composition")
+            return found
+
+        span = lookup(np.arange(degree, dtype=np.int64)[None, :])
+        inspan = np.zeros(len(ordered), dtype=bool)
+        inspan[span] = True
         gens = []
-        span = {ident}
-        for p in sorted(els):
-            if p in span:
-                continue
-            gens.append(p)
-            span = mulclose(gens, degree)
-            if len(span) == len(els):
+        for g in range(len(ordered)):
+            if len(span) == len(ordered):
                 break
-        if span != els:
-            raise MalformedInput("element set is not closed under composition")
-        return PermutationGroup(degree, tuple(gens), els)
+            if inspan[g]:
+                continue
+            gens.append(g)
+            old = rows[span]
+            reps = []
+
+            def add_coset(r):
+                new = lookup(old[:, rows[r]])  # h o r for h in the old span
+                inspan[new] = True
+                span.extend(new)
+                reps.append(r)
+
+            add_coset(g)
+            for r in reps:  # grows while it is walked
+                for s in gens:
+                    (e,) = lookup(rows[r][rows[s]][None, :])
+                    if not inspan[e]:
+                        add_coset(e)
+        return PermutationGroup(degree, tuple(ordered[g] for g in gens), els)
 
     @property
     def order(self):

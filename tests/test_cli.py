@@ -167,12 +167,19 @@ class TestConstructAndCheck:
         assert code == 0
         assert json.loads(out)["violations"] == [["entry-range", [0, 1]], ["entry-range", [1, 0]]]
 
-    def test_domain_error_exits_1(self, capsys):
+    def test_domain_error_exits_1(self, capsys, tmp_path):
         code, _, err = run(capsys, "construct", "takasaki", "--group", "s3")
         assert code == 1 and "abelian" in err
         # a well-formed group spec past the order cap is a domain error
         code, _, err = run(capsys, "aut", "--group", "z300")
         assert code == 1 and "exceeds cap" in err
+        # automorphism groups too large to list: 11! and |GL(6, 2)| ~ 2e10
+        t11 = tmp_path / "t11.json"
+        t11.write_text(trivial_quandle(11).to_json())
+        code, _, err = run(capsys, "aut", "--quandle", str(t11))
+        assert code == 1 and "can be listed" in err
+        code, _, err = run(capsys, "aut", "--group", "z2x2x2x2x2x2")
+        assert code == 1 and "can be listed" in err
 
     def test_construct_families_via_group_specs(self, capsys):
         for argv in (

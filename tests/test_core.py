@@ -18,6 +18,7 @@ from biquandles.core import (
     is_faithful,
     is_involutory_biquandle,
     is_involutory_quandle,
+    mulclose,
     orbits,
     yang_baxter_map,
     ybe_witness,
@@ -373,3 +374,25 @@ class TestPermutations:
     def test_from_elements_rejects_non_group(self):
         with pytest.raises(MalformedInput):
             PermutationGroup.from_elements(3, [Permutation((1, 0, 2))])
+        # closed under composition only once the missing 3-cycle is added
+        s3 = PermutationGroup.generate(3, [Permutation((1, 0, 2)), Permutation((1, 2, 0))])
+        with pytest.raises(MalformedInput):
+            PermutationGroup.from_elements(3, s3.elements - {Permutation((2, 0, 1))})
+
+    def test_from_elements_picks_the_generators_of_the_mulclose_greedy(self):
+        # reference: in sorted order, each element outside the closure of
+        # those picked so far, with the closure recomputed by mulclose
+        def greedy(degree, els):
+            gens, span = [], {Permutation.identity(degree)}
+            for p in sorted(els):
+                if p not in span:
+                    gens.append(p)
+                    span = mulclose(gens, degree)
+            return tuple(gens)
+
+        rng = random.Random(3)
+        for _ in range(40):
+            n = rng.randrange(1, 7)
+            picks = [Permutation(tuple(rng.sample(range(n), n))) for _ in range(rng.randrange(1, 4))]
+            els = PermutationGroup.generate(n, picks).elements
+            assert PermutationGroup.from_elements(n, els).generators == greedy(n, els)
