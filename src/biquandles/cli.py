@@ -275,9 +275,8 @@ def cmd_color(args):
 def cmd_enumerate(args):
     (n,) = _ints([args.size], f"size {args.size!r}")
     if args.what == "trivial-structures":
-        tuples = enumeration.trivial_structure_tuples_parallel(n, args.jobs, cap=args.cap_enum)
-        for tup in tuples:
-            print(json.dumps({"betas": [list(p) for p in tup]}))
+        for s in enumeration.enumerate_trivial_structures(n, cap=args.cap_enum):
+            print(json.dumps({"betas": [list(b.images) for b in s.betas]}))
     elif args.what == "quandles":
         for q in enumeration.enumerate_quandles(n, cap=args.cap_enum):
             print(json.dumps(q.to_dict(), sort_keys=True))
@@ -365,7 +364,7 @@ def build_parser():
     ap.add_argument("--format", choices=("json", "text"), default="text")
     ap.add_argument("--cap-order", type=int, default=groups.DEFAULT_ORDER_CAP, help="largest allowed group order")
     ap.add_argument("--cap-enum", type=int, default=enumeration.DEFAULT_ENUM_CAP, help="largest allowed enumeration size")
-    ap.add_argument("--jobs", type=int, default=1, help="worker processes for enumeration")
+    ap.add_argument("--jobs", type=int, default=1, help="ignored; kept so that older command lines still run")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="verify axioms of a quandle/biquandle JSON file")
