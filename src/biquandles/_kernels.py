@@ -50,12 +50,18 @@ def r2_slabs(t):
         yield a, lhs != rhs
 
 
+def first_violation(slabs):
+    """(x, i, j) for the first set entry, in C order, of the 2-D masks that
+    slabs yields as (x, bad) in ascending x, or None when none is set."""
+    for x, bad in slabs:
+        if bad.any():
+            return (x, *_first(bad))
+    return None
+
+
 def r2_violation(t):
     """First (a, b, c) violating (a*b)*c == (a*c)*(b*c), or None."""
-    for a, bad in r2_slabs(t):
-        if bad.any():
-            return (a, *_first(bad))
-    return None
+    return first_violation(r2_slabs(t))
 
 
 # ---------------------------------------------------------------------------

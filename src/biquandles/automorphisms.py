@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ._search import preserves_tables, table_bijections
 from .combinators import semidirect_biquandle, union_biquandle_constant, union_quandle
 from .core import (
@@ -198,15 +200,15 @@ def verify_union_biquandle_aut(q1, q2, f1: Permutation, f2: Permutation):
 
 def aut_psi_pairs(q1: FiniteQuandle, q2: FiniteQuandle, psi):
     """Pairs (a, b) in Aut(Q1) x Aut(Q2) with psi_{b(f)} = a psi_f a^{-1}."""
-    a1 = quandle_aut(q1)
-    a2 = quandle_aut(q2)
-    psi = tuple(psi)
+    a2 = sorted(quandle_aut(q2).elements)
+    P = np.array([p.images for p in psi], dtype=np.int64).reshape(-1, q1.n)
+    Pb = P[np.array([b.images for b in a2], dtype=np.int64)]  # Pb[j, f] = psi_{b_j(f)}
     out = []
-    for a in sorted(a1.elements):
-        ainv = a.inverse()
-        for b in sorted(a2.elements):
-            if all(psi[b(f)] == a * psi[f] * ainv for f in range(q2.n)):
-                out.append((a, b))
+    for a in sorted(quandle_aut(q1).elements):
+        # psi_{b(f)} a == a psi_f for every f, for all b at once
+        img = a.array()
+        good = (Pb[:, :, img] == img[P]).all(axis=(1, 2))
+        out.extend((a, a2[j]) for j in np.flatnonzero(good).tolist())
     return out
 
 
@@ -289,24 +291,17 @@ def verify_sequence_cardinality(q1: FiniteQuandle, q2: FiniteQuandle, psi) -> bo
 
 def verify_holomorph_aut(q: FiniteQuandle) -> bool:
     """Brute-force Aut(Hol(Q)) equals {(x,f) -> (a(x), a f a^{-1})}."""
-    from .combinators import holomorph_biquandle
+    from .combinators import conj_quandle_of_permgroup, holomorph_biquandle
 
     if not (is_faithful(q) and is_connected(q)):
         raise DomainError("need a faithful connected quandle")
     hol = holomorph_biquandle(q)
-    aut = quandle_aut(q)
-    ordered = sorted(aut.elements)
-    index = {p: i for i, p in enumerate(ordered)}
-    na = len(ordered)
-    predicted = set()
-    for a in ordered:
-        ainv = a.inverse()
-        images = tuple(
-            a(x) * na + index[a * ordered[i] * ainv] for x in range(q.n) for i in range(na)
-        )
-        predicted.add(Permutation(images))
+    conj, ordered = conj_quandle_of_permgroup(quandle_aut(q).elements)
+    # predicted[j, x, i]: the index of (a(x), a f_i a^{-1}) for a = f_j
+    rows = np.array([a.images for a in ordered], dtype=np.int64)
+    predicted = rows[:, :, None] * len(ordered) + conj.table.T[:, None, :]
     brute = biquandle_aut(hol)
-    return brute.elements == frozenset(predicted)
+    return brute.elements == frozenset(Permutation.from_array(p.ravel()) for p in predicted)
 
 
 def verify_structure_normalizer(b: FiniteBiquandle) -> bool:

@@ -6,37 +6,63 @@ to x*|Q2| + a.  Automorphism-valued maps are passed as sequences of
 Permutation, one per element of the source quandle; the required
 homomorphism property into the conjugation quandle of the target's
 automorphism group (h(x*y) = h(y) h(x) h(y)^{-1}) is always verified.
+
+Inside, a family of k maps is one (k, n) int64 array of image rows, stacked
+once at the boundary (_check_aut_valued).  Every hypothesis check is gathers
+on these rows, swept one x at a time, and reports its first witness in C
+order; the tables are built by broadcast gathers.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ._kernels import _first, first_violation
 from ._search import preserves_tables
-from .core import FiniteBiquandle, FiniteQuandle, Permutation
+from .core import FiniteBiquandle, FiniteQuandle, Permutation, is_involutory_quandle, row_keys
 from .errors import DomainError
-from .structures import BiquandleStructure
+from .structures import BiquandleStructure, _aut_stack
 
 
 def _check_aut_valued(q_target: FiniteQuandle, maps, name):
-    maps = tuple(maps)
-    for i, m in enumerate(maps):
-        if not isinstance(m, Permutation) or not preserves_tables(m.images, [q_target.table]):
-            raise DomainError(f"{name}[{i}] is not an automorphism of the target quandle")
-    return maps
+    """The family maps as image rows; raises at the first member that is not
+    an automorphism of q_target."""
+    rows, ok = _aut_stack(q_target, maps)
+    if not ok.all():
+        raise DomainError(f"{name}[{int(np.argmin(ok))}] is not an automorphism of the target quandle")
+    return rows
+
+
+def _hom_slabs(t, H, f):
+    """Per x, yield (x, bad) with bad[y, z] set where H[f(x*y)] H[y] and
+    H[f(y)] H[x] differ at z, for t the source table, H its image rows and
+    f a map of the source (composition right to left)."""
+    m = H.shape[1]
+    flat = H.ravel()
+    fm = f * m
+    for x in range(t.shape[0]):
+        yield x, flat.take(fm[t[x]][:, None] + H) != flat.take(fm[:, None] + H[x])
 
 
 def _check_conj_hom(q_source: FiniteQuandle, maps, name):
-    """h(x*y) == h(y) h(x) h(y)^{-1} for all x, y in the source quandle."""
-    for x in range(q_source.n):
-        for y in range(q_source.n):
-            if maps[q_source.op(x, y)] != maps[y] * maps[x] * maps[y].inverse():
-                raise DomainError(f"{name} is not a quandle homomorphism into the conjugation quandle: witness (x={x}, y={y})")
+    """h(x*y) == h(y) h(x) h(y)^{-1}, i.e. h(x*y) h(y) == h(y) h(x), for all x, y."""
+    hit = first_violation(_hom_slabs(q_source.table, maps, np.arange(q_source.n)))
+    if hit:
+        raise DomainError(f"{name} is not a quandle homomorphism into the conjugation quandle: witness (x={hit[0]}, y={hit[1]})")
 
 
 def _identity_maps(n_source, n_target):
-    ident = Permutation.identity(n_target)
-    return tuple(ident for _ in range(n_source))
+    return (Permutation.identity(n_target),) * n_source
+
+
+def _union_slabs(t, A, B):
+    """Per x, yield (x, bad) with bad[y, z] set where A[z](x) * y and
+    A[B[y](z)](x * y) differ; t is the table of the quandle A acts on."""
+    n = t.shape[0]
+    flat, tflat = A.ravel(), t.ravel()
+    ys = np.arange(n)[:, None]
+    for x in range(n):
+        yield x, tflat.take(A[:, x] * n + ys) != flat.take(B * n + t[x][:, None])
 
 
 def union_quandle(q1: FiniteQuandle, q2: FiniteQuandle, sigma=None, tau=None) -> FiniteQuandle:
@@ -47,42 +73,20 @@ def union_quandle(q1: FiniteQuandle, q2: FiniteQuandle, sigma=None, tau=None) ->
     witness triple is reported on failure.
     """
     n1, n2 = q1.n, q2.n
-    sigma = _identity_maps(n1, n2) if sigma is None else _check_aut_valued(q2, sigma, "sigma")
-    tau = _identity_maps(n2, n1) if tau is None else _check_aut_valued(q1, tau, "tau")
+    sigma = np.tile(np.arange(n2), (n1, 1)) if sigma is None else _check_aut_valued(q2, sigma, "sigma")
+    tau = np.tile(np.arange(n1), (n2, 1)) if tau is None else _check_aut_valued(q1, tau, "tau")
     if len(sigma) != n1 or len(tau) != n2:
         raise DomainError("sigma must have length |Q1| and tau length |Q2|")
     _check_conj_hom(q1, sigma, "sigma")
     _check_conj_hom(q2, tau, "tau")
     # condition 1: tau(z)(x) *1 y == tau(sigma(y)(z))(x *1 y),  x,y in Q1, z in Q2
-    for x in range(n1):
-        for y in range(n1):
-            for z in range(n2):
-                if q1.op(tau[z](x), y) != tau[sigma[y](z)](q1.op(x, y)):
-                    raise DomainError(f"union condition 1 fails at (x={x}, y={y}, z={z})")
     # condition 2: sigma(z)(x) *2 y == sigma(tau(y)(z))(x *2 y),  x,y in Q2, z in Q1
-    for x in range(n2):
-        for y in range(n2):
-            for z in range(n1):
-                if q2.op(sigma[z](x), y) != sigma[tau[y](z)](q2.op(x, y)):
-                    raise DomainError(f"union condition 2 fails at (x={x}, y={y}, z={z})")
-    n = n1 + n2
-    t = np.empty((n, n), dtype=np.int64)
-    t[:n1, :n1] = q1.table
-    t[n1:, n1:] = q2.table + n1
-    for x in range(n1):
-        for y in range(n2):
-            t[x, n1 + y] = tau[y](x)
-    for x in range(n2):
-        for y in range(n1):
-            t[n1 + x, y] = sigma[y](x) + n1
-    return FiniteQuandle(t)
-
-
-def _extend_to_union(p: Permutation, n1, n2, on_first):
-    """Extend an automorphism of one part by the identity on the other."""
-    if on_first:
-        return Permutation(tuple(p.images) + tuple(range(n1, n1 + n2)))
-    return Permutation(tuple(range(n1)) + tuple(n1 + i for i in p.images))
+    for k, args in enumerate(((q1.table, tau, sigma), (q2.table, sigma, tau)), 1):
+        hit = first_violation(_union_slabs(*args))
+        if hit:
+            x, y, z = hit
+            raise DomainError(f"union condition {k} fails at (x={x}, y={y}, z={z})")
+    return FiniteQuandle(np.block([[q1.table, tau.T], [sigma.T + n1, q2.table + n1]]))
 
 
 def union_biquandle_general(q1: FiniteQuandle, q2: FiniteQuandle, phi, psi) -> BiquandleStructure:
@@ -99,20 +103,18 @@ def union_biquandle_general(q1: FiniteQuandle, q2: FiniteQuandle, phi, psi) -> B
         raise DomainError("phi must have length |Q1| and psi length |Q2|")
     _check_conj_hom(q1, phi, "phi")
     _check_conj_hom(q2, psi, "psi")
-    for x1 in range(n1):
-        for x2 in range(n2):
-            if phi[x1] != phi[psi[x2](x1)]:
-                raise DomainError(f"union structure condition phi fails at (x1={x1}, x2={x2})")
-            if psi[x2] != psi[phi[x1](x2)]:
-                raise DomainError(f"union structure condition psi fails at (x1={x1}, x2={x2})")
-    base = union_quandle(q1, q2)
-    betas = tuple(
-        _extend_to_union(phi[a], n1, n2, on_first=False)
-        if a < n1
-        else _extend_to_union(psi[a - n1], n1, n2, on_first=True)
-        for a in range(n1 + n2)
-    )
-    return BiquandleStructure(base, betas)
+    # both conditions on the [x1, x2] grid, maps compared by row id
+    phi_id, psi_id = (np.unique(h, axis=0, return_inverse=True)[1].reshape(-1) for h in (phi, psi))
+    bad_phi = phi_id[:, None] != phi_id[psi.T]
+    bad = bad_phi | (psi_id[None, :] != psi_id[phi])
+    if bad.any():
+        x1, x2 = _first(bad)
+        which = "phi" if bad_phi[x1, x2] else "psi"
+        raise DomainError(f"union structure condition {which} fails at (x1={x1}, x2={x2})")
+    # beta_a extends phi_a (a in Q1) or psi_a (a in Q2) by the identity
+    ident1, ident2 = np.tile(np.arange(n1), (n1, 1)), np.tile(np.arange(n1, n1 + n2), (n2, 1))
+    betas = np.block([[ident1, phi + n1], [psi, ident2]])
+    return BiquandleStructure(union_quandle(q1, q2), tuple(Permutation(tuple(r)) for r in betas.tolist()))
 
 
 def union_biquandle_constant(q1: FiniteQuandle, q2: FiniteQuandle, f: Permutation, g: Permutation) -> FiniteBiquandle:
@@ -127,21 +129,10 @@ def union_biquandle_constant(q1: FiniteQuandle, q2: FiniteQuandle, f: Permutatio
     if not preserves_tables(g.images, [q2.table]):
         raise DomainError("g is not an automorphism of Q2")
     n1, n2 = q1.n, q2.n
-    n = n1 + n2
-    under = np.empty((n, n), dtype=np.int64)
-    over = np.empty((n, n), dtype=np.int64)
-    ar1 = np.arange(n1)
-    ar2 = np.arange(n2)
-    under[:n1, :n1] = q1.table
-    over[:n1, :n1] = ar1[:, None]
-    under[n1:, n1:] = q2.table + n1
-    over[n1:, n1:] = n1 + ar2[:, None]
-    fimg = np.array(f.images, dtype=np.int64)
-    gimg = np.array(g.images, dtype=np.int64)
-    under[:n1, n1:] = fimg[:, None]
-    over[:n1, n1:] = fimg[:, None]
-    under[n1:, :n1] = n1 + gimg[:, None]
-    over[n1:, :n1] = n1 + gimg[:, None]
+    fx = np.tile(f.array()[:, None], (1, n2))  # f(x) for x in Q1, against any y in Q2
+    gx = np.tile(n1 + g.array()[:, None], (1, n1))
+    under = np.block([[q1.table, fx], [gx, q2.table + n1]])
+    over = np.block([[np.tile(np.arange(n1)[:, None], (1, n1)), fx], [gx, np.tile(np.arange(n1, n1 + n2)[:, None], (1, n2))]])
     return FiniteBiquandle(under, over)
 
 
@@ -149,14 +140,12 @@ def involutory_union_check(q1: FiniteQuandle, q2: FiniteQuandle, phi, psi) -> bo
     """Whether the hypotheses forcing an involutory union biquandle hold:
     both quandles involutory and every phi_x, psi_y an involution.  The maps
     must be admissible for union_biquandle_general."""
-    from .core import is_involutory_quandle
-
-    union_biquandle_general(q1, q2, phi, psi)  # admissibility, raises if not
+    s = union_biquandle_general(q1, q2, phi, psi)  # admissibility, raises if not
     if not (is_involutory_quandle(q1) and is_involutory_quandle(q2)):
         return False
-    ok1 = all((p * p).is_identity() for p in phi)
-    ok2 = all((p * p).is_identity() for p in psi)
-    return ok1 and ok2
+    # beta_a is phi_a or psi_a extended by the identity: an involution iff they are
+    B = s.beta_arrays()
+    return bool((np.take_along_axis(B, B, axis=1) == np.arange(len(B))).all())
 
 
 def product_biquandle(q1: FiniteQuandle, q2: FiniteQuandle, phi, psi, case) -> FiniteBiquandle:
@@ -174,35 +163,22 @@ def product_biquandle(q1: FiniteQuandle, q2: FiniteQuandle, phi, psi, case) -> F
         raise DomainError("phi must have length |Q1| and psi length |Q2|")
     _check_conj_hom(q1, phi, "phi")
     _check_conj_hom(q2, psi, "psi")
-    if case == 1:
-        if any(p != psi[0] for p in psi):
-            raise DomainError("case 1 needs a constant psi")
-        f = psi[0]
-        for x in range(n1):
-            for y in range(n1):
-                if phi[f(q1.op(x, y))] != phi[f(y)] * phi[x] * phi[y].inverse():
-                    raise DomainError(f"case 1 condition fails at (x={x}, y={y})")
-    elif case == 2:
-        if any(p != phi[0] for p in phi):
-            raise DomainError("case 2 needs a constant phi")
-        g = phi[0]
-        for a in range(n2):
-            for b in range(n2):
-                if psi[g(q2.op(a, b))] != psi[g(b)] * psi[a] * psi[b].inverse():
-                    raise DomainError(f"case 2 condition fails at (a={a}, b={b})")
-    else:
+    if case not in (1, 2):
         raise DomainError("case must be 1 or 2")
+    # the two cases are mirror images: (Q, maps, constant family, names)
+    q, maps, const, (cname, u, v) = (q1, phi, psi, ("psi", "x", "y")) if case == 1 else (q2, psi, phi, ("phi", "a", "b"))
+    if (const != const[0]).any():
+        raise DomainError(f"case {case} needs a constant {cname}")
+    hit = first_violation(_hom_slabs(q.table, maps, const[0]))
+    if hit:
+        raise DomainError(f"case {case} condition fails at ({u}={hit[0]}, {v}={hit[1]})")
+    # axes [x, a, y, b] of the pair (x, a) acting with (y, b)
+    x, y = np.arange(n1)[:, None, None, None], np.arange(n1)[None, None, :, None]
+    a, b = np.arange(n2)[None, :, None, None], np.arange(n2)[None, None, None, :]
+    under = psi[b, q1.table[x, y]] * n2 + phi[y, a]
+    over = psi[b, x] * n2 + phi[y, q2.table[a, b]]
     n = n1 * n2
-    under = np.empty((n, n), dtype=np.int64)
-    over = np.empty((n, n), dtype=np.int64)
-    for y in range(n1):
-        phy = np.array(phi[y].images, dtype=np.int64)
-        for b in range(n2):
-            psb = np.array(psi[b].images, dtype=np.int64)
-            col = y * n2 + b
-            under.reshape(n1, n2, n)[:, :, col] = (psb[q1.table[:, y]][:, None] * n2 + phy[None, :])
-            over.reshape(n1, n2, n)[:, :, col] = (psb[:, None] * n2 + phy[q2.table[:, b]][None, :])
-    return FiniteBiquandle(under, over)
+    return FiniteBiquandle(under.reshape(n, n), over.reshape(n, n))
 
 
 def semidirect_biquandle(q1: FiniteQuandle, q2: FiniteQuandle, psi) -> FiniteBiquandle:
@@ -217,12 +193,18 @@ def semidirect_biquandle(q1: FiniteQuandle, q2: FiniteQuandle, psi) -> FiniteBiq
 def conj_quandle_of_permgroup(perms) -> tuple[FiniteQuandle, list]:
     """Conjugation quandle a*b = b a b^{-1} on a sorted permutation list."""
     ordered = sorted(set(perms))
-    index = {p: i for i, p in enumerate(ordered)}
     n = len(ordered)
+    rows = np.array([p.images for p in ordered], dtype=np.int64).reshape(n, ordered[0].n if ordered else 0)
+    index = dict(zip(row_keys(rows), range(n)))
+    inv = np.argsort(rows, axis=1)
     t = np.empty((n, n), dtype=np.int64)
-    for i, a in enumerate(ordered):
-        for j, b in enumerate(ordered):
-            t[i, j] = index[b * a * b.inverse()]
+    for i in range(n):
+        # row j: the images of b a b^{-1}, a = ordered[i], b = ordered[j]
+        found = [index.get(key, -1) for key in row_keys(np.take_along_axis(rows, rows[i][inv], axis=1))]
+        if -1 in found:
+            a, b = ordered[i].images, ordered[found.index(-1)].images
+            raise DomainError(f"the permutations are not closed under conjugation: b a b^-1 is not among them for a = {a}, b = {b}")
+        t[i] = found
     return FiniteQuandle(t), ordered
 
 

@@ -223,6 +223,12 @@ class Permutation:
         return "".join("(" + " ".join(str(x) for x in c) + ")" for c in cyc)
 
 
+def row_keys(block):
+    """One hashable key per row of an integer array: its int64 bytes."""
+    block = np.ascontiguousarray(block, dtype=np.int64)
+    return block.view(f"V{8 * block.shape[-1]}").ravel().tolist()
+
+
 def mulclose(gens, degree):
     """Closure of a set of permutations under composition (includes id)."""
     els = {Permutation.identity(degree)}
@@ -270,12 +276,11 @@ class PermutationGroup:
             raise MalformedInput("element degree mismatch")
         ordered = sorted(els, key=lambda p: p.images)
         rows = np.array([p.images for p in ordered], dtype=np.int64).reshape(len(ordered), degree)
-        index = dict(zip(rows.view(f"V{8 * degree}").ravel().tolist(), range(len(ordered))))
+        index = dict(zip(row_keys(rows), range(len(ordered))))
 
         def lookup(block):
             """Indices of the rows of block, which must all be elements."""
-            keys = np.ascontiguousarray(block).view(f"V{8 * degree}").ravel().tolist()
-            found = [index.get(key) for key in keys]
+            found = [index.get(key) for key in row_keys(block)]
             if None in found:
                 raise MalformedInput("element set is not closed under composition")
             return found

@@ -26,20 +26,14 @@ def trivial_quandle(n) -> FiniteQuandle:
 def conj_quandle(g: FiniteGroup, n=1) -> FiniteQuandle:
     """x*y = y^{-n} x y^n."""
     yn = np.array([g.power(y, n) for y in range(g.n)], dtype=np.int64)
-    table = np.empty((g.n, g.n), dtype=np.int64)
-    for y in range(g.n):
-        z = yn[y]
-        zi = g.inverse(z)
-        table[:, y] = g.mul[g.mul[zi, :], z]
-    return FiniteQuandle(table)
+    x = np.arange(g.n)[:, None]
+    return FiniteQuandle(g.mul[g.mul[g.inv[yn], x], yn])
 
 
 def core_quandle(g: FiniteGroup) -> FiniteQuandle:
     """x*y = y x^{-1} y."""
-    table = np.empty((g.n, g.n), dtype=np.int64)
-    for y in range(g.n):
-        table[:, y] = g.mul[g.mul[y, g.inv], y]
-    return FiniteQuandle(table)
+    y = np.arange(g.n)
+    return FiniteQuandle(g.mul[g.mul[y, g.inv[:, None]], y])
 
 
 def takasaki(g: FiniteGroup) -> FiniteQuandle:
@@ -62,21 +56,15 @@ def alexander_quandle(g: FiniteGroup, phi: GroupAutomorphism) -> FiniteQuandle:
     if not preserves_tables(phi.images, [g.mul]):
         raise DomainError("phi is not an automorphism")
     ph = np.array(phi.images, dtype=np.int64)
-    table = np.empty((g.n, g.n), dtype=np.int64)
-    for y in range(g.n):
-        table[:, y] = g.mul[ph[g.mul[:, g.inverse(y)]], y]
-    return FiniteQuandle(table)
+    a = np.arange(g.n)  # [x, y] from a[:, None] and a
+    return FiniteQuandle(g.mul[ph[g.mul[a[:, None], g.inv]], a])
 
 
 def wada_biquandle(g: FiniteGroup) -> FiniteBiquandle:
     """x u y = y^{-1} x^{-1} y,  x o y = y^{-2} x."""
-    n = g.n
-    under = np.empty((n, n), dtype=np.int64)
-    over = np.empty((n, n), dtype=np.int64)
-    for y in range(n):
-        yi = g.inverse(y)
-        under[:, y] = g.mul[g.mul[yi, g.inv], y]
-        over[:, y] = g.mul[g.op(yi, yi), :]
+    a = np.arange(g.n)  # [x, y]: x varies down the rows, y along them
+    under = g.mul[g.mul[g.inv, g.inv[:, None]], a]
+    over = g.mul[g.mul[g.inv, g.inv], a[:, None]]
     return FiniteBiquandle(under, over)
 
 
@@ -86,9 +74,7 @@ def gen_dihedral_biquandle(g: FiniteGroup, phi: GroupAutomorphism) -> FiniteBiqu
         raise DomainError("phi must be a central automorphism")
     n = g.n
     ph = np.array(phi.images, dtype=np.int64)
-    under = np.empty((n, n), dtype=np.int64)
-    for y in range(n):
-        under[:, y] = g.mul[g.mul[ph[y], g.inv], y]
+    under = g.mul[g.mul[ph, g.inv[:, None]], np.arange(n)]
     over = np.broadcast_to(ph[:, None], (n, n)).copy()
     return FiniteBiquandle(under, over)
 
@@ -100,9 +86,7 @@ def gen_alexander_biquandle(g: FiniteGroup, phi: GroupAutomorphism, psi: GroupAu
     n = g.n
     ph = np.array(phi.images, dtype=np.int64)
     ps = np.array(psi.images, dtype=np.int64)
-    under = np.empty((n, n), dtype=np.int64)
-    for y in range(n):
-        under[:, y] = g.mul[ph[g.mul[:, g.inverse(y)]], ps[y]]
+    under = g.mul[ph[g.mul[np.arange(n)[:, None], g.inv]], ps]
     over = np.broadcast_to(ps[:, None], (n, n)).copy()
     return FiniteBiquandle(under, over)
 

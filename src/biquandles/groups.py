@@ -59,12 +59,10 @@ class FiniteGroup:
         return int(self.inv[a])
 
     def power(self, a, k):
-        if k < 0:
-            return self.power(self.inverse(a), -k)
+        """a^k, with k reduced modulo the order of a (so k < 0 works too)."""
         r = self.e
-        while k:
+        for _ in range(k % self.element_order(a)):
             r = self.op(r, a)
-            k -= 1
         return r
 
     def element_order(self, a):

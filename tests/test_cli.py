@@ -194,6 +194,11 @@ class TestConstructAndCheck:
             assert code == 0, (argv, err)
             json.loads(out)
 
+    def test_construct_conj_with_huge_exponent(self, capsys):
+        code, out, err = run(capsys, "construct", "conj", "--group", "z5", "--n", "1000000000")
+        assert code == 0, err
+        assert json.loads(out)["n"] == 5
+
     def test_construct_combinators(self, capsys, tmp_path, r3_file):
         t2 = tmp_path / "t2.json"
         t2.write_text(trivial_quandle(2).to_json())

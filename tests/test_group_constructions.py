@@ -62,6 +62,12 @@ class TestQuandleFamilies:
             for k in (-2, 0, 1, 3):
                 assert conj_quandle(g, k) == conj_quandle(g, k + e)
 
+    def test_conj_huge_exponent_reduces_modulo_the_group_exponent(self):
+        # power reduces k modulo the element order instead of looping k times
+        k = 10**9 + 1
+        for g in (cyclic_group(5), symmetric_group(3)):
+            assert conj_quandle(g, k) == conj_quandle(g, k % exponent(g))
+
     def test_dihedral(self):
         assert np.array_equal(dihedral_quandle(3).table, [[0, 2, 1], [2, 1, 0], [1, 0, 2]])
         assert dihedral_quandle(3) == takasaki(cyclic_group(3))
