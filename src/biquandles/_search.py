@@ -192,7 +192,7 @@ def _classes(inv_a, inv_b):
     return [classes[key] for key in inv_a]
 
 
-def table_bijections(tables_a, tables_b, limit=None, colours=None):
+def table_bijections(tables_a, tables_b, limit=None, colours=None, invariants=None):
     """All bijections f with f(T[a,b]) = T'[f(a), f(b)] for every table pair.
 
     tables_a, tables_b: equal-length lists of equal-size square int arrays
@@ -203,6 +203,9 @@ def table_bijections(tables_a, tables_b, limit=None, colours=None):
     only bijections with cB[f(a)] == cA[a] are returned (a covering lift is
     coloured by (phi o p, p)).  The colour joins each element's invariant,
     and a node whose closure breaks a colour is dropped.
+    invariants: None, or (invA, invB), the lists _invariants gives for
+    tables_a and tables_b, used instead of computing them again (a caller
+    that keeps them per object passes them).
     Returns image arrays sorted lexicographically; limit=k keeps the first k
     (limit=1 is a plain existence/witness search, which lists nothing).
     Raises DomainError when the full list would exceed MAX_LISTED maps.
@@ -218,8 +221,11 @@ def table_bijections(tables_a, tables_b, limit=None, colours=None):
         return []
     n = tA.shape[1]
     same = np.array_equal(tA, tB)
-    invA = _invariants(tA)
-    invB = invA if same else _invariants(tB)
+    if invariants is None:
+        invA = _invariants(tA)
+        invB = invA if same else _invariants(tB)
+    else:
+        invA, invB = invariants
     if colours is not None:
         cA, cB = (np.asarray(c, dtype=np.int64) for c in colours)
         same = same and np.array_equal(cA, cB)

@@ -21,7 +21,7 @@ from ._kernels import _first, first_violation
 from ._search import preserves_tables
 from .core import FiniteBiquandle, FiniteQuandle, Permutation, is_involutory_quandle, row_keys
 from .errors import DomainError
-from .structures import BiquandleStructure, _aut_stack
+from .structures import BiquandleStructure, _aut_stack, _require_permutation
 
 
 def _check_aut_valued(q_target: FiniteQuandle, maps, name):
@@ -124,6 +124,8 @@ def union_biquandle_constant(q1: FiniteQuandle, q2: FiniteQuandle, f: Permutatio
     is trivial; across parts both operations apply f (on Q1 elements) or g
     (on Q2 elements).
     """
+    _require_permutation("f", f)
+    _require_permutation("g", g)
     if not preserves_tables(f.images, [q1.table]):
         raise DomainError("f is not an automorphism of Q1")
     if not preserves_tables(g.images, [q2.table]):

@@ -13,11 +13,12 @@ All values are immutable after validated construction; operations are pure.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, _search
 from ._search import orbit_roots
 from .errors import AxiomError, DomainError, MalformedInput
 
@@ -356,10 +357,22 @@ def read_json_tables(d, kind, build):
     return build(*tables)
 
 
+def _memo_invariants(obj, tables):
+    """_search._invariants of tables and their multiset as a sorted tuple,
+    kept in obj._inv_memo with the table objects they came from and
+    recomputed only if obj ever holds other ones.  The tables are read-only
+    copies, so the memo cannot go stale while they stay."""
+    memo = obj._inv_memo
+    if memo is None or not all(map(operator.is_, memo[0], tables)):
+        inv = _search._invariants(np.stack(tables))
+        memo = obj._inv_memo = (tables, inv, tuple(sorted(inv)))
+    return memo[1], memo[2]
+
+
 class FiniteQuandle:
     """A finite quandle as its validated operation table."""
 
-    __slots__ = ("n", "table", "tinv")
+    __slots__ = ("n", "table", "tinv", "_inv_memo")
 
     def __init__(self, table):
         t = as_table(table)
@@ -369,6 +382,13 @@ class FiniteQuandle:
         self.n = t.shape[0]
         self.table = t
         self.tinv = _invert_columns(t)  # tinv[a, b] = S_b^{-1}(a)
+        self._inv_memo = None
+
+    def invariants(self):
+        """Per-element isomorphism invariants of the table (column cycle
+        type, idempotence, orbit size) and their multiset as a sorted tuple,
+        computed once."""
+        return _memo_invariants(self, (self.table,))
 
     def op(self, a, b):
         return int(self.table[a, b])
@@ -411,7 +431,7 @@ class FiniteQuandle:
 class FiniteBiquandle:
     """A finite biquandle as its validated pair of operation tables."""
 
-    __slots__ = ("n", "under", "over", "under_inv", "over_inv")
+    __slots__ = ("n", "under", "over", "under_inv", "over_inv", "_inv_memo")
 
     def __init__(self, under, over):
         u = as_table(under, "under")
@@ -424,12 +444,18 @@ class FiniteBiquandle:
         self.over = o
         self.under_inv = _invert_columns(u)  # alpha_b^{-1}
         self.over_inv = _invert_columns(o)   # beta_b^{-1}
+        self._inv_memo = None
 
     def op_under(self, a, b):
         return int(self.under[a, b])
 
     def op_over(self, a, b):
         return int(self.over[a, b])
+
+    def invariants(self):
+        """Per-element isomorphism invariants of the under and over tables
+        and their multiset as a sorted tuple, computed once."""
+        return _memo_invariants(self, (self.under, self.over))
 
     def alpha(self, y):
         return Permutation(tuple(int(v) for v in self.under[:, y]))

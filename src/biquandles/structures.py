@@ -100,6 +100,11 @@ def _structure_slabs(t, B):
         yield x, flat.take(under_n[x][:, None] + B) != flat.take(B_n[x][:, None] + B[x])
 
 
+def _require_permutation(name, m):
+    if not isinstance(m, Permutation):
+        raise MalformedInput(f"{name} is not a Permutation: {m!r}")
+
+
 def validate_structure(q: FiniteQuandle, betas) -> AxiomReport:
     """Check the automorphism property and both structure conditions.
 
@@ -111,8 +116,7 @@ def validate_structure(q: FiniteQuandle, betas) -> AxiomReport:
     if len(betas) != q.n:
         raise MalformedInput(f"need {q.n} automorphisms, got {len(betas)}")
     for y, b in enumerate(betas):
-        if not isinstance(b, Permutation):
-            raise MalformedInput(f"beta[{y}] is not a Permutation: {b!r}")
+        _require_permutation(f"beta[{y}]", b)
     B, ok = _aut_stack(q, betas)
     if not ok.all():
         return AxiomReport.from_violations(("beta-not-automorphism", (y,)) for y in np.flatnonzero(~ok).tolist())
@@ -131,6 +135,7 @@ def validate_structure(q: FiniteQuandle, betas) -> AxiomReport:
 
 def constant_structure(q: FiniteQuandle, f: Permutation) -> BiquandleStructure:
     """The structure with beta_y = f for every y."""
+    _require_permutation("f", f)
     if not preserves_tables(f.images, [q.table]):
         raise DomainError("f is not an automorphism of the base quandle")
     return BiquandleStructure(q, tuple(f for _ in range(q.n)))

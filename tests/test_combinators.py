@@ -20,7 +20,7 @@ from biquandles.core import (
     is_involutory_biquandle,
     orbits,
 )
-from biquandles.errors import DomainError
+from biquandles.errors import DomainError, MalformedInput
 from biquandles.group_constructions import dihedral_quandle, trivial_quandle
 from biquandles.structures import biquandle_from_structure, constant_structure
 from helpers import cycle
@@ -93,6 +93,13 @@ class TestUnionBiquandleConstant:
     def test_rejects_non_automorphism(self):
         with pytest.raises(DomainError):
             union_biquandle_constant(dihedral_quandle(4), trivial_quandle(2), Permutation((1, 0, 2, 3)), Permutation.identity(2))
+
+    def test_rejects_non_permutation(self):
+        r3 = dihedral_quandle(3)
+        with pytest.raises(MalformedInput, match="f is not a Permutation"):
+            union_biquandle_constant(r3, r3, (0, 1, 2), Permutation.identity(3))
+        with pytest.raises(MalformedInput, match="g is not a Permutation"):
+            union_biquandle_constant(r3, r3, Permutation.identity(3), (0, 1, 2))
 
 
 class TestInvolutoryUnion:

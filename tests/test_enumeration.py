@@ -4,7 +4,8 @@ import itertools
 import numpy as np
 import pytest
 
-from biquandles.core import FiniteQuandle, Permutation, check_quandle, is_connected
+from biquandles import _search
+from biquandles.core import FiniteBiquandle, FiniteQuandle, Permutation, check_quandle, is_connected
 from biquandles.enumeration import (
     are_isomorphic,
     count_connected,
@@ -17,6 +18,7 @@ from biquandles.enumeration import (
 from biquandles.errors import DomainError
 from biquandles.groups import cyclic_group, symmetric_group
 from biquandles.group_constructions import (
+    alexander_biquandle,
     alexander_quandle,
     conj_quandle,
     dihedral_quandle,
@@ -55,6 +57,34 @@ def oracle_quandle_count(n):
         if check_quandle(np.array(combo, dtype=np.int64).T).passed:
             cnt += 1
     return cnt
+
+
+def classify(quandles):
+    """Each quandle tested against the representatives so far, as perfbench
+    classifies: the representatives, and for every other quandle the
+    images of its witness from the first representative it matches."""
+    reps, witnesses = [], []
+    for q in quandles:
+        for r in reps:
+            w = are_isomorphic(r, q)
+            if w is not None:
+                witnesses.append(w.images)
+                break
+        else:
+            reps.append(q)
+    return reps, witnesses
+
+
+def relabel(t, s):
+    """The table T' with T'[s(a), s(b)] = s(T[a, b])."""
+    inv = np.argsort(s)
+    return s[np.asarray(t)[inv][:, inv]]
+
+
+def alexander_table(p, a):
+    """x * y = a x + (1 - a) y on Z_p."""
+    x = np.arange(p)
+    return (a * x[:, None] + (1 - a) * x[None, :]) % p
 
 
 def digest(obj):
@@ -189,6 +219,71 @@ class TestQuandleEnumeration:
     def test_cap(self):
         with pytest.raises(DomainError):
             enumerate_quandles(6)
+
+
+class TestClassification:
+    """Pinned by hash to the witnesses found before invariants were kept
+    per object: the same classes and the same witness for every table."""
+
+    @pytest.mark.parametrize("n,classes,pin", [(4, 7, "9f5a222fdb3e12f4"), (5, 22, "8ca923a9dda5ff26")])
+    def test_classes_and_witnesses(self, n, classes, pin):
+        reps, witnesses = classify(enumerate_quandles(n))
+        assert (len(reps), digest(witnesses)) == (classes, pin)
+
+    def test_one_invariant_pass_per_quandle(self, monkeypatch):
+        calls = []
+        invariants = _search._invariants
+
+        def counted(tables):
+            calls.append(1)
+            return invariants(tables)
+
+        monkeypatch.setattr(_search, "_invariants", counted)
+        reps, _ = classify(enumerate_quandles(5))
+        assert len(reps) == 22
+        assert len(calls) <= 404  # pairwise recomputation made 8,454
+
+
+def _pairs():
+    """(x, y, isomorphic) pairs of quandles and of biquandles."""
+    s5 = np.array([3, 0, 4, 1, 2])
+    r5 = dihedral_quandle(5)
+    yield r5, FiniteQuandle(relabel(r5.table, s5)), True
+    b = alexander_biquandle(7, 2, 3)
+    s7 = np.array([6, 2, 0, 5, 1, 3, 4])
+    yield b, FiniteBiquandle(relabel(b.under, s7), relabel(b.over, s7)), True
+    # 2 and 6 are primitive roots mod 13: equal invariants, not isomorphic
+    s13 = np.array([7, 3, 11, 0, 12, 5, 9, 1, 4, 10, 2, 8, 6])
+    yield FiniteQuandle(alexander_table(13, 2)), FiniteQuandle(relabel(alexander_table(13, 6), s13)), False
+
+
+def _fresh(x):
+    if isinstance(x, FiniteQuandle):
+        return FiniteQuandle(x.table)
+    return FiniteBiquandle(x.under, x.over)
+
+
+class TestInvariantMemo:
+    @pytest.mark.parametrize("x,y,isomorphic", list(_pairs()))
+    def test_warm_call_matches_cold(self, x, y, isomorphic):
+        cold = are_isomorphic(_fresh(x), _fresh(y))
+        assert (cold is not None) == isomorphic
+        assert x.invariants()[1] == y.invariants()[1]
+        assert are_isomorphic(x, y) == cold  # memos filled before the call
+        assert are_isomorphic(x, y) == cold
+
+    def test_tables_are_read_only(self):
+        q = dihedral_quandle(3)
+        b = alexander_biquandle(7, 2, 3)
+        for t in (q.table, b.under, b.over):
+            with pytest.raises(ValueError):
+                t[0, 0] = 1
+
+    def test_recomputed_when_the_table_is_replaced(self):
+        q = dihedral_quandle(4)
+        before = q.invariants()
+        q.table = trivial_quandle(4).table
+        assert q.invariants() == trivial_quandle(4).invariants() != before
 
 
 class TestIsomorphism:

@@ -83,6 +83,10 @@ class TestConstantStructure:
         with pytest.raises(DomainError):
             constant_structure(dihedral_quandle(4), Permutation((1, 0, 2, 3)))
 
+    def test_rejects_non_permutation(self):
+        with pytest.raises(MalformedInput, match="f is not a Permutation"):
+            constant_structure(dihedral_quandle(3), (0, 2, 1))
+
     def test_embeds_trivially(self):
         q = dihedral_quandle(5)
         s = constant_structure(q, Permutation.identity(5))
