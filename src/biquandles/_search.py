@@ -206,8 +206,10 @@ def table_bijections(tables_a, tables_b, limit=None, colours=None, invariants=No
     invariants: None, or (invA, invB), the lists _invariants gives for
     tables_a and tables_b, used instead of computing them again (a caller
     that keeps them per object passes them).
-    Returns image arrays sorted lexicographically; limit=k keeps the first k
-    (limit=1 is a plain existence/witness search, which lists nothing).
+    Returns the maps as one (k, n) array of image rows, sorted
+    lexicographically and (0, n) when there is none; limit=k keeps the
+    first k (limit=1 is a plain existence/witness search, which lists
+    nothing).
     Raises DomainError when the full list would exceed MAX_LISTED maps.
 
     The full list is t o G: G the automorphisms of the A side (preserving
@@ -217,9 +219,10 @@ def table_bijections(tables_a, tables_b, limit=None, colours=None, invariants=No
     """
     tA = np.stack([np.asarray(t, dtype=np.int64) for t in tables_a])
     tB = np.stack([np.asarray(t, dtype=np.int64) for t in tables_b])
-    if tA.shape != tB.shape:
-        return []
     n = tA.shape[1]
+    none = np.empty((0, n), dtype=np.int64)
+    if tA.shape != tB.shape:
+        return none
     same = np.array_equal(tA, tB)
     if invariants is None:
         invA = _invariants(tA)
@@ -233,18 +236,17 @@ def table_bijections(tables_a, tables_b, limit=None, colours=None, invariants=No
         invA = list(zip(invA, cA.tolist()))
         colours = (cA, cB)
     if Counter(invA) != Counter(invB):
-        return []
+        return none
     if limit == 1 or not same:
         img = np.full(n, -1, dtype=np.int64)
         witness = _first_leaf((tA, tB), _classes(invA, invB), colours, img, img.copy(), 0)
         if witness is None:
-            return []
+            return none
         if limit == 1:
-            return [witness]
+            return witness[None, :]
     group = np.arange(n, dtype=np.int64)[None, :]
     for level in reversed(_transversals(tA, _classes(invA, invA), None if colours is None else cA)):
         group = level[:, group].reshape(-1, n)  # t o g for t in level, g below
     if not same:
         group = witness[group]
-    group = group[np.lexsort(group.T[::-1])]
-    return list(group[:limit])
+    return group[np.lexsort(group.T[::-1])][:limit]

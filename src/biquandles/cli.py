@@ -119,13 +119,13 @@ def _perm_arg(text) -> Permutation:
 
 def _aut_list_arg(q: FiniteQuandle, text, length):
     """Comma list of indices into the (sorted) automorphism list of q."""
-    auts = sorted(automorphisms.quandle_aut(q).elements)
+    auts = automorphisms.quandle_aut(q).rows
     idxs = _ints(text.split(","), f"automorphism index list {text!r}")
     if len(idxs) != length:
         raise MalformedInput(f"need {length} automorphism indices, got {len(idxs)}")
     if any(not 0 <= i < len(auts) for i in idxs):
         raise DomainError(f"automorphism index out of range 0..{len(auts) - 1}")
-    return tuple(auts[i] for i in idxs)
+    return tuple(Permutation.from_array(auts[i]) for i in idxs)
 
 
 def _emit(args, payload, text_lines):
@@ -235,8 +235,8 @@ def cmd_aut(args):
     payload = {"order": grp.order, "generators": gens}
     lines = [f"order {grp.order}", "generators " + (" ".join(gens) if gens else "(trivial)")]
     if args.elements:
-        payload["elements"] = [list(p.images) for p in sorted(grp.elements)]
-        lines += [p.cycle_notation() for p in sorted(grp.elements)]
+        payload["elements"] = grp.rows.tolist()
+        lines += [p.cycle_notation() for p in grp]
     _emit(args, payload, lines)
     return 0
 

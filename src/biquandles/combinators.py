@@ -221,5 +221,5 @@ def holomorph_biquandle(q: FiniteQuandle) -> FiniteBiquandle:
     from .automorphisms import quandle_aut
 
     aut = quandle_aut(q)
-    p, ordered = conj_quandle_of_permgroup(aut.elements)
+    p, ordered = conj_quandle_of_permgroup(aut)
     return semidirect_biquandle(q, p, tuple(ordered))

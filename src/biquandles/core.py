@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -227,71 +228,103 @@ class Permutation:
 def row_keys(block):
     """One hashable key per row of an integer array: its int64 bytes."""
     block = np.ascontiguousarray(block, dtype=np.int64)
+    if block.shape[-1] == 0:  # a zero-width void view has no rows
+        return [b""] * int(np.prod(block.shape[:-1]))
     return block.view(f"V{8 * block.shape[-1]}").ravel().tolist()
 
 
-def mulclose(gens, degree):
-    """Closure of a set of permutations under composition (includes id)."""
-    els = {Permutation.identity(degree)}
-    bdy = list(set(gens))
-    els.update(bdy)
-    while bdy:
-        new = []
-        for g in gens:
-            for h in bdy:
-                p = g * h
-                if p not in els:
-                    els.add(p)
-                    new.append(p)
-        bdy = new
-    return els
+def _row_lookup(rows):
+    """The function mapping a block of image rows to their indices in rows;
+    it raises MalformedInput at a row that is not among them."""
+    index = dict(zip(row_keys(rows), range(len(rows))))
+
+    def lookup(block):
+        found = [index.get(key) for key in row_keys(block)]
+        if None in found:
+            raise MalformedInput("element set is not closed under composition")
+        return found
+
+    return lookup
 
 
-@dataclass(frozen=True)
+def product_table(rows):
+    """(comp, inv) for a group given as the image rows of all its elements:
+    comp[i, j] and inv[i] are the indices of rows[i] o rows[j] and of
+    rows[i]^-1 among the rows."""
+    m = len(rows)
+    lookup = _row_lookup(rows)
+    comp = np.array(lookup(rows[:, rows]), dtype=np.int64).reshape(m, m)
+    inv = np.array(lookup(np.argsort(rows, axis=1)), dtype=np.int64)
+    return comp, inv
+
+
+@dataclass(frozen=True, eq=False)
 class PermutationGroup:
-    """Explicit permutation group: generators plus the full element set."""
+    """An explicit permutation group: its generators, and rows, the
+    read-only (order, degree) int64 array of its elements' image rows in
+    lexicographic order.  rows is the one listing of the elements: order
+    is its length, iteration yields its rows as Permutations, and elements
+    is the same set as a frozenset, built on first read.  Two groups are
+    equal when their degree, generators and elements are."""
 
     degree: int
     generators: tuple
-    elements: frozenset
+    rows: np.ndarray
 
     @staticmethod
     def generate(degree, gens):
+        """The group the permutations gens generate: the identity row,
+        multiplied on the left by every generator until no new row
+        appears."""
         gens = tuple(gens)
         for g in gens:
             if g.n != degree:
                 raise MalformedInput("generator degree mismatch")
-        return PermutationGroup(degree, gens, frozenset(mulclose(gens, degree)))
+        by = np.array([g.images for g in gens], dtype=np.int64).reshape(len(gens), degree)
+        frontier = np.arange(degree, dtype=np.int64)[None, :]
+        seen = set(row_keys(frontier))
+        found = [frontier]
+        while len(frontier):
+            block = by[:, frontier].reshape(-1, degree)  # g o h for g in gens, h new
+            fresh = {key: i for i, key in enumerate(row_keys(block)) if key not in seen}
+            seen.update(fresh)
+            frontier = block[list(fresh.values())]
+            found.append(frontier)
+        rows = np.concatenate(found)
+        rows = rows[np.lexsort(rows.T[::-1])]
+        rows.setflags(write=False)
+        return PermutationGroup(degree, gens, rows)
 
     @staticmethod
     def from_elements(degree, elements):
-        """Wrap an explicit element set, picking a small generating set: in
-        sorted order, each element outside the span of those picked so far.
+        """Wrap an explicit element set, given as Permutations or as an
+        array of image rows, picking a small generating set: in sorted
+        order, each element outside the span of those picked so far.
 
         The span grows on image rows by whole cosets (Dimino's algorithm):
         adding g to a span H gives the union of the cosets H o r for r the
         words in the generators, and a coset met once is met whole.
         """
-        els = frozenset(elements)
-        if any(len(p.images) != degree for p in els):
-            raise MalformedInput("element degree mismatch")
-        ordered = sorted(els, key=lambda p: p.images)
-        rows = np.array([p.images for p in ordered], dtype=np.int64).reshape(len(ordered), degree)
-        index = dict(zip(row_keys(rows), range(len(ordered))))
-
-        def lookup(block):
-            """Indices of the rows of block, which must all be elements."""
-            found = [index.get(key) for key in row_keys(block)]
-            if None in found:
-                raise MalformedInput("element set is not closed under composition")
-            return found
-
+        if isinstance(elements, np.ndarray):
+            rows = np.array(elements, dtype=np.int64)
+            if rows.ndim != 2 or rows.shape[1] != degree:
+                raise MalformedInput("element degree mismatch")
+            if not (np.sort(rows, axis=1) == np.arange(degree)).all():
+                raise MalformedInput("element rows must be permutations")
+        else:
+            els = tuple(elements)
+            if any(len(p.images) != degree for p in els):
+                raise MalformedInput("element degree mismatch")
+            rows = np.array([p.images for p in els], dtype=np.int64).reshape(len(els), degree)
+        rows = np.unique(rows, axis=0)
+        rows.setflags(write=False)
+        lookup = _row_lookup(rows)
         span = lookup(np.arange(degree, dtype=np.int64)[None, :])
-        inspan = np.zeros(len(ordered), dtype=bool)
+        inspan = np.zeros(len(rows), dtype=bool)
         inspan[span] = True
         gens = []
-        for g in range(len(ordered)):
-            if len(span) == len(ordered):
+        for g in range(len(rows)):
+            if len(span) == len(rows):
                 break
             if inspan[g]:
                 continue
@@ -311,23 +344,30 @@ class PermutationGroup:
                     (e,) = lookup(rows[r][rows[s]][None, :])
                     if not inspan[e]:
                         add_coset(e)
-        return PermutationGroup(degree, tuple(ordered[g] for g in gens), els)
+        return PermutationGroup(degree, tuple(Permutation.from_array(rows[g]) for g in gens), rows)
 
     @property
     def order(self):
-        return len(self.elements)
+        return len(self.rows)
+
+    @cached_property
+    def elements(self):
+        return frozenset(self)
 
     def __contains__(self, p):
         return p in self.elements
 
     def __iter__(self):
-        return iter(sorted(self.elements))
-
-    def is_subgroup_of(self, other):
-        return self.elements <= other.elements
+        return (Permutation(tuple(r)) for r in self.rows.tolist())
 
     def same_elements(self, other):
-        return self.degree == other.degree and self.elements == other.elements
+        return self.degree == other.degree and np.array_equal(self.rows, other.rows)
+
+    def __eq__(self, other):
+        return isinstance(other, PermutationGroup) and self.generators == other.generators and self.same_elements(other)
+
+    def __hash__(self):
+        return hash((self.degree, self.generators, self.rows.tobytes()))
 
 
 # ---------------------------------------------------------------------------
@@ -338,13 +378,14 @@ class PermutationGroup:
 _JSON_KINDS = {
     "quandle": (("table",), "quandle JSON needs keys 'n' and 'table'", "table is"),
     "biquandle": (("under", "over"), "biquandle JSON needs keys 'n', 'under', 'over'", "tables are"),
+    "group": (("mul",), "group JSON needs keys 'n' and 'mul'", "table is"),
 }
 
 
 def read_json_tables(d, kind, build):
-    """build(*tables) on the tables of a quandle or biquandle JSON object,
-    which must declare their size as n; the size is checked before build
-    sweeps any axiom."""
+    """build(*tables) on the tables of a quandle, biquandle or group JSON
+    object, which must declare their size as n; the size is checked before
+    build sweeps any axiom."""
     keys, missing, noun = _JSON_KINDS[kind]
     try:
         n, *tables = [d[k] for k in ("n", *keys)]

@@ -58,12 +58,7 @@ def image_quandle_SQ(q: FiniteQuandle):
             classes[key] = len(reps)
             reps.append(x)
         p[x] = classes[key]
-    m = len(reps)
-    t = np.empty((m, m), dtype=np.int64)
-    for i, x in enumerate(reps):
-        for j, y in enumerate(reps):
-            t[i, j] = p[q.op(x, y)]
-    return FiniteQuandle(t), p
+    return FiniteQuandle(p[q.table[np.ix_(reps, reps)]]), p
 
 
 def _lifts(p, qt: FiniteQuandle, phi):
@@ -111,7 +106,7 @@ def verify_lift_normalizer(p, lifted: BiquandleStructure, base: BiquandleStructu
     """
     p = np.asarray(p, dtype=np.int64)
     aut_b = biquandle_aut(biquandle_from_structure(base))
-    lifts = [_lifts(p, lifted.base, phi.array()) for phi in sorted(aut_b.elements)]
+    lifts = [_lifts(p, lifted.base, phi) for phi in aut_b.rows]
     if not all(lifts):
         return None
     fam = set(lifted.betas)

@@ -21,7 +21,7 @@ import itertools
 import numpy as np
 
 from ._search import table_bijections
-from .core import FiniteBiquandle, FiniteQuandle, Permutation
+from .core import FiniteBiquandle, FiniteQuandle, Permutation, product_table
 from .errors import DomainError
 from .group_constructions import trivial_quandle
 from .structures import BiquandleStructure
@@ -35,14 +35,8 @@ def _symmetric_group(n):
     index tables: comp[p][q] and inv[p] are the indices of p o q and of
     p^-1."""
     perms = sorted(itertools.permutations(range(n)))
-    table = np.array(perms, dtype=np.int64)
-    # a permutation's index is the rank of its base-n value, as the sorted
-    # list is lexicographic
-    weights = n ** np.arange(n - 1, -1, -1)
-    keys = table @ weights
-    comp = np.searchsorted(keys, table[:, table] @ weights).tolist()
-    inv = np.searchsorted(keys, np.argsort(table, axis=1) @ weights).tolist()
-    return perms, comp, inv
+    comp, inv = product_table(np.array(perms, dtype=np.int64).reshape(len(perms), n))
+    return perms, comp.tolist(), inv.tolist()
 
 
 def trivial_structure_tuples(n):
@@ -333,4 +327,4 @@ def are_isomorphic(a, b):
     if count_a != count_b:
         return None
     maps = table_bijections(tables_a, tables_b, limit=1, invariants=(inv_a, inv_b))
-    return Permutation(tuple(int(v) for v in maps[0])) if maps else None
+    return Permutation.from_array(maps[0]) if len(maps) else None

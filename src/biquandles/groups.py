@@ -12,7 +12,7 @@ import itertools
 import numpy as np
 
 from ._search import table_bijections
-from .core import Permutation, as_table, mulclose
+from .core import Permutation, PermutationGroup, as_table, product_table, read_json_tables
 from .errors import DomainError, MalformedInput
 
 DEFAULT_ORDER_CAP = 64
@@ -93,14 +93,7 @@ class FiniteGroup:
 
     @staticmethod
     def from_dict(d):
-        try:
-            n, mul = d["n"], d["mul"]
-        except (KeyError, TypeError):
-            raise MalformedInput("group JSON needs keys 'n' and 'mul'") from None
-        g = FiniteGroup(mul)
-        if g.n != n:
-            raise MalformedInput(f"declared n={n} but table is {g.n}x{g.n}")
-        return g
+        return read_json_tables(d, "group", FiniteGroup)
 
 
 # A group automorphism is a multiplication-preserving permutation of the
@@ -124,28 +117,18 @@ def cyclic_group(n, cap=DEFAULT_ORDER_CAP) -> FiniteGroup:
 def symmetric_group(k, cap=DEFAULT_ORDER_CAP) -> FiniteGroup:
     if k < 1 or k > 5:
         raise DomainError("symmetric groups supported for 1 <= k <= 5")
-    perms = sorted(itertools.permutations(range(k)))
-    _check_cap(len(perms), cap)
-    index = {p: i for i, p in enumerate(perms)}
-    n = len(perms)
-    mul = np.empty((n, n), dtype=np.int64)
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            # product p*q acts as x -> p[q[x]]
-            mul[i, j] = index[tuple(p[q[x]] for x in range(k))]
-    return FiniteGroup(mul, name=f"S{k}")
+    rows = np.array(sorted(itertools.permutations(range(k))), dtype=np.int64)
+    _check_cap(len(rows), cap)
+    return FiniteGroup(product_table(rows)[0], name=f"S{k}")
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup, cap=DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Product group on pairs, indexed (a, b) -> a*|h| + b."""
     n = g.n * h.n
     _check_cap(n, cap)
-    mul = np.empty((n, n), dtype=np.int64)
-    for a1 in range(g.n):
-        for b1 in range(h.n):
-            i = a1 * h.n + b1
-            mul[i] = (g.mul[a1][:, None] * h.n + h.mul[b1][None, :]).ravel()
-    return FiniteGroup(mul, name=f"{g.name}x{h.name}")
+    # axes [a1, b1, a2, b2]: (a1, b1) times (a2, b2)
+    mul = g.mul[:, None, :, None] * h.n + h.mul[None, :, None, :]
+    return FiniteGroup(mul.reshape(n, n), name=f"{g.name}x{h.name}")
 
 
 def group_from_permutations(gens, degree, name=None, cap=DEFAULT_ORDER_CAP) -> FiniteGroup:
@@ -153,15 +136,9 @@ def group_from_permutations(gens, degree, name=None, cap=DEFAULT_ORDER_CAP) -> F
 
     Elements are indexed in sorted order of their image tuples.
     """
-    ordered = sorted(mulclose(gens, degree))
-    _check_cap(len(ordered), cap)
-    index = {p: i for i, p in enumerate(ordered)}
-    n = len(ordered)
-    mul = np.empty((n, n), dtype=np.int64)
-    for i, p in enumerate(ordered):
-        for j, q in enumerate(ordered):
-            mul[i, j] = index[p * q]
-    return FiniteGroup(mul, name=name)
+    rows = PermutationGroup.generate(degree, gens).rows
+    _check_cap(len(rows), cap)
+    return FiniteGroup(product_table(rows)[0], name=name)
 
 
 def dihedral_group(k, cap=DEFAULT_ORDER_CAP) -> FiniteGroup:
@@ -186,42 +163,23 @@ def dicyclic_group(k, cap=DEFAULT_ORDER_CAP) -> FiniteGroup:
         raise DomainError("dicyclic groups need k >= 2")
     n = 4 * k
     _check_cap(n, cap)
-    mul = np.empty((n, n), dtype=np.int64)
-    for i in range(2 * k):
-        for j in (0, 1):
-            for p in range(2 * k):
-                for q in (0, 1):
-                    if j == 0:
-                        r, s = (i + p) % (2 * k), q
-                    elif q == 0:
-                        r, s = (i - p) % (2 * k), 1
-                    else:
-                        r, s = (i - p + k) % (2 * k), 0
-                    mul[2 * i + j, 2 * p + q] = 2 * r + s
-    return FiniteGroup(mul, name=f"Dic{k}")
+    # axes [i, j, p, q]: a^i b^j a^p b^q = a^(i -+ p (+k if j = q = 1)) b^(j xor q)
+    i, p = np.arange(2 * k)[:, None, None, None], np.arange(2 * k)[None, None, :, None]
+    j, q = np.arange(2)[None, :, None, None], np.arange(2)[None, None, None, :]
+    r = (i + (1 - 2 * j) * p + j * q * k) % (2 * k)
+    return FiniteGroup((2 * r + (j ^ q)).reshape(n, n), name=f"Dic{k}")
 
 
 def quaternion_group() -> FiniteGroup:
-    """The order-8 group {1, -1, i, -i, j, -j, k, -k}."""
-    names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-    sign = {x: (1 if not x.startswith("-") else -1) for x in names}
-    base = {x: x.lstrip("-") for x in names}
-    table = {
-        ("1", "1"): (1, "1"), ("1", "i"): (1, "i"), ("1", "j"): (1, "j"), ("1", "k"): (1, "k"),
-        ("i", "1"): (1, "i"), ("j", "1"): (1, "j"), ("k", "1"): (1, "k"),
-        ("i", "i"): (-1, "1"), ("j", "j"): (-1, "1"), ("k", "k"): (-1, "1"),
-        ("i", "j"): (1, "k"), ("j", "i"): (-1, "k"),
-        ("j", "k"): (1, "i"), ("k", "j"): (-1, "i"),
-        ("k", "i"): (1, "j"), ("i", "k"): (-1, "j"),
-    }
-    idx = {x: i for i, x in enumerate(names)}
-    mul = np.empty((8, 8), dtype=np.int64)
-    for x in names:
-        for y in names:
-            s, b = table[(base[x], base[y])]
-            s *= sign[x] * sign[y]
-            mul[idx[x], idx[y]] = idx[b if s == 1 else "-" + b]
-    return FiniteGroup(mul, name="Q8")
+    """The order-8 group {1, -1, i, -i, j, -j, k, -k}, indexed 2u + s for
+    the unit u of (1, i, j, k) and the sign s (1 for minus)."""
+    # the product of units u, v is the unit u xor v, negated where neg[u, v]
+    neg = np.array([[0, 0, 0, 0], [0, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1]])
+    # axes [u, s, v, t]: (2u + s)(2v + t)
+    u, v = np.arange(4)[:, None, None, None], np.arange(4)[None, None, :, None]
+    s, t = np.arange(2)[None, :, None, None], np.arange(2)[None, None, None, :]
+    mul = 2 * (u ^ v) + (s ^ t ^ neg[u, v])
+    return FiniteGroup(mul.reshape(8, 8), name="Q8")
 
 
 def small_groups(max_order=8):

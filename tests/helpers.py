@@ -27,6 +27,25 @@ def projection_quandle():
     return FiniteQuandle(t)
 
 
+def mulclose(gens, degree):
+    """Closure of a set of permutations under composition (includes id),
+    by products of Permutation objects: the oracle for the library's
+    closure on image rows."""
+    els = {Permutation.identity(degree)}
+    bdy = list(set(gens))
+    els.update(bdy)
+    while bdy:
+        new = []
+        for g in gens:
+            for h in bdy:
+                p = g * h
+                if p not in els:
+                    els.add(p)
+                    new.append(p)
+        bdy = new
+    return els
+
+
 def cycle(n):
     """The full cycle i -> i+1 on n points."""
     return Permutation(tuple((i + 1) % n for i in range(n)))

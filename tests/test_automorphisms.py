@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from biquandles.automorphisms import (
@@ -22,9 +24,10 @@ from biquandles.automorphisms import (
     verify_union_biquandle_aut,
 )
 from biquandles.combinators import holomorph_biquandle, semidirect_biquandle, union_biquandle_constant
-from biquandles.core import Permutation, associated_quandle, biquandle_of_quandle
+from biquandles.core import Permutation, associated_quandle, biquandle_of_quandle, inner_group
 from biquandles.errors import DomainError
 from biquandles.groups import GroupAutomorphism, cyclic_group
+from biquandles.enumeration import enumerate_quandles
 from biquandles.group_constructions import (
     alexander_biquandle,
     conj_quandle,
@@ -114,6 +117,50 @@ class TestAutGroups:
                 assert p.inverse() in els
                 for q in sorted(els)[:8]:
                     assert p * q in els
+
+
+def listing(g):
+    """A group's generators and its elements in order, as image tuples."""
+    return [p.images for p in g.generators], [p.images for p in g]
+
+
+def digest(obj):
+    """Short hash of repr(obj), to pin a long output."""
+    return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
+
+
+class TestListingPins:
+    """Generators and element order pinned by hash to those the listing as a
+    frozenset of Permutations, sorted on every read, gave."""
+
+    @pytest.mark.parametrize(
+        "n,aut_pin,inner_pin",
+        [
+            (3, "2ddaae7283673665", "1fecd36cddb934da"),
+            (4, "57dd1046aa2a7f99", "10a1b99124db4c77"),
+            (5, "531c2ce11d256b43", "898bea7b78ba21cc"),
+        ],
+    )
+    def test_every_quandle_of_order_n(self, n, aut_pin, inner_pin):
+        qs = enumerate_quandles(n)
+        assert digest([listing(quandle_aut(q)) for q in qs]) == aut_pin
+        assert digest([listing(inner_group(q)) for q in qs]) == inner_pin
+
+    @pytest.mark.parametrize(
+        "q,pin",
+        [
+            (trivial_quandle(6), "60443c7d852c5213"),
+            (trivial_quandle(7), "f98163b6820e98b6"),
+            (dihedral_quandle(7), "8858acc7104fbc33"),
+        ],
+        ids=["T6", "T7", "R7"],
+    )
+    def test_quandle_aut(self, q, pin):
+        assert digest(listing(quandle_aut(q))) == pin
+
+    @pytest.mark.parametrize("p,pin", [(3, "8be0fcd80a2fac28"), (5, "038a00be32e3fcd8")])
+    def test_biquandle_aut_of_holomorph(self, p, pin):
+        assert digest(listing(biquandle_aut(holomorph_biquandle(dihedral_quandle(p))))) == pin
 
 
 class TestCentralizerNormalizer:
@@ -206,6 +253,13 @@ class TestUnionBiquandleAut:
             dihedral_quandle(3), dihedral_quandle(5), Permutation.identity(3), Permutation.identity(5)
         )
         assert (case, ok) == (1, True)
+
+    def test_twist_outside_aut_is_refused_by_the_union(self):
+        r3 = dihedral_quandle(3)
+        # the 3-cycle (0 1 2) of R5's points is not an automorphism of R5
+        bad = Permutation((1, 2, 0, 3, 4))
+        with pytest.raises(DomainError, match="g is not an automorphism of Q2"):
+            verify_union_biquandle_aut(r3, dihedral_quandle(5), Permutation.identity(3), bad)
 
     def test_case2(self):
         r3 = dihedral_quandle(3)

@@ -115,6 +115,13 @@ class TestConstructAndCheck:
         ):
             code, out, err = run(capsys, *argv)
             assert code == 2 and not out and "declared n=2 but" in err, (argv, err)
+        # group files too, on a table with no inverses and on a group table
+        g = tmp_path / "group.json"
+        for mul in ([[0, 1], [1, 1]], [[0, 1], [1, 0]]):
+            g.write_text(json.dumps({"n": 5, "mul": mul}))
+            for argv in (("aut", "--group", str(g)), ("construct", "alex", "--group", str(g))):
+                code, out, err = run(capsys, *argv)
+                assert code == 2 and not out and "declared n=5 but table is 2x2" in err, (mul, argv, err)
         # structure files whose betas are not integer permutation rows
         base = dihedral_quandle(3).to_json()
         for betas in (

@@ -18,8 +18,8 @@ from biquandles.core import (
     is_faithful,
     is_involutory_biquandle,
     is_involutory_quandle,
-    mulclose,
     orbits,
+    product_table,
     yang_baxter_map,
     ybe_witness,
 )
@@ -32,6 +32,7 @@ from biquandles.group_constructions import (
     trivial_quandle,
     wada_biquandle,
 )
+from helpers import cycle, mulclose
 
 R3_TABLE = [[0, 2, 1], [2, 1, 0], [1, 0, 2]]
 
@@ -396,3 +397,76 @@ class TestPermutations:
             picks = [Permutation(tuple(rng.sample(range(n), n))) for _ in range(rng.randrange(1, 4))]
             els = PermutationGroup.generate(n, picks).elements
             assert PermutationGroup.from_elements(n, els).generators == greedy(n, els)
+
+
+def random_picks(rng, n):
+    return [Permutation(tuple(rng.sample(range(n), n))) for _ in range(rng.randrange(0, 4))]
+
+
+class TestPermutationGroup:
+    def test_generate_matches_mulclose(self):
+        rng = random.Random(11)
+        for _ in range(60):
+            n = rng.randrange(1, 7)
+            picks = random_picks(rng, n)
+            g = PermutationGroup.generate(n, picks)
+            assert g.elements == mulclose(picks, n)
+            assert g.order == len(g.elements) == len(g.rows)
+            assert list(g) == sorted(g.elements)
+            assert [p.images for p in g] == [tuple(r) for r in g.rows.tolist()]
+
+    def test_rows_are_read_only(self):
+        g = PermutationGroup.generate(3, [Permutation((1, 2, 0))])
+        with pytest.raises(ValueError):
+            g.rows[0, 0] = 1
+
+    def test_from_elements_array_matches_permutations(self):
+        rng = random.Random(5)
+        for _ in range(40):
+            n = rng.randrange(1, 7)
+            g = PermutationGroup.generate(n, random_picks(rng, n))
+            els = list(g.elements)
+            rng.shuffle(els)
+            shuffled = np.array([p.images for p in els + els[:2]], dtype=np.int64).reshape(-1, n)
+            by_perms = PermutationGroup.from_elements(n, els)
+            for block in (g.rows, shuffled):
+                by_rows = PermutationGroup.from_elements(n, block)
+                assert np.array_equal(by_rows.rows, by_perms.rows)
+                assert by_rows.generators == by_perms.generators
+                assert by_rows == by_perms and hash(by_rows) == hash(by_perms)
+        # degree 0: S_0 is the one empty permutation
+        by_perms = PermutationGroup.from_elements(0, [Permutation(())])
+        by_rows = PermutationGroup.from_elements(0, np.zeros((1, 0), dtype=np.int64))
+        assert by_perms.rows.shape == (1, 0) and by_perms.generators == ()
+        assert by_rows == by_perms and hash(by_rows) == hash(by_perms)
+
+    def test_from_elements_rejects_bad_rows(self):
+        s3 = PermutationGroup.generate(3, [Permutation((1, 0, 2)), Permutation((1, 2, 0))])
+        with pytest.raises(MalformedInput, match="degree"):
+            PermutationGroup.from_elements(4, s3.rows)
+        with pytest.raises(MalformedInput, match="permutations"):
+            PermutationGroup.from_elements(2, np.array([[0, 1], [0, 0]]))
+        with pytest.raises(MalformedInput, match="closed"):
+            PermutationGroup.from_elements(3, s3.rows[:5])
+
+    def test_equality_needs_equal_generators(self):
+        a, b = Permutation((1, 0, 2)), Permutation((1, 2, 0))
+        g = PermutationGroup.generate(3, [a, b])
+        h = PermutationGroup.from_elements(3, g.rows)
+        assert g.same_elements(h) and g.generators != h.generators and g != h
+        assert g == PermutationGroup.generate(3, [a, b])
+        assert not g.same_elements(PermutationGroup.generate(3, [b]))
+
+    def test_product_table_at_degree_32(self):
+        # base-32 integer ranks of these rows would overflow int64
+        flip = Permutation(tuple((32 - i) % 32 for i in range(32)))
+        g = PermutationGroup.generate(32, [cycle(32), flip])
+        comp, inv = product_table(g.rows)
+        els = list(g)
+        index = {p: i for i, p in enumerate(els)}
+        assert comp.tolist() == [[index[p * q] for q in els] for p in els]
+        assert inv.tolist() == [index[p.inverse()] for p in els]
+
+    def test_product_table_of_degree_0(self):
+        comp, inv = product_table(np.zeros((1, 0), dtype=np.int64))
+        assert comp.tolist() == [[0]] and inv.tolist() == [0]

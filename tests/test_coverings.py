@@ -67,6 +67,17 @@ class TestImageQuandle:
             sq, p = image_quandle_SQ(q)
             assert is_quandle_covering(p, q, sq)
 
+    def test_matches_the_loop_over_first_occurrences(self):
+        for q in enumerate_quandles(4):
+            sq, p = image_quandle_SQ(q)
+            reps = [int(np.flatnonzero(p == c)[0]) for c in range(sq.n)]
+            assert reps == sorted(reps)  # classes numbered by first occurrence
+            cols = q.table.T.tolist()
+            assert all(cols[x] == cols[reps[p[x]]] for x in range(q.n))
+            assert len({tuple(cols[r]) for r in reps}) == len(reps)
+            loop = [[int(p[q.op(x, y)]) for y in reps] for x in reps]
+            assert sq.table.tolist() == loop
+
 
 class TestLifting:
     def test_constant_structures_lift_along_projection(self):

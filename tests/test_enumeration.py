@@ -7,6 +7,7 @@ import pytest
 from biquandles import _search
 from biquandles.core import FiniteBiquandle, FiniteQuandle, Permutation, check_quandle, is_connected
 from biquandles.enumeration import (
+    _symmetric_group,
     are_isomorphic,
     count_connected,
     enumerate_quandles,
@@ -124,6 +125,21 @@ class TestOutputPins:
     def test_trivial_structure_tuples(self, n, count, pin):
         got = trivial_structure_tuples(n)
         assert (len(got), digest(got)) == (count, pin)
+
+    @pytest.mark.parametrize(
+        "n,pin",
+        [
+            (0, "b5e05b07fd1c561a"),
+            (1, "f880ce01acc6e158"),
+            (2, "3ccd0cc293933f8f"),
+            (3, "ff8bed1e72d75b3f"),
+            (4, "4016e8d03def91b4"),
+            (5, "ebdef1a9ef230fe6"),
+        ],
+    )
+    def test_symmetric_group_tables(self, n, pin):
+        # pinned to the tables the base-n integer ranks gave
+        assert digest(_symmetric_group(n)) == pin
 
 
 class TestTrivialStructures:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -72,6 +73,40 @@ class TestConstructors:
         assert g.element_order(a) == 6
         assert g.element_order(b) == 4
         assert g.op(g.op(b, a), g.inverse(b)) == g.inverse(a)
+
+
+def digest(obj):
+    """Short hash of repr(obj), to pin a long output."""
+    return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
+
+
+class TestTablePins:
+    """Multiplication tables pinned by hash to those the per-entry Python
+    loops built before product_table and broadcasts replaced them."""
+
+    @pytest.mark.parametrize(
+        "k,pin",
+        [
+            (1, "db407f11d7ede59a"),
+            (2, "c1b92cfd1182059c"),
+            (3, "d306f7f3933e7339"),
+            (4, "f94f617d1f8a461f"),
+            (5, "bdb00be6b0d08f5d"),
+        ],
+    )
+    def test_symmetric(self, k, pin):
+        assert digest(symmetric_group(k, cap=120).mul.tolist()) == pin
+
+    def test_small_groups(self):
+        assert digest([g.mul.tolist() for g in small_groups(12)]) == "8bbb353d01e63fd1"
+
+    def test_dicyclic(self):
+        assert digest([dicyclic_group(k).mul.tolist() for k in range(2, 17)]) == "2ac4749c15d82df3"
+
+    @pytest.mark.parametrize("k,pin", [(20, "350c2e20bed3b4b2"), (32, "12854cbbb1dc2766")])
+    def test_dihedral(self, k, pin):
+        # degree 32: base-32 ranks of the image rows would overflow int64
+        assert digest(dihedral_group(k).mul.tolist()) == pin
 
 
 class TestAutomorphisms:
