@@ -1,8 +1,20 @@
 """Hot loops over operation tables: axiom sweeps, Yang-Baxter checks, map closure.
 
-Each kernel has one numpy implementation, batched over the last two
+Each sweep has one numpy implementation, batched over the last two
 indices of its triple loop.  A sweep returns the lexicographically first
 witness as a tuple of Python ints, or None when the identity holds.
+
+The exchange check is the exception to the sweep over all n^3 triples.
+Each of its identities says that two composites of column maps, picked by
+(y, z), agree as maps of x.  So exchange_violation numbers the distinct
+columns of both tables, and compares the two composites once per distinct
+quadruple of column ids.  With at most k distinct columns in either table,
+an identity has at most min(n^2, k^4) quadruples, and product constructions
+repeat their columns: Hol(R_7), n = 294, has 42 distinct columns in each
+table and 10,584 + 1,764 + 1,764 quadruples, against 3 x 86,436 pairs
+(y, z).  When a quadruple fails, the row sweep exchange_slabs finds the
+witness, so the witness is the sweep's; exchange_slabs also serves
+all_witnesses reports.
 
 The sweeps read a product x op y of an n x n table t as one gather on its
 flat view, t.ravel().take(x * n + y).  So every table entry must lie in
@@ -16,15 +28,16 @@ and may be in any memory order.
 
 The offsets go into n x n buffers allocated once per call.  A fresh grid
 per product lets malloc hand its pages back and fault them in again on
-every row: the exchange sweep on Hol(R_7), n = 294, took 0.45 s that way
-in a fresh process, and 0.20 s with the buffers.
+every row: the exchange row sweep on Hol(R_7), n = 294, took 0.45 s that
+way in a fresh process, and 0.20 s with the buffers.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# read by the environment stamp of perfbench/run.py; there is no jitted path
+# read by env_stamp in perfbench/run.py, so it stays while that does; there
+# is no jitted path
 HAVE_NUMBA = False
 
 
@@ -91,16 +104,85 @@ def exchange_slabs(u, o):
         yield x, (bad0, bad1, bad2)
 
 
-def exchange_violation(u, o):
-    """First violated exchange identity as (code, x, y, z), or None.
-
-    Witnesses are ordered by (x, y, z, code).
-    """
+def _sweep_violation(u, o):
+    """exchange_violation by the row sweep: x by x, all three identities."""
     for x, bads in exchange_slabs(u, o):
         hits = [(*_first(bad), code) for code, bad in enumerate(bads) if bad.any()]
         if hits:
             y, z, code = min(hits)
             return code, x, y, z
+    return None
+
+
+def _columns(t):
+    """(ids, maps): ids[c] numbers column c of t among its distinct columns,
+    in order of first occurrence, and row ids[c] of maps is that column,
+    maps[ids[c], x] = t[x, c]."""
+    cols = np.ascontiguousarray(t.T, dtype=np.int64)
+    index = {}
+    keys = cols.view(f"V{8 * cols.shape[1]}").ravel().tolist()
+    ids = np.array([index.setdefault(k, len(index)) for k in keys], dtype=np.int64)
+    return ids, cols[np.unique(ids, return_index=True)[1]]
+
+
+def _composites_differ(maps, quads):
+    """Whether P_a o Q_b != R_c o S_d as maps of x for some quadruple
+    (a, b, c, d) of the id arrays quads, where maps = (P, Q, R, S) hold
+    their maps as rows."""
+    P, Q, R, S = maps
+    a, b, c, d = quads
+    n = P.shape[1]
+    offsets = Q.take(b, axis=0)
+    offsets += (a * n)[:, None]
+    left = P.ravel().take(offsets)
+    S.take(d, axis=0, out=offsets)
+    offsets += (c * n)[:, None]
+    right = R.ravel().take(offsets)
+    return bool((left != right).any())
+
+
+# entries per block: rows of quadruple codes times n, or quadruples times n
+# in one compare; capped at n^2.  Fresh processes, best of 7 (2 vCPUs):
+# Hol(R_7) took 39-43 ms at 2^15, against 89-104 ms at 2^16 and 47-48 ms
+# at 2^13; Alexander(211, 3, 2) (75-79 ms) and Hol(R_11) (1.5-1.6 s)
+# barely moved.
+_BLOCK = 1 << 15
+
+
+def exchange_violation(u, o):
+    """First violated exchange identity as (code, x, y, z), or None.
+
+    Witnesses are ordered by (x, y, z, code), as in the row sweep over x.
+    Each identity says that two composites of column maps, picked by
+    (y, z), agree as maps of x:
+        (3a) U_{z u y} U_y == U_{y o z} U_z
+        (3b) O_{z u y} U_y == U_{y o z} O_z
+        (3c) O_{z o y} O_y == O_{y u z} O_z
+    with U_c, O_c column c of u, o.  So each identity is checked once per
+    distinct quadruple of column ids, not once per (x, y, z); the first
+    failing quadruple hands the witness over to the row sweep.
+    """
+    n = u.shape[0]
+    U, O = _columns(u), _columns(o)
+    # per identity: the families of P, Q, R, S in P_a Q_b == R_c S_d, and
+    # the [y, z] grids whose entries pick a and c; b is picked by y, d by z
+    identities = (((U, U, U, U), u.T, o), ((O, U, U, O), u.T, o), ((O, O, O, O), o.T, u))
+    # the codes go into one grid, built in row blocks, so that no n x n
+    # temporaries pile up beside it
+    grid = np.empty((n, n), dtype=np.int64)
+    step = max(1, min(n, _BLOCK // n))  # at most n^2 entries, as the row sweep's buffers
+    for families, by_a, by_c in identities:
+        (pid, P), (qid, Q), (rid, R), (sid, S) = families
+        dims = (len(P), len(Q), len(R), len(S))
+        for y0 in range(0, n, step):
+            ys = slice(y0, y0 + step)
+            grid[ys] = np.ravel_multi_index((pid.take(by_a[ys]), qid[ys, None], rid.take(by_c[ys]), sid), dims)
+        codes = grid.ravel()
+        codes.sort()  # in place: np.unique would hash a copy, several times slower
+        quads = codes[np.r_[True, codes[1:] != codes[:-1]]]
+        for k in range(0, len(quads), step):
+            if _composites_differ((P, Q, R, S), np.unravel_index(quads[k:k + step], dims)):
+                return _sweep_violation(u, o)
     return None
 
 

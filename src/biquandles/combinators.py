@@ -19,7 +19,7 @@ import numpy as np
 
 from ._kernels import _first, first_violation
 from ._search import preserves_tables
-from .core import FiniteBiquandle, FiniteQuandle, Permutation, is_involutory_quandle, row_keys
+from .core import FiniteBiquandle, FiniteQuandle, Permutation, PermutationGroup, is_involutory_quandle, row_keys
 from .errors import DomainError
 from .structures import BiquandleStructure, _aut_stack, _require_permutation
 
@@ -193,21 +193,25 @@ def semidirect_biquandle(q1: FiniteQuandle, q2: FiniteQuandle, psi) -> FiniteBiq
 
 
 def conj_quandle_of_permgroup(perms) -> tuple[FiniteQuandle, list]:
-    """Conjugation quandle a*b = b a b^{-1} on a sorted permutation list."""
-    ordered = sorted(set(perms))
-    n = len(ordered)
-    rows = np.array([p.images for p in ordered], dtype=np.int64).reshape(n, ordered[0].n if ordered else 0)
+    """Conjugation quandle a*b = b a b^{-1} on a sorted permutation list.
+
+    perms is a PermutationGroup, whose rows are that listing already, or
+    any iterable of Permutations, which is sorted and deduplicated."""
+    if isinstance(perms, PermutationGroup):
+        rows, ordered = perms.rows, list(perms)
+    else:
+        ordered = sorted(set(perms))
+        rows = np.array([p.images for p in ordered], dtype=np.int64).reshape(len(ordered), ordered[0].n if ordered else 0)
+    n, d = rows.shape
+    flat, at = rows.ravel(), np.arange(n) * d
+    # conj[i, j]: the images of b a b^{-1} = b[a[b^{-1}]], a = rows[i], b = rows[j]
+    conj = flat.take(at[None, :, None] + flat.take(at[:, None, None] + np.argsort(rows, axis=1)))
     index = dict(zip(row_keys(rows), range(n)))
-    inv = np.argsort(rows, axis=1)
-    t = np.empty((n, n), dtype=np.int64)
-    for i in range(n):
-        # row j: the images of b a b^{-1}, a = ordered[i], b = ordered[j]
-        found = [index.get(key, -1) for key in row_keys(np.take_along_axis(rows, rows[i][inv], axis=1))]
-        if -1 in found:
-            a, b = ordered[i].images, ordered[found.index(-1)].images
-            raise DomainError(f"the permutations are not closed under conjugation: b a b^-1 is not among them for a = {a}, b = {b}")
-        t[i] = found
-    return FiniteQuandle(t), ordered
+    found = [index.get(key, -1) for key in row_keys(conj)]
+    if -1 in found:
+        i, j = divmod(found.index(-1), n)
+        raise DomainError(f"the permutations are not closed under conjugation: b a b^-1 is not among them for a = {ordered[i].images}, b = {ordered[j].images}")
+    return FiniteQuandle(np.array(found, dtype=np.int64).reshape(n, n)), ordered
 
 
 def holomorph_biquandle(q: FiniteQuandle) -> FiniteBiquandle:

@@ -118,7 +118,13 @@ _B3 = ("b3a", "b3b", "b3c")  # exchange identities by kernel code
 def check_biquandle(under, over, all_witnesses=False):
     """Verify the diagonal axiom, bijectivity of both column families and of
     the pair map S(x, y) = (y o x, x u y), and the three exchange identities
-    (3a), (3b), (3c); one witness per axiom unless all_witnesses."""
+    (3a), (3b), (3c); one witness per axiom unless all_witnesses.
+
+    The exchange identities are checked once per distinct quadruple of
+    column maps (_kernels.exchange_violation), which on product
+    constructions is far fewer than the n^3 triples.  Their witness is
+    still the first triple (x, y, z) of the full sweep: a failing quadruple
+    falls back to the row sweep, which all_witnesses also uses."""
     u = as_table(under, "under")
     o = as_table(over, "over")
     if u.shape != o.shape:

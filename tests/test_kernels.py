@@ -19,7 +19,7 @@ from biquandles import _kernels as K
 from biquandles.combinators import holomorph_biquandle
 from biquandles.core import _bad_columns, _invert_columns, check_biquandle, check_quandle
 from biquandles.group_constructions import alexander_biquandle, dihedral_quandle, wada_biquandle
-from biquandles.groups import cyclic_group
+from biquandles.groups import cyclic_group, symmetric_group
 
 
 def random_tables(rng, n):
@@ -608,3 +608,84 @@ class TestFlatOffsetsAtMidSize:
         assert None in witnesses and any(w is not None and w[0] == 0 for w in witnesses)
         assert any(w is not None and w[0] > 0 for w in witnesses)
 
+
+
+# ---------------------------------------------------------------------------
+# the exchange check by distinct quadruples of column maps, against the row
+# sweep it hands failures to
+
+QUAD_BASES = {
+    "hol3": holomorph_biquandle(dihedral_quandle(3)),   # n = 18, columns repeat
+    "hol5": HOL5,
+    "alex31": ALEX31,                                   # one distinct over column
+    "wada-s3": wada_biquandle(symmetric_group(3)),
+    "wada-z4": WADA4,
+}
+
+
+@st.composite
+def swapped_tables(draw):
+    """A valid biquandle's (u, o) with up to three seeded column swaps (the
+    columns stay bijective), each in either table, C- or F-ordered."""
+    b = QUAD_BASES[draw(st.sampled_from(sorted(QUAD_BASES)))]
+    tables = [np.array(b.under), np.array(b.over)]
+    for _ in range(draw(st.integers(0, 3))):
+        t = tables[draw(st.integers(0, 1))]
+        j = draw(st.integers(0, b.n - 1))
+        i1, i2 = draw(st.lists(st.integers(0, b.n - 1), min_size=2, max_size=2, unique=True))
+        t[[i1, i2], j] = t[[i2, i1], j]
+    if draw(st.booleans()):
+        tables = [np.asfortranarray(t) for t in tables]
+    return tables
+
+
+class TestExchangeByQuadruples:
+    @settings(max_examples=80, deadline=None)
+    @given(swapped_tables())
+    def test_first_witness_is_the_row_sweeps(self, tables):
+        assert K.exchange_violation(*tables) == exchange_violation_of(K.exchange_slabs(*tables))
+
+    def test_valid_tables_never_reach_the_row_sweep(self, monkeypatch):
+        def sweep(u, o):
+            raise AssertionError("a valid table reached the row sweep")
+
+        monkeypatch.setattr(K, "_sweep_violation", sweep)
+        for b in QUAD_BASES.values():
+            assert K.exchange_violation(b.under, b.over) is None
+
+    def test_hol7_checks_each_distinct_quadruple_once(self, monkeypatch):
+        # 42 distinct columns per table; 10,584 + 1,764 + 1,764 quadruples
+        # for (3a), (3b), (3c), against 86,436 pairs (y, z) each.  Fewer
+        # would skip a quadruple, more would check one twice.
+        hol7 = holomorph_biquandle(dihedral_quandle(7))
+        assert [len(K._columns(t)[1]) for t in (hol7.under, hol7.over)] == [42, 42]
+        checked = []
+        compare = K._composites_differ
+
+        def counted(maps, quads):
+            checked.append(len(quads[0]))
+            return compare(maps, quads)
+
+        monkeypatch.setattr(K, "_composites_differ", counted)
+        assert K.exchange_violation(hol7.under, hol7.over) is None
+        assert sum(checked) == 14_112
+
+    def test_failure_at_the_last_x_only(self):
+        # R_3 plus two points p = 3, 4 that act trivially and that every
+        # column fixes, over trivial.  Setting 4 u 0 = 3 changes the map
+        # U_0 at x = 4 only, and the column 4 u 0 picks, U_3, equals U_4; so
+        # (3a) fails at x = 4 alone, and a compare that left out the last x
+        # would pass the table.
+        a = np.arange(5)
+        u = np.broadcast_to(a[:, None], (5, 5)).copy()
+        o = u.copy()
+        u[:3, :3] = (2 * a[None, :3] - a[:3, None]) % 3
+        assert check_biquandle(u, o).passed
+        u[4, 0] = 3
+        w = K.exchange_violation(u, o)
+        assert w is not None and w[1] == 4 and w == exchange_oracle(u, o)
+
+    def test_hol11_builds_and_validates(self):
+        hol = holomorph_biquandle(dihedral_quandle(11))
+        assert hol.n == 1210
+        assert check_biquandle(hol.under, hol.over).passed
