@@ -116,13 +116,14 @@ def _sweep_violation(u, o):
 
 def _columns(t):
     """(ids, maps): ids[c] numbers column c of t among its distinct columns,
-    in order of first occurrence, and row ids[c] of maps is that column,
-    maps[ids[c], x] = t[x, c]."""
+    and row ids[c] of maps is that column, maps[ids[c], x] = t[x, c]."""
     cols = np.ascontiguousarray(t.T, dtype=np.int64)
-    index = {}
-    keys = cols.view(f"V{8 * cols.shape[1]}").ravel().tolist()
-    ids = np.array([index.setdefault(k, len(index)) for k in keys], dtype=np.int64)
-    return ids, cols[np.unique(ids, return_index=True)[1]]
+    # each column as one opaque 8n-byte key.  np.unique(cols, axis=0)
+    # compares field by field: 135 ms per table on Hol(R_11) against 27 ms
+    # here; return_inverse would add a third n x n copy (+11 MB peak there)
+    keys = cols.view(f"V{8 * cols.shape[1]}").ravel()
+    maps = np.unique(keys)
+    return np.searchsorted(maps, keys), maps.view(np.int64).reshape(len(maps), -1)
 
 
 def _composites_differ(maps, quads):

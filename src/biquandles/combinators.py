@@ -19,7 +19,7 @@ import numpy as np
 
 from ._kernels import _first, first_violation
 from ._search import preserves_tables
-from .core import FiniteBiquandle, FiniteQuandle, Permutation, PermutationGroup, is_involutory_quandle, row_keys
+from .core import FiniteBiquandle, FiniteQuandle, Permutation, is_involutory_quandle, row_keys
 from .errors import DomainError
 from .structures import BiquandleStructure, _aut_stack, _require_permutation
 
@@ -193,16 +193,11 @@ def semidirect_biquandle(q1: FiniteQuandle, q2: FiniteQuandle, psi) -> FiniteBiq
 
 
 def conj_quandle_of_permgroup(perms) -> tuple[FiniteQuandle, list]:
-    """Conjugation quandle a*b = b a b^{-1} on a sorted permutation list.
-
-    perms is a PermutationGroup, whose rows are that listing already, or
-    any iterable of Permutations, which is sorted and deduplicated."""
-    if isinstance(perms, PermutationGroup):
-        rows, ordered = perms.rows, list(perms)
-    else:
-        ordered = sorted(set(perms))
-        rows = np.array([p.images for p in ordered], dtype=np.int64).reshape(len(ordered), ordered[0].n if ordered else 0)
-    n, d = rows.shape
+    """Conjugation quandle a*b = b a b^{-1} on a sorted permutation list."""
+    ordered = sorted(set(perms))
+    n = len(ordered)
+    d = ordered[0].n if ordered else 0
+    rows = np.array([p.images for p in ordered], dtype=np.int64).reshape(n, d)
     flat, at = rows.ravel(), np.arange(n) * d
     # conj[i, j]: the images of b a b^{-1} = b[a[b^{-1}]], a = rows[i], b = rows[j]
     conj = flat.take(at[None, :, None] + flat.take(at[:, None, None] + np.argsort(rows, axis=1)))

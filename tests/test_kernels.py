@@ -671,17 +671,21 @@ class TestExchangeByQuadruples:
         assert sum(checked) == 14_112
 
     def test_failure_at_the_last_x_only(self):
-        # R_3 plus two points p = 3, 4 that act trivially and that every
-        # column fixes, over trivial.  Setting 4 u 0 = 3 changes the map
-        # U_0 at x = 4 only, and the column 4 u 0 picks, U_3, equals U_4; so
-        # (3a) fails at x = 4 alone, and a compare that left out the last x
-        # would pass the table.
+        # The compare must cover every x.  With bijective columns both
+        # composites are permutations, which cannot differ at the last x
+        # alone; the kernel does not need bijective columns, so the input
+        # here is kernel-only, and check_biquandle stops at its columns.
+        # R_3 plus two points 3, 4 that act trivially, over trivial, is a
+        # biquandle.  Setting 4 u 0 = 3 changes U_0 at x = 4 only, and the
+        # column 4 u 0 picks, U_3, equals U_4; so (3a) fails at x = 4 alone,
+        # and a compare that left out the last x would pass the table.
         a = np.arange(5)
         u = np.broadcast_to(a[:, None], (5, 5)).copy()
         o = u.copy()
         u[:3, :3] = (2 * a[None, :3] - a[:3, None]) % 3
         assert check_biquandle(u, o).passed
         u[4, 0] = 3
+        assert {name for name, _ in check_biquandle(u, o).violations} == {"b2-under-columns"}
         w = K.exchange_violation(u, o)
         assert w is not None and w[1] == 4 and w == exchange_oracle(u, o)
 
