@@ -15,19 +15,26 @@ whose columns are permutations.
 
 A search never runs past its first leaf.  A witness search stops there; a
 full list is built from the automorphism group of the A side held as a
-transversal chain (Sims 1970): per base point a, the first element the
-closed identity prefix leaves free, one automorphism for each image b of
-a, the first leaf below a -> b; then a is fixed and the prefix closed.
-The group is the set of products of one member per level, formed by numpy
-gathers and sorted once, and a list between two different sides is that
-group composed with the witness.  So the search work grows with the sum of
-the level sizes, not with their product: the 5,040 automorphisms of the
-trivial quandle of order 7 take 119 closures, not 13,699.
+transversal chain (Sims 1970).  The base comes first, with no search: each
+base point a is the first element the closed identity prefix of the
+earlier ones leaves free.  The levels are then filled deepest first, one
+automorphism fixing the prefix for each image b of a.  The maps found so
+far, at this level and deeper, generate a group H that fixes the prefix,
+so only one image per H-orbit is searched for (the first leaf below
+a -> b): an image in the orbit of a gets a found map composed with an
+element of H, and an image in the orbit of one whose search failed has
+none (orbit pruning, McKay 1981).  The group is the set of products of one
+member per level, formed by numpy gathers and sorted once, and a list
+between two different sides is that group composed with the witness.  So
+the search work grows with the number of orbits met, not with the product
+of the level sizes: the 5,040 automorphisms of the trivial quandle of
+order 7 take 34 closures, 7 of them for the base, not 13,699.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from itertools import chain
 
 import numpy as np
 
@@ -56,10 +63,9 @@ def _column_cycle_type(col):
     return tuple(sorted(out))
 
 
-def orbit_roots(tables):
-    """A representative of each element's orbit under all column maps of
-    all tables (union-find); equal roots mean the same orbit."""
-    n = tables.shape[1]
+def _union_roots(n, cols):
+    """A representative of each of the n elements' orbit under the maps
+    cols (union-find); equal roots mean the same orbit."""
     parent = list(range(n))
 
     def find(a):
@@ -68,33 +74,41 @@ def orbit_roots(tables):
             a = parent[a]
         return a
 
-    for t in tables:
-        for col in t.T.tolist():
-            for a, b in enumerate(col):
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[ra] = rb
+    for col in cols:
+        for a, b in enumerate(col):
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[ra] = rb
     return [find(a) for a in range(n)]
+
+
+def orbit_roots(tables):
+    """A representative of each element's orbit under all column maps of
+    all tables (union-find); equal roots mean the same orbit."""
+    return _union_roots(tables.shape[1], (col for t in tables for col in t.T.tolist()))
 
 
 def _invariants(tables):
     """Per element a: the cycle types of column a in each table, whether a
     is idempotent in each, and the size of its orbit.
 
+    Each distinct column is walked once, for its cycle type and in the
+    union-find of the orbits: the paper's product tables repeat their
+    columns (Hol(R_7) has 42 distinct columns per table out of 294).
+
     A relabeling carries these over only when every column is a permutation:
     [[1, 1], [1, 1]] and [[0, 0], [0, 0]] are swapped by 0 <-> 1, yet the
     cycle walk reads (2,) on column 0 of the first and (1, 1) on the second.
     """
     n = tables.shape[1]
-    roots = orbit_roots(tables)
+    cols = [list(map(tuple, t.T.tolist())) for t in tables]
+    cycle_types = {c: _column_cycle_type(c) for c in dict.fromkeys(chain.from_iterable(cols))}
+    roots = _union_roots(n, cycle_types)
     size = Counter(roots)
-    cols = [t.T.tolist() for t in tables]
-    inv = []
-    for a in range(n):
-        sig = tuple(_column_cycle_type(c[a]) for c in cols)
-        diag = tuple(c[a][a] == a for c in cols)
-        inv.append((sig, diag, size[roots[a]]))
-    return inv
+    return [
+        (tuple(cycle_types[c[a]] for c in cols), tuple(c[a][a] == a for c in cols), size[roots[a]])
+        for a in range(n)
+    ]
 
 
 def preserves_tables(images, tables) -> bool:
@@ -143,44 +157,82 @@ def _first_leaf(tables, candidates, colours, img, pre, a, untried=None):
     return None
 
 
+def _close_orbit(reps, gens):
+    """Extend reps, a map from points x to maps that take one point p to x,
+    to the orbit of p under the group gens generate: a new point g(x) gets
+    g o reps[x].  Returns reps."""
+    queue = list(reps)
+    for x in queue:  # grows while it is walked
+        for g in gens:
+            y = int(g[x])
+            if y not in reps:
+                reps[y] = g[reps[x]]
+                queue.append(y)
+    return reps
+
+
 def _transversals(tA, candidates, colour):
     """The transversal chain of the automorphisms of tables tA that keep
-    the labelling colour (None: no labelling): per base point a (the first
-    element the closed identity prefix leaves free), one automorphism
-    fixing the prefix for each image of a, found as the first leaf below
-    a -> b; the identity stands for b = a.  Every automorphism is
-    t1 o t2 o ... o tk for exactly one choice of ti in level i, so the
-    group's order is known before any product is formed.
+    the labelling colour (None: no labelling), level i holding one
+    automorphism fixing the prefix of base point a_i for each image of a_i
+    (Sims 1970).  Every automorphism is t1 o t2 o ... o tk for exactly one
+    choice of ti in level i, so the group's order is known before any
+    product is formed.
 
-    Raises DomainError once that order exceeds MAX_LISTED.
+    The base comes first and needs no search: a_i is the first element the
+    closed identity prefix of a_0 .. a_(i-1) leaves free, and fixed_at
+    holds the level at which each element becomes fixed.  Then the levels
+    are filled deepest first, so the maps found at deeper levels and so far
+    at level i generate a group H that fixes the prefix of level i.  An
+    image b of a_i is searched for (the first leaf below a_i -> b) only if
+    it is neither in the H-orbit of a_i, where a known map composed with an
+    element of H reaches it, nor in the H-orbit of an image whose search
+    failed, where the same composition would have reached that image
+    (McKay 1981).
+
+    Raises DomainError once the order of the levels filled exceeds
+    MAX_LISTED.
     """
     n = tA.shape[1]
     colours = None if colour is None else (colour, colour)
+    ident = np.arange(n, dtype=np.int64)
     img = np.full(n, -1, dtype=np.int64)
-    pre = np.full(n, -1, dtype=np.int64)
-    levels = []
-    order = 1
-    free = np.flatnonzero(img < 0)
+    pre = img.copy()
+    fixed_at = np.full(n, n, dtype=np.int64)
+    base = []
+    free = ident
     while free.size:
         a = int(free[0])
-        reps = []
+        img[a] = pre[a] = a
+        _kernels.closure_extend(tA, tA, img, pre, [a])
+        fixed_at[(img >= 0) & (fixed_at == n)] = len(base)
+        base.append(a)
+        free = np.flatnonzero(img < 0)
+    levels = [None] * len(base)
+    gens = []  # the maps found by search, deepest level first
+    order = 1
+    for i in reversed(range(len(base))):
+        a = base[i]
+        prefix = np.where(fixed_at < i, ident, -1)
+        reps = {a: ident}
+        failed = set()
         for b in candidates[a]:
-            if b == a:
-                reps.append(np.arange(n, dtype=np.int64))
-            elif pre[b] == -1:
-                leaf = _first_leaf((tA, tA), candidates, colours, img, pre, a, [b])
-                if leaf is not None:
-                    reps.append(leaf)
+            if b in reps or b in failed or fixed_at[b] < i:
+                continue
+            # the identity prefix is its own preimage array
+            leaf = _first_leaf((tA, tA), candidates, colours, prefix, prefix, a, [b])
+            if leaf is None:
+                failed.update(_close_orbit({b: ident}, gens))
+            else:
+                gens.append(leaf)
+                _close_orbit(reps, gens)
         order *= len(reps)
         if order > MAX_LISTED:
             raise DomainError(
                 f"the automorphism group has at least {order} elements, "
                 f"more than the {MAX_LISTED} that can be listed"
             )
-        levels.append(np.stack(reps))
-        img[a] = pre[a] = a
-        _kernels.closure_extend(tA, tA, img, pre, [a])
-        free = np.flatnonzero(img < 0)
+        levels[i] = np.stack(list(reps.values()))
     return levels
 
 

@@ -291,13 +291,15 @@ class PermutationGroup:
         seen = set(row_keys(frontier))
         found = [frontier]
         while len(frontier):
-            block = by[:, frontier].reshape(-1, degree)  # g o h for g in gens, h new
+            # g o h for g in gens, h new
+            block = by[:, frontier].reshape(len(by) * len(frontier), degree)
             fresh = {key: i for i, key in enumerate(row_keys(block)) if key not in seen}
             seen.update(fresh)
             frontier = block[list(fresh.values())]
             found.append(frontier)
         rows = np.concatenate(found)
-        rows = rows[np.lexsort(rows.T[::-1])]
+        if degree:  # lexsort needs a key; degree 0 has the one empty row
+            rows = rows[np.lexsort(rows.T[::-1])]
         rows.setflags(write=False)
         return PermutationGroup(degree, gens, rows)
 

@@ -440,6 +440,14 @@ class TestPermutationGroup:
         assert by_perms.rows.shape == (1, 0) and by_perms.generators == ()
         assert by_rows == by_perms and hash(by_rows) == hash(by_perms)
 
+    def test_generate_of_degree_0(self):
+        # S_0 is the one empty permutation, with or without a generator
+        s0 = PermutationGroup.from_elements(0, [Permutation(())])
+        for gens in ([], [Permutation(())]):
+            g = PermutationGroup.generate(0, gens)
+            assert g.rows.shape == (1, 0) and g.same_elements(s0)
+            assert list(g) == list(s0) == [Permutation(())]
+
     def test_from_elements_rejects_bad_rows(self):
         s3 = PermutationGroup.generate(3, [Permutation((1, 0, 2)), Permutation((1, 2, 0))])
         with pytest.raises(MalformedInput, match="degree"):

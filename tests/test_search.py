@@ -1,18 +1,24 @@
 """The bijection engine against brute force over all n! permutations."""
 
 import functools
+import hashlib
 import itertools
 import math
+import random
+import re
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biquandles import _kernels, _search
+from biquandles import _kernels, _search, links
 from biquandles._search import table_bijections
 from biquandles.automorphisms import biquandle_aut, quandle_aut
 from biquandles.combinators import holomorph_biquandle
+from biquandles.core import FiniteQuandle, orbits
+from biquandles.enumeration import enumerate_quandles
 from biquandles.errors import DomainError
 from biquandles.group_constructions import dihedral_quandle, trivial_quandle
 from biquandles.groups import small_groups
@@ -131,32 +137,57 @@ class TestSearchDepth:
         assert f.tolist() == list(range(n))
 
 
+def counter(monkeypatch, module, name):
+    """A list that grows by one at each call of module.name."""
+    calls = []
+    f = getattr(module, name)
+
+    def counted(*args):
+        calls.append(1)
+        return f(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.fixture
+def closures(monkeypatch):
+    return counter(monkeypatch, _kernels, "closure_extend")
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    return counter(monkeypatch, _search, "_first_leaf")
+
+
 class TestWork:
-    """Closure calls of whole automorphism searches, counted through the
-    kernel module; the leaf-by-leaf engine this replaced made 13,699 and
-    795 calls for the two groups below."""
+    """Closure calls and first-leaf searches of whole automorphism
+    searches.  The leaf-by-leaf engine made 13,699 and 795 closure calls
+    for the first two groups below; one search per image of each base point
+    made 119, 338 and 1,632 closure calls in 21, 63 and 144 searches."""
 
-    @pytest.fixture
-    def closures(self, monkeypatch):
-        calls = []
-        extend = _kernels.closure_extend
-
-        def counted(*args):
-            calls.append(1)
-            return extend(*args)
-
-        monkeypatch.setattr(_kernels, "closure_extend", counted)
-        return calls
-
-    def test_trivial_quandle_7(self, closures):
+    def test_trivial_quandle_7(self, closures, searches):
         assert quandle_aut(trivial_quandle(7)).order == 5040
-        assert len(closures) <= 119
+        assert len(closures) <= 34
+        assert len(searches) <= 6
 
-    def test_holomorph_r5(self, closures):
+    def test_holomorph_r5(self, closures, searches):
         b = holomorph_biquandle(dihedral_quandle(5))
         closures.clear()
+        searches.clear()
         assert biquandle_aut(b).order == 20
-        assert len(closures) <= 338
+        assert len(closures) <= 128
+        assert len(searches) <= 31
+
+    def test_holomorph_r7(self, closures, searches):
+        b = holomorph_biquandle(dihedral_quandle(7))
+        closures.clear()
+        searches.clear()
+        g = biquandle_aut(b)
+        assert g.order == 42
+        assert hashlib.sha256(g.rows.tobytes()).hexdigest()[:16] == "26931ae27e5cec1f"
+        assert len(closures) <= 586
+        assert len(searches) <= 61
 
 
 class TestListingCap:
@@ -170,7 +201,79 @@ class TestListingCap:
         with pytest.raises(DomainError, match="can be listed"):
             table_bijections([t], [t])
 
-    def test_trivial_quandle_11(self):
-        t = trivial_quandle(11).table
-        with pytest.raises(DomainError, match="can be listed"):
-            table_bijections([t], [t])
+    def test_trivial_quandle_11(self, closures):
+        # the levels fill deepest first, so the refusal comes once 10! of
+        # the 11! automorphisms are known; one search per image of each
+        # base point took 426 closures to refuse
+        with pytest.raises(DomainError, match="can be listed") as refused:
+            quandle_aut(trivial_quandle(11))
+        (at_least,) = map(int, re.findall(r"at least (\d+) elements", str(refused.value)))
+        assert _search.MAX_LISTED < at_least <= math.factorial(11)
+        assert len(closures) <= 65
+
+
+def invariants_oracle(tables):
+    """_search._invariants as one walk per column: the cycle type of every
+    column, and the union-find over every column of every table."""
+    roots = _search.orbit_roots(tables)
+    size = Counter(roots)
+    cols = [t.T.tolist() for t in tables]
+    return [
+        (
+            tuple(_search._column_cycle_type(c[a]) for c in cols),
+            tuple(c[a][a] == a for c in cols),
+            size[roots[a]],
+        )
+        for a in range(tables.shape[1])
+    ]
+
+
+def stacked(x):
+    return np.stack([x.table] if isinstance(x, FiniteQuandle) else [x.under, x.over])
+
+
+@st.composite
+def repeated_column_tables(draw):
+    """1-2 tables of order n <= 8 whose columns are drawn from a pool of
+    1-3 permutations, so most columns repeat."""
+    n = draw(st.integers(1, 8))
+    pool = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3))
+    k = draw(st.integers(1, 2))
+    picks = draw(st.lists(st.lists(st.sampled_from(pool), min_size=n, max_size=n), min_size=k, max_size=k))
+    return np.array(picks, dtype=np.int64).transpose(0, 2, 1)
+
+
+class TestInvariants:
+    """_invariants walks each distinct column once; the per-column walk is
+    its oracle."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_holomorph(self, p):
+        t = stacked(holomorph_biquandle(dihedral_quandle(p)))
+        assert _search._invariants(t) == invariants_oracle(t)
+
+    def test_dihedral_301(self):
+        t = stacked(dihedral_quandle(301))
+        assert _search._invariants(t) == invariants_oracle(t)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_every_quandle_of_order_n(self, n):
+        for q in enumerate_quandles(n):
+            assert _search._invariants(stacked(q)) == invariants_oracle(stacked(q))
+
+    @settings(max_examples=200)
+    @given(repeated_column_tables())
+    def test_repeated_columns(self, tables):
+        assert _search._invariants(tables) == invariants_oracle(tables)
+
+    def test_orbit_outputs_are_unchanged(self):
+        # pinned as the per-column union-find gave them
+        qs = [q for n in range(1, 6) for q in enumerate_quandles(n)]
+        qs += [dihedral_quandle(301), trivial_quandle(9), holomorph_biquandle(dihedral_quandle(5))]
+        got = [orbits(q) if isinstance(q, FiniteQuandle) else _search.orbit_roots(stacked(q)) for q in qs]
+        assert hashlib.sha256(repr(got).encode()).hexdigest()[:16] == "cf0ebac01a686925"
+        rng = random.Random(3)
+        maps = [list(f) for f in itertools.permutations(range(5))]
+        maps += [[rng.randrange(n) for _ in range(n)] for n in (1, 7, 40, 200)]
+        got = [links._orbits(nxt) for nxt in maps]
+        assert hashlib.sha256(repr(got).encode()).hexdigest()[:16] == "754639fae8b0c95d"
