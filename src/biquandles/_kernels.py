@@ -16,15 +16,20 @@ table and 10,584 + 1,764 + 1,764 quadruples, against 3 x 86,436 pairs
 witness, so the witness is the sweep's; exchange_slabs also serves
 all_witnesses reports.
 
+The braid relation of the pair map is the three exchange identities under
+a change of variables (core.ybe_witness has the derivation).  So
+core.ybe_witness asks exchange_violation for the verdict, and the braid
+row sweep ybe_violation runs only on a failure, to find the witness.
+
 The sweeps read a product x op y of an n x n table t as one gather on its
 flat view, t.ravel().take(x * n + y).  So every table entry must lie in
 [0, n): an out-of-range entry does not raise here, as 2-D indexing would,
 but lands on another cell of the table.  The callers in core guarantee the
 range before any sweep: check_quandle and check_biquandle test it
-explicitly, ybe_witness requires every column to pass _bad_columns, which
-refuses out-of-range entries too, and check_ybe on a FiniteBiquandle reads
-tables that passed check_biquandle.  Tables are int64 (as_table's dtype)
-and may be in any memory order.
+explicitly, and ybe_witness, which check_ybe calls on a FiniteBiquandle
+and on a raw pair alike, requires every column of both tables to pass
+_bad_columns, which refuses out-of-range entries too.  Tables are int64
+(as_table's dtype) and may be in any memory order.
 
 The offsets go into n x n buffers allocated once per call.  A fresh grid
 per product lets malloc hand its pages back and fault them in again on
@@ -190,7 +195,8 @@ def exchange_violation(u, o):
 # ---------------------------------------------------------------------------
 # Yang-Baxter braid relation for r(a, b) = (w, u[a, w]) with w = oinv[b, a],
 # where oinv[v, y] is the inverse of the over-table column y.
-# Checks (r x id)(id x r)(r x id) == (id x r)(r x id)(id x r) on all triples.
+# Checks (r x id)(id x r)(r x id) == (id x r)(r x id)(id x r) on all triples;
+# core.ybe_witness runs it only where exchange_violation found a failure.
 
 
 def ybe_violation(u, o, oinv):

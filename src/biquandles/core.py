@@ -621,8 +621,29 @@ def yang_baxter_map(b: FiniteBiquandle):
 def ybe_witness(under, over):
     """First braid-relation violation on raw tables, or None.
 
-    Requires every over column to be a permutation (so the pair map is
-    defined); raises DomainError otherwise.
+    Requires every column of both tables to be a permutation (the over
+    columns so that the pair map is defined); raises DomainError otherwise.
+
+    The braid relation of r(a, b) = (p, a u p), p o a = b, holds exactly
+    when the exchange identities (3a)-(3c) do (the birack result of Fenn,
+    Jordan-Santana and Kauffman, Biquandles and virtual links, 2004).
+    Write O_y, U_y for column y of o, u.  On (a, b, c) the left composite
+    (r x id)(id x r)(r x id) gives r(a, b) = (p, q), q = a u p, then
+    r(q, c) = (w, q u w), then r(p, w) = (l1, p u l1); the right composite
+    (id x r)(r x id)(id x r) gives r(b, c) = (s, b u s), then
+    r(a, s) = (p2, a u p2), then r(a u p2, b u s) = (q3, (a u p2) u q3).
+    Since b = O_a(p), p ranges over X as b does, and likewise below.
+      * First component: l1 = (O_q O_p)^-1(c), p2 = (O_b O_a)^-1(c), so they
+        agree for every c iff O_{a u p} O_p = O_{p o a} O_a: (3c) at
+        y = a, z = p.
+      * Second, given the first (t = l1 = p2, so s = t o a): p u t = q3
+        iff (p u t) o (a u t) = (p o a) u (t o a): (3b) at x = p, y = t,
+        z = a.
+      * Third, given both (w = t o p): q u w = (a u p2) u q3 iff
+        (a u p) u (t o p) = (a u t) u (p u t): (3a) at x = a, y = t, z = p.
+    So the exchange check, once per distinct column quadruple, decides the
+    verdict, and only a failure runs the n^3 braid sweep, whose first
+    triple is the witness.
     """
     u = as_table(under, "under")
     o = as_table(over, "over")
@@ -630,12 +651,18 @@ def ybe_witness(under, over):
         raise MalformedInput(f"table sizes differ: {u.shape} vs {o.shape}")
     if _bad_columns(o).any() or _bad_columns(u).any():
         raise DomainError("pair map undefined: a column is not a permutation")
+    if _kernels.exchange_violation(u, o) is None:
+        return None
     return _kernels.ybe_violation(u, o, _invert_columns(o))
 
 
 def check_ybe(b) -> bool:
-    """True when the braid relation holds on all triples."""
+    """True when the braid relation holds on all triples; b is a
+    FiniteBiquandle or an (under, over) pair."""
     if isinstance(b, FiniteBiquandle):
-        return _kernels.ybe_violation(b.under, b.over, b.over_inv) is None
-    under, over = b
+        b = (b.under, b.over)
+    try:
+        under, over = b
+    except (TypeError, ValueError):
+        raise MalformedInput("check_ybe needs a FiniteBiquandle or an (under, over) pair") from None
     return ybe_witness(under, over) is None

@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from biquandles import _kernels
 from biquandles.automorphisms import (
     biquandle_aut,
     centralizer,
@@ -169,6 +170,9 @@ def test_criterion_03_axioms_and_ybe_sweep():
     for b in corpus:
         assert check_biquandle(b.under, b.over).passed
         assert check_ybe(b)
+        # check_ybe answers by the exchange identities; the full braid
+        # sweep stays the oracle
+        assert _kernels.ybe_violation(b.under, b.over, b.over_inv) is None
     print(f"  swept {len(corpus)} biquandles", end=" ")
     report("03 axioms-ybe-sweep", started, budget=120)
 

@@ -292,6 +292,16 @@ class TestYangBaxter:
             ybe_witness([[0, 0], [1, 1]], [[0, 0], [0, 0]])
 
     @pytest.mark.parametrize(
+        "wrap",
+        [lambda t: (t,), lambda t: (t, t, t), lambda t: {"under": t}],
+        ids=["one-table", "three-tables", "dict"],
+    )
+    def test_check_ybe_needs_a_biquandle_or_a_pair(self, wrap):
+        under, _ = wada_tables(3)
+        with pytest.raises(MalformedInput, match=r"FiniteBiquandle or an \(under, over\) pair"):
+            check_ybe(wrap(under))
+
+    @pytest.mark.parametrize(
         "b",
         [
             FiniteBiquandle(*wada_tables(5)),

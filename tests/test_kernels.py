@@ -7,6 +7,7 @@ The plain loops only reach n <= 8, so the sweeps are also pinned at
 n = 31 and 100 against numpy oracles that index each product as t[I, J].
 """
 
+import itertools
 import random
 from operator import ne
 
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from biquandles import _kernels as K
 from biquandles.combinators import holomorph_biquandle
-from biquandles.core import _bad_columns, _invert_columns, check_biquandle, check_quandle
+from biquandles.core import _bad_columns, _invert_columns, check_biquandle, check_quandle, check_ybe, ybe_witness
 from biquandles.group_constructions import alexander_biquandle, dihedral_quandle, wada_biquandle
 from biquandles.groups import cyclic_group, symmetric_group
 
@@ -693,3 +694,103 @@ class TestExchangeByQuadruples:
         hol = holomorph_biquandle(dihedral_quandle(11))
         assert hol.n == 1210
         assert check_biquandle(hol.under, hol.over).passed
+
+
+# ---------------------------------------------------------------------------
+# check_ybe answers by the exchange identities; the braid row sweep runs only
+# on a failure, for the witness
+
+
+def column_bijective_tables(n):
+    """Every n x n table whose columns are permutations, stacked."""
+    perms = list(itertools.permutations(range(n)))
+    cols = np.array(list(itertools.product(perms, repeat=n)), dtype=np.int8)
+    return cols.transpose(0, 2, 1)  # table[k][x, y] = cols[k][y][x]
+
+
+def exchange_and_braid_verdicts(tables):
+    """For every pair (u, o) of the stacked tables, u major: whether each
+    exchange identity holds, as three rows, and whether the braid relation
+    holds.
+
+    Each product is one gather over all pairs and triples at once, the
+    braid composites written out as in ybe_oracle."""
+    count, n = tables.shape[:2]
+    u = np.repeat(tables, count, axis=0)
+    o = np.tile(tables, (count, 1, 1))
+    oinv = np.argsort(o, axis=1).astype(np.int8)   # o[k, oinv[k, v, y], y] = v
+    k = np.arange(len(u))[:, None, None, None]
+    x, y, z = np.ix_(range(n), range(n), range(n))
+
+    def U(a, b):
+        return u[k, a, b]
+
+    def O(a, b):
+        return o[k, a, b]
+
+    def r(a, b):
+        w = oinv[k, b, a]
+        return w, U(a, w)
+
+    identities = (
+        U(U(x, y), U(z, y)) == U(U(x, z), O(y, z)),
+        O(U(x, y), U(z, y)) == U(O(x, z), O(y, z)),
+        O(O(x, y), O(z, y)) == O(O(x, z), U(y, z)),
+    )
+    p, q = r(x, y)                  # left composite on (a, b, c) = (x, y, z)
+    w, l3 = r(q, z)
+    l1, l2 = r(p, w)
+    s, t = r(y, z)                  # right composite
+    p2, q2 = r(x, s)
+    q3, r3 = r(q2, t)
+    braid = (l1 == p2) & (l2 == q3) & (l3 == r3)
+    holds = [m.reshape(len(u), -1).all(axis=1) for m in (*identities, braid)]
+    return np.array(holds[:3]), holds[3]
+
+
+class TestYbeByExchange:
+    @pytest.mark.parametrize("n, holding", [(2, 4), (3, 66)])
+    def test_exchange_holds_iff_braid_holds_exhaustively(self, n, holding):
+        # all 16 pairs at n = 2 and all 46,656 at n = 3
+        tables = column_bijective_tables(n)
+        identities, braid = exchange_and_braid_verdicts(tables)
+        exchange = identities.all(axis=0)
+        assert len(exchange) == len(tables) ** 2
+        assert np.array_equal(exchange, braid)
+        assert int(exchange.sum()) == holding
+        # check_ybe on every holding pair, on the pairs that break only one
+        # identity (a few per identity), and on a seeded sample of the rest
+        rng = random.Random(n)
+        count = len(tables)
+        picks = np.flatnonzero(exchange).tolist()
+        for code in range(3):
+            alone = np.flatnonzero((identities.sum(axis=0) == 2) & ~identities[code]).tolist()
+            picks += rng.sample(alone, min(20, len(alone)))
+        failing = np.flatnonzero(~exchange).tolist()
+        picks += rng.sample(failing, min(200, len(failing)))
+        for i in picks:
+            assert check_ybe((tables[i // count], tables[i % count])) is bool(exchange[i])
+
+    @settings(max_examples=80, deadline=None)
+    @given(swapped_tables())
+    def test_witness_is_the_braid_sweeps(self, tables):
+        u, o = tables
+        got = ybe_witness(u, o)
+        assert got == ybe_violation_2d(u, o, _invert_columns(o))
+        assert got is None or all(type(v) is int for v in got)
+
+    def test_valid_tables_never_reach_the_braid_sweep(self, monkeypatch):
+        calls = []
+        sweep = K.ybe_violation
+
+        def counted(*args):
+            calls.append(args[0].shape[0])
+            return sweep(*args)
+
+        monkeypatch.setattr(K, "ybe_violation", counted)
+        for b in QUAD_BASES.values():
+            assert check_ybe(b) and check_ybe((b.under, b.over))
+        assert calls == []
+        over = corrupted(random.Random(24), HOL5.over, "swap")
+        assert not check_ybe((HOL5.under, over))
+        assert calls == [HOL5.n]
