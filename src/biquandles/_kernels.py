@@ -4,32 +4,42 @@ Each sweep has one numpy implementation, batched over the last two
 indices of its triple loop.  A sweep returns the lexicographically first
 witness as a tuple of Python ints, or None when the identity holds.
 
-The exchange check is the exception to the sweep over all n^3 triples.
-Each of its identities says that two composites of column maps, picked by
-(y, z), agree as maps of x.  So exchange_violation numbers the distinct
-columns of both tables, and compares the two composites once per distinct
-quadruple of column ids.  With at most k distinct columns in either table,
-an identity has at most min(n^2, k^4) quadruples, and product constructions
-repeat their columns: Hol(R_7), n = 294, has 42 distinct columns in each
-table and 10,584 + 1,764 + 1,764 quadruples, against 3 x 86,436 pairs
-(y, z).  When a quadruple fails, the row sweep exchange_slabs finds the
-witness, so the witness is the sweep's; exchange_slabs also serves
-all_witnesses reports.
+Two checks are exceptions to the sweep over all n^3 triples: each decides
+the verdict alone, and its sweep runs only on a failure, to find the
+witness, so every witness is the sweep's first triple.  The sweeps also
+serve all_witnesses reports.
+
+R2 on a table whose columns are permutations: r2_holds checks the slice
+c = g of (a*b)*c == (a*c)*(b*c), one n x n gather, only for g in a
+generating set, because the c whose column passes are closed under the
+operation (core.check_quandle has the derivation).  R_301, whose columns
+are all distinct, checks 2 slices, and trivial_quandle(1100) checks 1.
+The worst case is n slices, the sweep's own work.
+
+The exchange identities: each says that two composites of column maps,
+picked by (y, z), agree as maps of x.  So exchange_holds numbers the
+distinct columns of both tables, and compares the two composites once per
+distinct quadruple of column ids.  With at most k distinct columns in
+either table, an identity has at most min(n^2, k^4) quadruples, and
+product constructions repeat their columns: Hol(R_7), n = 294, has 42
+distinct columns in each table and 10,584 + 1,764 + 1,764 quadruples,
+against 3 x 86,436 pairs (y, z).  exchange_violation runs the row sweep
+exchange_slabs when the verdict is a failure.
 
 The braid relation of the pair map is the three exchange identities under
 a change of variables (core.ybe_witness has the derivation).  So
-core.ybe_witness asks exchange_violation for the verdict, and the braid
-row sweep ybe_violation runs only on a failure, to find the witness.
+core.ybe_witness asks exchange_holds for the verdict, and the braid row
+sweep ybe_violation runs only on a failure, to find the witness.
 
-The sweeps read a product x op y of an n x n table t as one gather on its
-flat view, t.ravel().take(x * n + y).  So every table entry must lie in
-[0, n): an out-of-range entry does not raise here, as 2-D indexing would,
-but lands on another cell of the table.  The callers in core guarantee the
-range before any sweep: check_quandle and check_biquandle test it
-explicitly, and ybe_witness, which check_ybe calls on a FiniteBiquandle
-and on a raw pair alike, requires every column of both tables to pass
-_bad_columns, which refuses out-of-range entries too.  Tables are int64
-(as_table's dtype) and may be in any memory order.
+The sweeps and r2_holds read a product x op y of an n x n table t as one
+gather on its flat view, t.ravel().take(x * n + y).  So every table entry
+must lie in [0, n): an out-of-range entry does not raise here, as 2-D
+indexing would, but lands on another cell of the table.  The callers in
+core guarantee the range before any check: check_quandle and
+check_biquandle test it explicitly, and ybe_witness, which check_ybe calls
+on a FiniteBiquandle and on a raw pair alike, requires every column of
+both tables to pass _bad_columns, which refuses out-of-range entries too.
+Tables are int64 (as_table's dtype) and may be in any memory order.
 
 The offsets go into n x n buffers allocated once per call.  A fresh grid
 per product lets malloc hand its pages back and fault them in again on
@@ -80,6 +90,48 @@ def first_violation(slabs):
 def r2_violation(t):
     """First (a, b, c) violating (a*b)*c == (a*c)*(b*c), or None."""
     return first_violation(r2_slabs(t))
+
+
+def _r2_slice_holds(t, flat, c):
+    """Whether column c of t is a homomorphism: (a*b)*c == (a*c)*(b*c) for
+    every (a, b), as one n x n gather; flat is t's C-order flat view."""
+    col = t[:, c]
+    return bool((col.take(t) == flat.take(col[:, None] * t.shape[0] + col)).all())
+
+
+def r2_holds(t):
+    """Whether (a*b)*c == (a*c)*(b*c) on all triples, for a table t whose
+    columns are all permutations.
+
+    The elements c whose column S_c is a homomorphism form a set C that is
+    closed under the operation (core.check_quandle has the derivation), and
+    whether c is in C depends on column c alone.  So C grows from nothing:
+    check the slice of the smallest g outside C, add every element whose
+    column equals column g, and close under products with the new members,
+    until C is everything or a slice fails.  At most n slices are checked,
+    the sweep's own n^3 work; a table that a few columns generate checks
+    only those.
+    """
+    n = t.shape[0]
+    flat = t.ravel()
+    members = np.zeros(n, dtype=bool)  # C
+    g = 0
+    while True:
+        if not _r2_slice_holds(t, flat, g):
+            return False
+        # columns equal to column g; row 0 narrows the candidates first
+        same = np.flatnonzero(t[0] == t[0, g])
+        new = same[(t[:, same] == t[:, g, None]).all(axis=0)]
+        while new.size:
+            old = np.flatnonzero(members)
+            members[new] = True
+            reached = np.zeros(n, dtype=bool)
+            reached[t[np.ix_(new, np.flatnonzero(members))]] = True
+            reached[t[np.ix_(old, new)]] = True
+            new = np.flatnonzero(reached & ~members)
+        if members.all():
+            return True
+        g = int(np.argmin(members))
 
 
 # ---------------------------------------------------------------------------
@@ -155,18 +207,16 @@ def _composites_differ(maps, quads):
 _BLOCK = 1 << 15
 
 
-def exchange_violation(u, o):
-    """First violated exchange identity as (code, x, y, z), or None.
+def exchange_holds(u, o):
+    """Whether the three exchange identities hold on all triples.
 
-    Witnesses are ordered by (x, y, z, code), as in the row sweep over x.
     Each identity says that two composites of column maps, picked by
     (y, z), agree as maps of x:
         (3a) U_{z u y} U_y == U_{y o z} U_z
         (3b) O_{z u y} U_y == U_{y o z} O_z
         (3c) O_{z o y} O_y == O_{y u z} O_z
     with U_c, O_c column c of u, o.  So each identity is checked once per
-    distinct quadruple of column ids, not once per (x, y, z); the first
-    failing quadruple hands the witness over to the row sweep.
+    distinct quadruple of column ids, not once per (x, y, z).
     """
     n = u.shape[0]
     U, O = _columns(u), _columns(o)
@@ -188,15 +238,25 @@ def exchange_violation(u, o):
         quads = codes[np.r_[True, codes[1:] != codes[:-1]]]
         for k in range(0, len(quads), step):
             if _composites_differ((P, Q, R, S), np.unravel_index(quads[k:k + step], dims)):
-                return _sweep_violation(u, o)
-    return None
+                return False
+    return True
+
+
+def exchange_violation(u, o):
+    """First violated exchange identity as (code, x, y, z), or None.
+
+    Witnesses are ordered by (x, y, z, code), as in the row sweep over x.
+    exchange_holds decides the verdict; only a failure runs the row sweep,
+    whose first triple is the witness.
+    """
+    return None if exchange_holds(u, o) else _sweep_violation(u, o)
 
 
 # ---------------------------------------------------------------------------
 # Yang-Baxter braid relation for r(a, b) = (w, u[a, w]) with w = oinv[b, a],
 # where oinv[v, y] is the inverse of the over-table column y.
 # Checks (r x id)(id x r)(r x id) == (id x r)(r x id)(id x r) on all triples;
-# core.ybe_witness runs it only where exchange_violation found a failure.
+# core.ybe_witness runs it only where exchange_holds found a failure.
 
 
 def ybe_violation(u, o, oinv):

@@ -94,18 +94,30 @@ def _witnesses(axiom, bad, all_witnesses, prefix=()):
 def check_quandle(table, all_witnesses=False):
     """Verify entry range, idempotency (q1), column bijectivity (r1) and
     right self-distributivity (r2); report one witness per violated axiom
-    (all witnesses when all_witnesses is set)."""
+    (all witnesses when all_witnesses is set).
+
+    R2 at a fixed c says that S_c is a homomorphism: S_c(a*b) = S_c(a)*S_c(b).
+    If S_d is one, then S_d(a*c) = S_d(a)*S_d(c) reads S_d S_c = S_{c*d} S_d,
+    so S_{c*d} = S_d S_c S_d^-1.  When S_d is also a bijection, S_d^-1 is a
+    homomorphism too, and so is S_{c*d} whenever S_c is: the c with S_c a
+    homomorphism are closed under *.  So when every column is a bijection
+    (r1 holds), the slices of a generating set decide R2
+    (_kernels.r2_holds), and only a failure runs the n^3 sweep, whose first
+    triple is the witness.  Without r1 the inverse need not exist or be a
+    homomorphism, so such tables, and every all_witnesses report, keep the
+    sweep."""
     t = as_table(table)
     n = t.shape[0]
     inrange = (t >= 0) & (t < n)
     if not inrange.all():
         return AxiomReport.from_violations(_witnesses("entry-range", ~inrange, all_witnesses))
     bad = _witnesses("q1", np.diagonal(t) != np.arange(n), all_witnesses)
-    bad += _witnesses("r1", _bad_columns(t), all_witnesses)
+    r1 = _witnesses("r1", _bad_columns(t), all_witnesses)
+    bad += r1
     if all_witnesses:
         for a, slab in _kernels.r2_slabs(t):
             bad += _witnesses("r2", slab, True, (a,))
-    else:
+    elif r1 or not _kernels.r2_holds(t):
         w = _kernels.r2_violation(t)
         if w is not None:
             bad.append(("r2", w))
@@ -121,10 +133,11 @@ def check_biquandle(under, over, all_witnesses=False):
     (3a), (3b), (3c); one witness per axiom unless all_witnesses.
 
     The exchange identities are checked once per distinct quadruple of
-    column maps (_kernels.exchange_violation), which on product
-    constructions is far fewer than the n^3 triples.  Their witness is
-    still the first triple (x, y, z) of the full sweep: a failing quadruple
-    falls back to the row sweep, which all_witnesses also uses."""
+    column maps (_kernels.exchange_holds), which on product constructions
+    is far fewer than the n^3 triples.  Their witness is still the first
+    triple (x, y, z) of the full sweep: on a failure
+    _kernels.exchange_violation runs the row sweep, which all_witnesses
+    also uses."""
     u = as_table(under, "under")
     o = as_table(over, "over")
     if u.shape != o.shape:
@@ -428,6 +441,18 @@ class FiniteQuandle:
         report = check_quandle(t)
         if not report.passed:
             raise AxiomError(report)
+        self._hold(t)
+
+    @classmethod
+    def _proven(cls, table):
+        """The quandle of a table its caller has proved to be one (q1, r1
+        and r2), without check_quandle; the table still goes through
+        as_table."""
+        q = cls.__new__(cls)
+        q._hold(as_table(table))
+        return q
+
+    def _hold(self, t):
         self.n = t.shape[0]
         self.table = t
         self.tinv = _invert_columns(t)  # tinv[a, b] = S_b^{-1}(a)
@@ -651,7 +676,7 @@ def ybe_witness(under, over):
         raise MalformedInput(f"table sizes differ: {u.shape} vs {o.shape}")
     if _bad_columns(o).any() or _bad_columns(u).any():
         raise DomainError("pair map undefined: a column is not a permutation")
-    if _kernels.exchange_violation(u, o) is None:
+    if _kernels.exchange_holds(u, o):
         return None
     return _kernels.ybe_violation(u, o, _invert_columns(o))
 

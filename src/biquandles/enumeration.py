@@ -298,7 +298,8 @@ def enumerate_quandles(n, cap=DEFAULT_ENUM_CAP):
         if ok_after(j):
             stack += opened(j + 1)
     out.sort(key=lambda a: a.ravel().tolist())
-    return [FiniteQuandle(a) for a in out]
+    # the search has checked q1 (each column fixes its index), r1 and r2
+    return [FiniteQuandle._proven(a) for a in out]
 
 
 def count_connected(n, cap=DEFAULT_ENUM_CAP) -> int:

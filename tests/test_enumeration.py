@@ -223,8 +223,19 @@ class TestQuandleEnumeration:
         assert len(got) == count == oracle_quandle_count(n)
 
     def test_all_validate(self):
-        for q in enumerate_quandles(4):
-            assert check_quandle(q.table).passed
+        # the output skips check_quandle, so check each table here, and
+        # that it holds what the validating constructor would
+        for n in (4, 5):
+            got = enumerate_quandles(n)
+            flat = [q.table.ravel().tolist() for q in got]
+            assert flat == sorted(flat) and len(set(map(tuple, flat))) == len(flat)
+            for q in got:
+                assert check_quandle(q.table).passed
+                built = FiniteQuandle(q.table)
+                assert q == built and q.n == n
+                assert np.array_equal(q.tinv, built.tinv)
+                for t in (q.table, q.tinv):
+                    assert t.dtype == np.int64 and not t.flags.writeable
 
     def test_connected_counts(self):
         assert [count_connected(n) for n in (1, 2, 3)] == [1, 0, 1]

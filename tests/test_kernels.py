@@ -17,9 +17,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biquandles import _kernels as K
-from biquandles.combinators import holomorph_biquandle
-from biquandles.core import _bad_columns, _invert_columns, check_biquandle, check_quandle, check_ybe, ybe_witness
-from biquandles.group_constructions import alexander_biquandle, dihedral_quandle, wada_biquandle
+from biquandles.combinators import holomorph_biquandle, union_quandle
+from biquandles.core import (
+    _bad_columns,
+    _invert_columns,
+    associated_quandle,
+    check_biquandle,
+    check_quandle,
+    check_ybe,
+    ybe_witness,
+)
+from biquandles.enumeration import enumerate_quandles
+from biquandles.group_constructions import alexander_biquandle, dihedral_quandle, trivial_quandle, wada_biquandle
 from biquandles.groups import cyclic_group, symmetric_group
 
 
@@ -794,3 +803,145 @@ class TestYbeByExchange:
         over = corrupted(random.Random(24), HOL5.over, "swap")
         assert not check_ybe((HOL5.under, over))
         assert calls == [HOL5.n]
+
+
+# ---------------------------------------------------------------------------
+# R2 decided by the slices of a generating set; the triple sweep runs only on
+# a failure, for the witness
+
+
+def r2_verdicts(tables):
+    """Whether (a*b)*c == (a*c)*(b*c) holds, per table of the stack, each
+    product one gather over all tables and triples at once."""
+    k = np.arange(len(tables))[:, None, None, None]
+    n = tables.shape[1]
+    a, b, c = np.ix_(range(n), range(n), range(n))
+    lhs = tables[k, tables[k, a, b], c]
+    rhs = tables[k, tables[k, a, c], tables[k, b, c]]
+    return (lhs == rhs).reshape(len(tables), -1).all(axis=1)
+
+
+def idempotent_column_tables(n):
+    """Every n x n table whose column b is a permutation fixing b, stacked."""
+    cols = [[p for p in itertools.permutations(range(n)) if p[b] == b] for b in range(n)]
+    return np.array(list(itertools.product(*cols)), dtype=np.int64).transpose(0, 2, 1)
+
+
+def sweep_report(t):
+    """check_quandle's default report by the triple sweep alone: the first
+    q1 and r1 witnesses, then r2_violation's."""
+    t = np.asarray(t)
+    n = len(t)
+    bad = [("q1", (a,)) for a in range(n) if t[a, a] != a][:1]
+    bad += [("r1", (b,)) for b in range(n) if sorted(t[:, b].tolist()) != list(range(n))][:1]
+    w = K.r2_violation(t)
+    return bad + ([("r2", w)] if w is not None else [])
+
+
+R2_BASES = {
+    "r5": R5,
+    "r7": dihedral_quandle(7),
+    "r31": dihedral_quandle(31),
+    "trivial6": trivial_quandle(6),
+    "r3+r5": union_quandle(dihedral_quandle(3), R5),
+    "assoc-hol3": associated_quandle(holomorph_biquandle(dihedral_quandle(3))),  # n = 18
+    "assoc-hol5": associated_quandle(HOL5),                                      # n = 100
+}
+
+
+@st.composite
+def swapped_quandle_tables(draw):
+    """A valid quandle's table with up to three seeded column swaps (the
+    columns stay bijective), C- or F-ordered."""
+    t = np.array(R2_BASES[draw(st.sampled_from(sorted(R2_BASES)))].table)
+    n = len(t)
+    for _ in range(draw(st.integers(0, 3))):
+        j = draw(st.integers(0, n - 1))
+        i1, i2 = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        t[[i1, i2], j] = t[[i2, i1], j]
+    return np.asfortranarray(t) if draw(st.booleans()) else t
+
+
+def counting(monkeypatch, name, calls):
+    """Replace K.name by a wrapper that appends name to calls."""
+    fn = getattr(K, name)
+
+    def counted(*args):
+        calls.append(name)
+        return fn(*args)
+
+    monkeypatch.setattr(K, name, counted)
+
+
+class TestR2BySlices:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_verdict_is_the_sweeps_exhaustively(self, n):
+        # every column-permutation table up to n = 3, and the 1,296 with
+        # idempotent columns at n = 4
+        tables = idempotent_column_tables(n) if n == 4 else column_bijective_tables(n).astype(np.int64)
+        want = r2_verdicts(tables)
+        assert len(tables) == {1: 1, 2: 4, 3: 216, 4: 1296}[n]
+        for t, holds in zip(tables, want.tolist()):
+            assert K.r2_holds(t) is holds
+            assert (K.r2_violation(t) is None) is holds
+        assert want.any() and (n == 1 or not want.all())
+        if n == 4:
+            assert int(want.sum()) == len(enumerate_quandles(4))  # 36 quandles
+
+    @settings(max_examples=80, deadline=None)
+    @given(swapped_quandle_tables())
+    def test_report_is_the_sweeps(self, t):
+        got = check_quandle(t)
+        assert list(got.violations) == sweep_report(t)
+        assert all(type(v) is int for _, w in got.violations for v in w)
+
+    def test_valid_tables_never_reach_the_sweep(self, monkeypatch):
+        calls, slices = [], []
+        for name in ("r2_slabs", "r2_violation"):
+            counting(monkeypatch, name, calls)
+        counting(monkeypatch, "_r2_slice_holds", slices)
+        for q in R2_BASES.values():
+            assert check_quandle(q.table).passed
+        assert calls == []
+        # R_301's columns are all distinct, and two of them generate
+        for q, most in ((dihedral_quandle(301), 2), (trivial_quandle(1100), 1)):
+            slices.clear()
+            assert check_quandle(q.table).passed
+            assert 0 < len(slices) <= most
+        assert calls == []
+        t = np.array(R5.table)
+        t[[0, 1], 2] = t[[1, 0], 2]
+        assert not check_quandle(t).passed
+        assert calls == ["r2_violation", "r2_slabs"]
+
+    def test_large_constructions_never_sweep(self, monkeypatch):
+        # trivial_quandle(1100) took 5-12 s by the n^3 sweep
+        calls = []
+        for name in ("r2_slabs", "r2_violation"):
+            counting(monkeypatch, name, calls)
+        assert trivial_quandle(1100).n == 1100
+        assert associated_quandle(holomorph_biquandle(dihedral_quandle(7))).n == 294
+        assert calls == []
+
+
+class TestExchangeVerdictFirst:
+    def test_check_ybe_asks_only_the_verdict(self, monkeypatch):
+        rng = random.Random(25)
+        pairs = []
+        for b in (HOL5, ALEX31, QUAD_BASES["hol3"]):
+            for side in (0, 1):
+                tables = [b.under, b.over]
+                tables[side] = corrupted(rng, tables[side], "swap")
+                pairs.append(tables)
+        want = [ybe_violation_2d(u, o, _invert_columns(o)) for u, o in pairs]
+        assert any(w is not None for w in want)
+        calls = []
+        counting(monkeypatch, "_sweep_violation", calls)
+        assert [ybe_witness(u, o) for u, o in pairs] == want
+        assert [check_ybe((u, o)) for u, o in pairs] == [w is None for w in want]
+        assert calls == []
+        # check_biquandle still runs the sweep for its witness
+        failing = [p for p, w in zip(pairs, want) if w is not None]
+        for u, o in failing:
+            assert not check_biquandle(u, o).passed
+        assert len(calls) == len(failing)
