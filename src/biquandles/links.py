@@ -22,10 +22,15 @@ to the familiar quandle rule under_out = under_in * over_in.
 
 Counting compiles the diagram to integers: each class of arcs joined by
 virtual crossings and splices is one color variable, and each classical
-crossing one (u_in, o_in, u_out, o_out) tuple of variables.  A depth-first
-search branches on the first free variable and forces the crossings to a
-fixpoint at every node; the colors live in one int list, and a trail of
-assignments is cut back on backtrack, so no node copies the coloring.
+crossing one (u_in, o_in, u_out, o_out) tuple of variables.  A branching
+order is fixed once per count, fail-first as in bucket elimination: the
+next variable to branch on is one that completes a forcing pair of some
+crossing with a variable already known, so a closed 2-braid branches on
+two variables whatever its arcs are called.  A depth-first search branches
+in that order and forces the crossings to a fixpoint at every node; the
+colors live in one int list, and a trail of assignments is cut back on
+backtrack, so no node copies the coloring.  A count whose n^(branch
+variables) leaves exceed MAX_COLOR_NODES is refused before it starts.
 
 Text format, one element per line (# starts a comment):
     X + a b c d     classical, sign, in_under in_over out_under out_over
@@ -44,7 +49,11 @@ import numpy as np
 
 from ._search import orbit_roots
 from .core import FiniteBiquandle, FiniteQuandle
-from .errors import MalformedInput
+from .errors import DomainError, MalformedInput
+
+# the most leaves a coloring search may have, n ** (branch variables): at
+# about a microsecond a fixpoint call, 10**8 leaves are minutes of search
+MAX_COLOR_NODES = 10**8
 
 
 @dataclass(frozen=True)
@@ -175,15 +184,63 @@ def _relations(diagram):
     return watch
 
 
+def _branch_order(watch):
+    """The variables a coloring search branches on, in order: each next one
+    is a free variable that completes a forcing pair (u_in, o_in),
+    (u_out, o_out) or (u_in, o_out) of some crossing together with a known
+    variable, the one found last, else the lowest free variable.  Marking a
+    variable known then marks all four variables of every crossing with a
+    known forcing pair, as the fixpoint colors them, so the variables forced
+    after the first i branches are the same at every node of depth i."""
+    known = [False] * len(watch)
+    order = []
+    pending = []  # variables found to complete a forcing pair
+    low = 0
+    while True:
+        while pending and known[pending[-1]]:
+            pending.pop()
+        if pending:
+            v = pending.pop()
+        else:
+            while low < len(watch) and known[low]:
+                low += 1
+            if low == len(watch):
+                return order
+            v = low
+        order.append(v)
+        known[v] = True
+        queue = [v]
+        for var in queue:
+            for a, b, c, d in watch[var]:
+                pairs = ((a, b), (c, d), (a, d))
+                if any(known[x] and known[y] for x, y in pairs):
+                    for x in (a, b, c, d):
+                        if not known[x]:
+                            known[x] = True
+                            queue.append(x)
+                else:
+                    for x, y in pairs:
+                        if known[x] != known[y]:
+                            pending.append(y if known[x] else x)
+
+
 def _count(diagram, n, under, over, under_inv, over_inv) -> int:
     """Colorings of the diagram by the n x n operation tables, on an explicit
-    stack so deep diagrams do not hit the recursion limit.  The trail's tail
-    is the fixpoint's worklist: only relations of newly colored variables are
-    re-read."""
+    stack so deep diagrams do not hit the recursion limit.  A node of depth i
+    branches on the i-th variable of `_branch_order`, the first free one in
+    that order.  The trail's tail is the fixpoint's worklist: only relations
+    of newly colored variables are re-read.  Raises DomainError when the
+    search could have more than MAX_COLOR_NODES leaves."""
     watch = _relations(diagram)
-    k = len(watch)
+    order = _branch_order(watch)
+    depth = len(order)
+    if n**depth > MAX_COLOR_NODES:
+        raise DomainError(
+            f"coloring search branching on {depth} variables with {n} colors has "
+            f"up to {n}^{depth} leaves, more than the {MAX_COLOR_NODES} allowed"
+        )
     u, o, ui, oi = (t.tolist() for t in (under, over, under_inv, over_inv))
-    color = [-1] * k
+    color = [-1] * len(watch)
     trail = []
 
     def fixpoint(v, value):
@@ -213,22 +270,20 @@ def _count(diagram, n, under, over, under_inv, over_inv) -> int:
         return True
 
     total = 0
-    stack = [[0, 0, 0]]  # per open node: first free variable, trail length, next value
+    stack = [[0, 0, 0]]  # per open node: depth, trail length, next value
     while stack:
         node = stack[-1]
-        v, mark, value = node
+        i, mark, value = node
         for w in trail[mark:]:
             color[w] = -1
         del trail[mark:]
-        if v == k or value == n:  # a node with no free variable is a coloring
-            total += v == k
+        if i == depth or value == n:  # a node with no free variable is a coloring
+            total += i == depth
             stack.pop()
         else:
             node[2] = value + 1
-            if fixpoint(v, value):
-                while v < k and color[v] >= 0:
-                    v += 1
-                stack.append([v, len(trail), 0])
+            if fixpoint(order[i], value):
+                stack.append([i + 1, len(trail), 0])
     return total
 
 

@@ -269,6 +269,15 @@ class TestColor:
         code, out, _ = run(capsys, "color", "--diagram", str(diagram), "--quandle", str(point))
         assert code == 0 and out.strip() == "1"
 
+    def test_search_over_the_cap_exits_1(self, capsys, tmp_path):
+        diagram = tmp_path / "unlink9.txt"
+        diagram.write_text("".join(f"= a{i} a{i}\n" for i in range(9)))
+        t10 = tmp_path / "t10.json"
+        t10.write_text(trivial_quandle(10).to_json())
+        code, out, err = run(capsys, "color", "--diagram", str(diagram), "--quandle", str(t10))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_exactly_one_input(self, capsys, tmp_path, r3_file):
         diagram = tmp_path / "unknot.txt"
         diagram.write_text("= a a\n")

@@ -1,3 +1,5 @@
+import math
+import random
 import tracemalloc
 
 import pytest
@@ -6,7 +8,8 @@ from hypothesis import strategies as st
 
 from biquandles.combinators import holomorph_biquandle, semidirect_biquandle, union_biquandle_constant
 from biquandles.core import FiniteBiquandle, Permutation, biquandle_of_quandle
-from biquandles.errors import MalformedInput
+from biquandles import links
+from biquandles.errors import DomainError, MalformedInput
 from biquandles.groups import cyclic_group, symmetric_group
 from biquandles.group_constructions import (
     alexander_biquandle,
@@ -15,6 +18,8 @@ from biquandles.group_constructions import (
     wada_biquandle,
 )
 from biquandles.links import (
+    Classical,
+    Virtual,
     VirtualLinkDiagram,
     builtin_diagrams,
     coloring_count_biquandle,
@@ -145,6 +150,74 @@ class TestBiquandleCounts:
             assert coloring_count_biquandle(d, b) == b.n ** 2
 
 
+def torus(k):
+    """The closed 2-braid sigma_1^k, the (2, k) torus link: 2k + 2 arcs."""
+    lines = ["X + x1 y1 u1 v1"]
+    lines += [f"X + v{j - 1} u{j - 1} u{j} v{j}" for j in range(2, k + 1)]
+    lines += [f"= v{k} x1", f"= u{k} y1"]
+    return "\n".join(lines)
+
+
+def renamed(d, perm):
+    """The diagram with arc d.arcs[i] renamed r{perm[i]}."""
+    new = {a: f"r{j}" for a, j in zip(d.arcs, perm)}
+    crossings = [
+        Classical(c.sign, new[c.in_under], new[c.in_over], new[c.out_under], new[c.out_over])
+        if isinstance(c, Classical)
+        else Virtual(new[c.in1], new[c.in2], new[c.out1], new[c.out2])
+        for c in d.crossings
+    ]
+    return VirtualLinkDiagram(crossings, [(new[a], new[b]) for a, b in d.closures])
+
+
+def shuffled(d, seed):
+    """The diagram with its arcs renamed by a seeded permutation."""
+    return renamed(d, random.Random(seed).sample(range(d.arc_count), d.arc_count))
+
+
+def branch_count(diagram):
+    return len(links._branch_order(links._relations(diagram)))
+
+
+class TestBranchOrder:
+    """The search branches on the variables that complete a crossing's
+    forcing pair, so a closed 2-braid needs n^2 leaves, not n^3."""
+
+    @pytest.mark.parametrize("name", ["hopf", "trefoil"])
+    def test_builtin_two_braids(self, name):
+        assert branch_count(builtin_diagrams()[name]) == 2
+
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_torus_diagrams(self, k):
+        d = parse_diagram(torus(k))
+        assert branch_count(d) == 2
+        for seed in range(20):
+            assert branch_count(shuffled(d, seed)) == 2
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 40])
+    def test_unlink_branches_on_every_component(self, k):
+        assert branch_count(unlink(k)) == k
+
+    @pytest.mark.parametrize("k,n", [(2, 9), (3, 5), (4, 7), (6, 3)])
+    def test_renamed_torus_counts(self, k, n):
+        d, r = parse_diagram(torus(k)), dihedral_quandle(n)
+        for seed in range(5):
+            assert coloring_count_quandle(shuffled(d, seed), r) == n * math.gcd(n, k)
+
+
+class TestColoringCap:
+    def test_refused_before_the_search(self):
+        # 10^9 leaves: the search would run for many minutes
+        with pytest.raises(DomainError, match=str(links.MAX_COLOR_NODES)):
+            coloring_count_quandle(unlink(9), trivial_quandle(10))
+
+    def test_bound_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(links, "MAX_COLOR_NODES", 100)
+        assert coloring_count_quandle(unlink(2), trivial_quandle(10)) == 100
+        with pytest.raises(DomainError):
+            coloring_count_quandle(unlink(3), trivial_quandle(5))
+
+
 class TestBruteForceAgreement:
     @pytest.mark.parametrize(
         "b",
@@ -228,6 +301,14 @@ class TestRandomDiagramOracle:
     def test_quandle_counts(self, case):
         d, q = case
         assert coloring_count_quandle(d, q) == coloring_count_bruteforce(d, biquandle_of_quandle(q))
+
+    @settings(max_examples=100)
+    @given(colored_diagrams(ORACLE_BIQUANDLES), st.data())
+    def test_renaming_arcs_keeps_the_count(self, case, data):
+        # renaming renumbers the color variables, and so the branching order
+        d, b = case
+        perm = data.draw(st.permutations(range(d.arc_count)))
+        assert coloring_count_biquandle(renamed(d, perm), b) == coloring_count_biquandle(d, b) == coloring_count_bruteforce(d, b)
 
 
 # lines of the diagram format, as records on a few arcs or as token soup
