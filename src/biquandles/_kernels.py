@@ -10,35 +10,41 @@ witness, so every witness is the sweep's first triple.  The sweeps also
 serve all_witnesses reports.
 
 R2 on a table whose columns are permutations: r2_holds checks the slice
-c = g of (a*b)*c == (a*c)*(b*c), one n x n gather, only for g in a
-generating set, because the c whose column passes are closed under the
+c = g of (a*b)*c == (a*c)*(b*c) only for g in a generating set
+(_generators), because the c whose column passes are closed under the
 operation (core.check_quandle has the derivation).  R_301, whose columns
 are all distinct, checks 2 slices, and trivial_quandle(1100) checks 1.
-The worst case is n slices, the sweep's own work.
+The worst case is n slices, the sweep's own work.  At small n a gather
+takes several whole slices, up to _BLOCK entries, so Hol(R_3)'s
+associated quandle, n = 18, checks all 18 slices in one gather.
 
 The exchange identities: each says that two composites of column maps,
-picked by (y, z), agree as maps of x.  So exchange_holds numbers the
-distinct columns of both tables, and compares the two composites once per
-distinct quadruple of column ids.  With at most k distinct columns in
-either table, an identity has at most min(n^2, k^4) quadruples, and
-product constructions repeat their columns: Hol(R_7), n = 294, has 42
-distinct columns in each table and 10,584 + 1,764 + 1,764 quadruples,
-against 3 x 86,436 pairs (y, z).  exchange_violation runs the row sweep
-exchange_slabs when the verdict is a failure.
+picked by (y, z), agree as maps of x.  With bijective columns they hold
+exactly when (3c) holds, the associated quandle Q, x * y = O_y^-1(x u y),
+satisfies R2, and every over column is an automorphism of Q
+(exchange_holds has the derivation).  So exchange_holds numbers the
+distinct over columns and compares (3c)'s two composites once per
+distinct quadruple of over-column ids, then checks R2 and the
+automorphisms on a generating set of Q.  Hol(R_7), n = 294, has 42
+distinct over columns and 1,764 quadruples, against 86,436 pairs (y, z),
+and 9 elements generate its Q; Alexander(211, 3, 2) has one over column
+and one quadruple.  exchange_violation runs the row sweep exchange_slabs
+when the verdict is a failure.
 
 The braid relation of the pair map is the three exchange identities under
 a change of variables (core.ybe_witness has the derivation).  So
 core.ybe_witness asks exchange_holds for the verdict, and the braid row
 sweep ybe_violation runs only on a failure, to find the witness.
 
-The sweeps and r2_holds read a product x op y of an n x n table t as one
-gather on its flat view, t.ravel().take(x * n + y).  So every table entry
-must lie in [0, n): an out-of-range entry does not raise here, as 2-D
-indexing would, but lands on another cell of the table.  The callers in
-core guarantee the range before any check: check_quandle and
-check_biquandle test it explicitly, and ybe_witness, which check_ybe calls
-on a FiniteBiquandle and on a raw pair alike, requires every column of
-both tables to pass _bad_columns, which refuses out-of-range entries too.
+The sweeps, r2_holds and exchange_holds read a product x op y of an
+n x n table t as one gather on its flat view, t.ravel().take(x * n + y).
+So every table entry must lie in [0, n): an out-of-range entry does not
+raise here, as 2-D indexing would, but lands on another cell of the
+table.  The callers in core guarantee the range before any check:
+check_quandle and check_biquandle test it explicitly, and ybe_witness,
+which check_ybe calls on a FiniteBiquandle and on a raw pair alike,
+requires every column of both tables to pass _bad_columns, which refuses
+out-of-range entries too.
 Tables are int64 (as_table's dtype) and may be in any memory order.
 
 The offsets go into n x n buffers allocated once per call.  A fresh grid
@@ -92,46 +98,85 @@ def r2_violation(t):
     return first_violation(r2_slabs(t))
 
 
-def _r2_slice_holds(t, flat, c):
-    """Whether column c of t is a homomorphism: (a*b)*c == (a*c)*(b*c) for
-    every (a, b), as one n x n gather; flat is t's C-order flat view."""
-    col = t[:, c]
-    return bool((col.take(t) == flat.take(col[:, None] * t.shape[0] + col)).all())
+# entries per gather in the blocked checks below.  Fresh processes, best of
+# 7 (2 vCPUs), on the quadruple compare: Hol(R_7) took 39-43 ms at 2^15,
+# against 89-104 ms at 2^16 and 47-48 ms at 2^13.
+_BLOCK = 1 << 15
+
+
+def _r2_slices_hold(t, cs):
+    """Whether the columns cs of t are homomorphisms: (a*b)*c == (a*c)*(b*c)
+    for every (a, b) and every c in cs.  Each gather covers at most _BLOCK
+    entries, or one row: several whole slices at small n, a block of rows
+    of one slice at large n."""
+    n = t.shape[0]
+    flat = t.ravel()
+    batch = max(1, _BLOCK // (n * n))       # slices per gather
+    step = max(1, _BLOCK // (batch * n))    # rows per gather
+    for i in range(0, len(cs), batch):
+        cols = np.ascontiguousarray(t[:, cs[i:i + batch]].T)  # cols[j] = column c_j
+        shift = (np.arange(len(cols)) * n)[:, None, None]
+        for a in range(0, n, step):
+            rows = slice(a, a + step)
+            lhs = cols.take(t[rows] + shift)                              # (a*b)*c
+            rhs = flat.take(cols[:, rows, None] * n + cols[:, None, :])   # (a*c)*(b*c)
+            if (lhs != rhs).any():
+                return False
+    return True
+
+
+def _generators(t):
+    """(firsts, seeds): seeds generate the table t under its operation, and
+    each seed's column equals the column of one of firsts.
+
+    The set C of reached elements grows from nothing.  Each step adds the
+    smallest elements outside C, as many as _r2_slices_hold takes whole
+    slices per gather (one once n^2 >= _BLOCK), and every element outside C
+    whose column equals the column of the smallest; then C closes under
+    products with the new members, each round gathering only the products
+    with a new factor.  So a table that a few elements generate has only
+    those in firsts at large n, and a table whose columns all coincide has
+    one.
+    """
+    n = t.shape[0]
+    flat = t.ravel()
+    batch = max(1, _BLOCK // (n * n))
+    members = np.zeros(n, dtype=bool)  # C
+    old = np.empty(0, dtype=np.int64)  # C before the round
+    firsts, seeds = [], []
+    while not members.all():
+        outside = np.flatnonzero(~members)
+        g = outside[0]
+        # row 0 narrows the candidates for column g first
+        same = outside[t[0].take(outside) == t[0, g]]
+        if len(same) > 1:
+            same = same[(t[:, same] == t[:, g, None]).all(axis=0)]
+        firsts.append(outside[:batch])
+        new = np.union1d(outside[:batch], same)
+        seeds.append(new)
+        members[new] = True
+        while new.size:
+            mem = np.concatenate((old, new))
+            reached = np.zeros(n, dtype=bool)
+            reached[flat.take(np.add.outer(new * n, mem))] = True
+            reached[flat.take(np.add.outer(old * n, new))] = True
+            reached &= ~members
+            members |= reached
+            old, new = mem, np.flatnonzero(reached)
+    return np.concatenate(firsts), np.concatenate(seeds)
 
 
 def r2_holds(t):
     """Whether (a*b)*c == (a*c)*(b*c) on all triples, for a table t whose
     columns are all permutations.
 
-    The elements c whose column S_c is a homomorphism form a set C that is
+    The elements c whose column S_c is a homomorphism form a set that is
     closed under the operation (core.check_quandle has the derivation), and
-    whether c is in C depends on column c alone.  So C grows from nothing:
-    check the slice of the smallest g outside C, add every element whose
-    column equals column g, and close under products with the new members,
-    until C is everything or a slice fails.  At most n slices are checked,
-    the sweep's own n^3 work; a table that a few columns generate checks
-    only those.
+    whether c is in it depends on column c alone.  So the slices of the
+    firsts of _generators decide: at most n slices, the sweep's own n^3
+    work, and a table that a few elements generate checks only those.
     """
-    n = t.shape[0]
-    flat = t.ravel()
-    members = np.zeros(n, dtype=bool)  # C
-    g = 0
-    while True:
-        if not _r2_slice_holds(t, flat, g):
-            return False
-        # columns equal to column g; row 0 narrows the candidates first
-        same = np.flatnonzero(t[0] == t[0, g])
-        new = same[(t[:, same] == t[:, g, None]).all(axis=0)]
-        while new.size:
-            old = np.flatnonzero(members)
-            members[new] = True
-            reached = np.zeros(n, dtype=bool)
-            reached[t[np.ix_(new, np.flatnonzero(members))]] = True
-            reached[t[np.ix_(old, new)]] = True
-            new = np.flatnonzero(reached & ~members)
-        if members.all():
-            return True
-        g = int(np.argmin(members))
+    return _r2_slices_hold(t, _generators(t)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -184,27 +229,36 @@ def _columns(t):
 
 
 def _composites_differ(maps, quads):
-    """Whether P_a o Q_b != R_c o S_d as maps of x for some quadruple
-    (a, b, c, d) of the id arrays quads, where maps = (P, Q, R, S) hold
-    their maps as rows."""
-    P, Q, R, S = maps
+    """Whether M_a M_b != M_c M_d as maps of x for some quadruple
+    (a, b, c, d) of the id arrays quads, where maps holds each M_i as row
+    i."""
     a, b, c, d = quads
-    n = P.shape[1]
-    offsets = Q.take(b, axis=0)
+    n = maps.shape[1]
+    flat = maps.ravel()
+    offsets = maps.take(b, axis=0)
     offsets += (a * n)[:, None]
-    left = P.ravel().take(offsets)
-    S.take(d, axis=0, out=offsets)
+    left = flat.take(offsets)
+    maps.take(d, axis=0, out=offsets)
     offsets += (c * n)[:, None]
-    right = R.ravel().take(offsets)
-    return bool((left != right).any())
+    return bool((left != flat.take(offsets)).any())
 
 
-# entries per block: rows of quadruple codes times n, or quadruples times n
-# in one compare; capped at n^2.  Fresh processes, best of 7 (2 vCPUs):
-# Hol(R_7) took 39-43 ms at 2^15, against 89-104 ms at 2^16 and 47-48 ms
-# at 2^13; Alexander(211, 3, 2) (75-79 ms) and Hol(R_11) (1.5-1.6 s)
-# barely moved.
-_BLOCK = 1 << 15
+def _maps_preserve(maps, t, elements):
+    """Whether f(x * g) == f(x) * f(g) for every row f of maps, every x and
+    every g in elements, where * is the table t: f S_g == S_{f(g)} f.  The
+    (f, g) pairs are compared in blocks, one gather per side."""
+    k, n = maps.shape
+    fm, ft = maps.ravel(), t.ravel()
+    f, g = np.divmod(np.arange(k * len(elements)), len(elements))
+    g = elements.take(g)
+    step = max(1, _BLOCK // n)
+    for s in range(0, len(f), step):
+        fs, gs = f[s:s + step], g[s:s + step]
+        left = fm.take(t[:, gs].T + (fs * n)[:, None])                    # f(x * g)
+        right = ft.take(maps.take(fs, axis=0) * n + maps[fs, gs][:, None])  # f(x) * f(g)
+        if not np.array_equal(left, right):
+            return False
+    return True
 
 
 def exchange_holds(u, o):
@@ -215,31 +269,70 @@ def exchange_holds(u, o):
         (3a) U_{z u y} U_y == U_{y o z} U_z
         (3b) O_{z u y} U_y == U_{y o z} O_z
         (3c) O_{z o y} O_y == O_{y u z} O_z
-    with U_c, O_c column c of u, o.  So each identity is checked once per
-    distinct quadruple of column ids, not once per (x, y, z).
+    with U_c, O_c column c of u, o.  When the over columns are bijections,
+    write U_y = O_y S_y: S_y is column y of the associated quandle Q, with
+    x * y = O_y^-1(x u y).
+      * (3c) with y and z renamed reads O_{z u y} O_y == O_{y o z} O_z.
+      * Given that, (3b) reads O_{y o z} O_z S_y == O_{y o z} S_{y o z} O_z,
+        so (3b) <=> O_z S_y == S_{O_z(y)} O_z for all y: O_z is in Aut(Q).
+      * Given both, S_{z u y} O_y == O_y S_{z*y} and
+        S_{y o z} O_z == O_z S_y, so (3a) reads
+        O_{z u y} O_y S_{z*y} S_y == O_{y o z} O_z S_y S_z, and
+        (3a) <=> S_{z*y} S_y == S_y S_z: R2 of Q.
+      * Once R2 holds and the S_c are bijections, the b with
+        f S_b == S_{f(b)} f are closed under * for a bijection f:
+        f S_{b*c} = f S_c S_b S_c^-1 = S_{f(c)} S_{f(b)} S_{f(c)}^-1 f
+        = S_{f(b)*f(c)} f.
+    So the identities hold iff (3c) holds, Q satisfies R2 and every over
+    column is an automorphism of Q.  The check:
+      * (3c) once per distinct quadruple of over-column ids, at most
+        min(n^2, k^4) of them with k distinct over columns;
+      * R2 on the slices of the firsts of a generating set of Q
+        (_generators), as in r2_holds.  Those slices and bijective columns
+        at the firsts give every column: S_{c*d} = S_d S_c S_d^-1 is a
+        bijective homomorphism when S_c and S_d are;
+      * f S_g == S_{f(g)} f for each distinct over column f at the seeds g
+        of that generating set alone.
+    The equivalences need only the over columns to be bijections, so a
+    failure of (3c) or of an R2 slice decides any table whose over columns
+    are; every other table with a column that is not a bijection gets the
+    row sweep's verdict.  The callers in core check the columns first.
     """
     n = u.shape[0]
-    U, O = _columns(u), _columns(o)
-    # per identity: the families of P, Q, R, S in P_a Q_b == R_c S_d, and
-    # the [y, z] grids whose entries pick a and c; b is picked by y, d by z
-    identities = (((U, U, U, U), u.T, o), ((O, U, U, O), u.T, o), ((O, O, O, O), o.T, u))
-    # the codes go into one grid, built in row blocks, so that no n x n
-    # temporaries pile up beside it
+    oid, O = _columns(o)
+    k = len(O)
+    # each distinct over column inverted by one scatter; a column that is
+    # not a bijection loses an entry to a collision
+    rows_n = (np.arange(k) * n)[:, None]
+    inv = np.empty_like(O)
+    inv.ravel()[rows_n + O] = np.arange(n)
+    if not (inv.ravel().take(rows_n + O) == np.arange(n)).all():
+        return _sweep_violation(u, o) is None
+    # (3c): the codes of the quadruples go into one grid, built in row
+    # blocks, so that no n x n temporaries pile up beside it
     grid = np.empty((n, n), dtype=np.int64)
-    step = max(1, min(n, _BLOCK // n))  # at most n^2 entries, as the row sweep's buffers
-    for families, by_a, by_c in identities:
-        (pid, P), (qid, Q), (rid, R), (sid, S) = families
-        dims = (len(P), len(Q), len(R), len(S))
-        for y0 in range(0, n, step):
-            ys = slice(y0, y0 + step)
-            grid[ys] = np.ravel_multi_index((pid.take(by_a[ys]), qid[ys, None], rid.take(by_c[ys]), sid), dims)
-        codes = grid.ravel()
-        codes.sort()  # in place: np.unique would hash a copy, several times slower
-        quads = codes[np.r_[True, codes[1:] != codes[:-1]]]
-        for k in range(0, len(quads), step):
-            if _composites_differ((P, Q, R, S), np.unravel_index(quads[k:k + step], dims)):
-                return False
-    return True
+    step = max(1, _BLOCK // n)  # rows, or quadruples, per block
+    dims = (k,) * 4
+    for y0 in range(0, n, step):
+        ys = slice(y0, y0 + step)
+        grid[ys] = np.ravel_multi_index((oid.take(o.T[ys]), oid[ys, None], oid.take(u[ys]), oid), dims)
+    codes = grid.ravel()
+    codes.sort()  # in place: np.unique would hash a copy, several times slower
+    quads = codes[np.r_[True, codes[1:] != codes[:-1]]]
+    for s in range(0, len(quads), step):
+        if _composites_differ(O, np.unravel_index(quads[s:s + step], dims)):
+            return False
+    # Q in the grid's memory, by row blocks as the codes: q[x, y] = O_y^-1(x u y)
+    q, ids = grid, oid * n
+    for x0 in range(0, n, step):
+        xs = slice(x0, x0 + step)
+        q[xs] = inv.ravel().take(u[xs] + ids)
+    firsts, seeds = _generators(q)
+    if not _r2_slices_hold(q, firsts):
+        return False
+    if (np.sort(q[:, firsts], axis=0) != np.arange(n)[:, None]).any():
+        return _sweep_violation(u, o) is None
+    return _maps_preserve(O, q, seeds)
 
 
 def exchange_violation(u, o):

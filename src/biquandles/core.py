@@ -132,10 +132,12 @@ def check_biquandle(under, over, all_witnesses=False):
     the pair map S(x, y) = (y o x, x u y), and the three exchange identities
     (3a), (3b), (3c); one witness per axiom unless all_witnesses.
 
-    The exchange identities are checked once per distinct quadruple of
-    column maps (_kernels.exchange_holds), which on product constructions
-    is far fewer than the n^3 triples.  Their witness is still the first
-    triple (x, y, z) of the full sweep: on a failure
+    Once both column families are bijections, the exchange identities are
+    decided through the associated quandle Q (_kernels.exchange_holds has
+    the derivation): (3c) once per distinct quadruple of over columns, and
+    R2 of Q and every over column being an automorphism of Q on a
+    generating set of Q, far fewer than the n^3 triples.  Their witness is
+    still the first triple (x, y, z) of the full sweep: on a failure
     _kernels.exchange_violation runs the row sweep, which all_witnesses
     also uses."""
     u = as_table(under, "under")

@@ -188,13 +188,19 @@ def _branch_order(watch):
     """The variables a coloring search branches on, in order: each next one
     is a free variable that completes a forcing pair (u_in, o_in),
     (u_out, o_out) or (u_in, o_out) of some crossing together with a known
-    variable, the one found last, else the lowest free variable.  Marking a
-    variable known then marks all four variables of every crossing with a
-    known forcing pair, as the fixpoint colors them, so the variables forced
-    after the first i branches are the same at every node of depth i."""
+    variable, the one found last; else the lowest free variable that
+    completes a forcing pair alone, sitting at both of its ends, as at a
+    kink; else the lowest free variable.  Marking a variable known then
+    marks all four variables of every crossing with a known forcing pair,
+    as the fixpoint colors them, so the variables forced after the first i
+    branches are the same at every node of depth i."""
     known = [False] * len(watch)
     order = []
-    pending = []  # variables found to complete a forcing pair
+    # variables found to complete a forcing pair, on top of those that
+    # complete one alone, lowest first
+    pending = sorted(
+        {x for rels in watch for a, b, c, d in rels for x, y in ((a, b), (c, d), (a, d)) if x == y}, reverse=True
+    )
     low = 0
     while True:
         while pending and known[pending[-1]]:

@@ -10,6 +10,7 @@ n = 31 and 100 against numpy oracles that index each product as t[I, J].
 import itertools
 import random
 from operator import ne
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,9 +28,10 @@ from biquandles.core import (
     check_ybe,
     ybe_witness,
 )
-from biquandles.enumeration import enumerate_quandles
+from biquandles.enumeration import enumerate_quandles, enumerate_trivial_structures
 from biquandles.group_constructions import alexander_biquandle, dihedral_quandle, trivial_quandle, wada_biquandle
 from biquandles.groups import cyclic_group, symmetric_group
+from biquandles.structures import biquandle_from_structure
 
 
 def random_tables(rng, n):
@@ -664,9 +666,10 @@ class TestExchangeByQuadruples:
             assert K.exchange_violation(b.under, b.over) is None
 
     def test_hol7_checks_each_distinct_quadruple_once(self, monkeypatch):
-        # 42 distinct columns per table; 10,584 + 1,764 + 1,764 quadruples
-        # for (3a), (3b), (3c), against 86,436 pairs (y, z) each.  Fewer
-        # would skip a quadruple, more would check one twice.
+        # 42 distinct columns per table; 1,764 quadruples for (3c), against
+        # 86,436 pairs (y, z).  Fewer would skip a quadruple, more would
+        # check one twice.  (3a) and (3b) compare no quadruples: they are
+        # decided on the associated quandle.
         hol7 = holomorph_biquandle(dihedral_quandle(7))
         assert [len(K._columns(t)[1]) for t in (hol7.under, hol7.over)] == [42, 42]
         checked = []
@@ -678,7 +681,7 @@ class TestExchangeByQuadruples:
 
         monkeypatch.setattr(K, "_composites_differ", counted)
         assert K.exchange_violation(hol7.under, hol7.over) is None
-        assert sum(checked) == 14_112
+        assert sum(checked) == 1_764
 
     def test_failure_at_the_last_x_only(self):
         # The compare must cover every x.  With bijective columns both
@@ -899,7 +902,13 @@ class TestR2BySlices:
         calls, slices = [], []
         for name in ("r2_slabs", "r2_violation"):
             counting(monkeypatch, name, calls)
-        counting(monkeypatch, "_r2_slice_holds", slices)
+        check_slices = K._r2_slices_hold
+
+        def counted(t, cs):
+            slices.extend(cs)
+            return check_slices(t, cs)
+
+        monkeypatch.setattr(K, "_r2_slices_hold", counted)
         for q in R2_BASES.values():
             assert check_quandle(q.table).passed
         assert calls == []
@@ -945,3 +954,129 @@ class TestExchangeVerdictFirst:
         for u, o in failing:
             assert not check_biquandle(u, o).passed
         assert len(calls) == len(failing)
+
+
+# ---------------------------------------------------------------------------
+# exchange_holds decides through the associated quandle: (3c) on the over
+# columns, then R2 and the over columns as automorphisms on a generating set
+
+
+def sweep_holds(u, o):
+    return K._sweep_violation(u, o) is None
+
+
+# _BLOCK = 1 makes every gather one row and every generating step one
+# element, as at n^2 > _BLOCK, so small tables take the large-table path
+BLOCKS = [K._BLOCK, 1]
+
+
+class TestExchangeThroughQuandle:
+    @pytest.mark.parametrize("n, holding", [(2, 4), (3, 66)])
+    def test_verdict_is_the_sweeps_exhaustively(self, n, holding):
+        # all 16 column-bijective pairs at n = 2 and all 46,656 at n = 3
+        tables = column_bijective_tables(n).astype(np.int64)
+        got = [K.exchange_holds(u, o) for u in tables for o in tables]
+        assert got == [sweep_holds(u, o) for u in tables for o in tables]
+        assert got.count(True) == holding
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_structure_biquandles_valid_and_swapped(self, monkeypatch, block):
+        monkeypatch.setattr(K, "_BLOCK", block)
+        rng = random.Random(26)
+        structures = enumerate_trivial_structures(4)
+        assert len(structures) == 168
+        failing = 0
+        for s in structures:
+            b = biquandle_from_structure(s)
+            assert K.exchange_holds(b.under, b.over) is True
+            tables = [b.under, b.over]
+            side = rng.randrange(2)
+            tables[side] = corrupted(rng, tables[side], "swap")
+            holds = sweep_holds(*tables)
+            assert K.exchange_holds(*tables) is holds
+            failing += not holds
+        assert failing > 0
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_seeded_random_pairs(self, monkeypatch, n, block):
+        # columns drawn from all permutations, from two of them (so that
+        # columns repeat), and any in-range entries (the sweep's fallback)
+        monkeypatch.setattr(K, "_BLOCK", block)
+        rng = np.random.default_rng(n)
+        for _ in range(150):
+            u, o = (np.argsort(rng.random((n, n)), axis=0) for _ in range(2))
+            kind = int(rng.integers(3))
+            if kind == 1:
+                u, o = u[:, rng.integers(2, size=n)], o[:, rng.integers(2, size=n)]
+            elif kind == 2:
+                u = rng.integers(n, size=(n, n))
+            assert K.exchange_holds(u, o) is sweep_holds(u, o)
+
+    @settings(max_examples=80, deadline=None)
+    @given(swapped_tables(), st.sampled_from(BLOCKS))
+    def test_verdict_on_swapped_tables(self, tables, block):
+        with mock.patch.object(K, "_BLOCK", block):
+            assert K.exchange_holds(*tables) is sweep_holds(*tables)
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_automorphisms_are_checked_at_every_seed(self, monkeypatch, block):
+        # Q's columns at 0, 2 and 4 coincide, and so do those at 1 and 3.
+        # The over columns map seed 4 to 1, whose column is not column 0's,
+        # so the automorphism check fails at 4 alone: a check at one element
+        # per repeated column would pass the pair.
+        monkeypatch.setattr(K, "_BLOCK", block)
+        q = np.array([[0, 4, 0, 4, 0], [3, 1, 3, 1, 3], [2, 2, 2, 2, 2], [1, 3, 1, 3, 1], [4, 0, 4, 0, 4]])
+        o = np.repeat(np.array([[3], [0], [2], [4], [1]]), 5, axis=1)
+        u = o[q, np.arange(5)]                  # x u y = O_y(x * y)
+        assert check_quandle(q).passed
+        assert K.exchange_holds(u, o) is sweep_holds(u, o) is False
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_generators_generate(self, monkeypatch, block):
+        monkeypatch.setattr(K, "_BLOCK", block)
+        tables = [np.array(q.table) for n in (3, 4, 5) for q in enumerate_quandles(n)]
+        tables += list(column_bijective_tables(3).astype(np.int64)[::7])
+        tables += [np.array(trivial_quandle(7).table), np.array(union_quandle(R5, trivial_quandle(3)).table)]
+        for t in tables:
+            firsts, seeds = (a.tolist() for a in K._generators(t))
+            assert len(set(seeds)) == len(seeds) and set(firsts) <= set(seeds)
+            assert {tuple(t[:, g]) for g in seeds} == {tuple(t[:, g]) for g in firsts}
+            reached, new = set(seeds), set(seeds)
+            while new:
+                new = {int(t[a, b]) for a in reached for b in reached} - reached
+                reached |= new
+            assert reached == set(range(len(t)))
+
+    def test_alexander_211_compares_one_quadruple(self, monkeypatch):
+        # one distinct over column, so (3c) has one quadruple
+        b = alexander_biquandle(211, 3, 2)
+        checked = []
+        compare = K._composites_differ
+
+        def counted(maps, quads):
+            checked.append(len(quads[0]))
+            return compare(maps, quads)
+
+        def sweep(u, o):
+            raise AssertionError("a valid table reached the row sweep")
+
+        monkeypatch.setattr(K, "_composites_differ", counted)
+        monkeypatch.setattr(K, "_sweep_violation", sweep)
+        assert K.exchange_holds(b.under, b.over) is True
+        assert checked == [1]
+        assert check_biquandle(b.under, b.over).passed and check_ybe(b)
+        assert checked == [1, 1, 1]
+
+    def test_under_columns_not_bijective_fall_back(self, monkeypatch):
+        # x u y = y, x o y = x: the identities hold, R2 of Q holds, and Q's
+        # columns are constant, so only the sweep can answer
+        n = 5
+        u = np.broadcast_to(np.arange(n)[None, :], (n, n)).copy()
+        o = np.ascontiguousarray(u.T)
+        calls = []
+        counting(monkeypatch, "_sweep_violation", calls)
+        assert K.exchange_holds(u, o) is True
+        assert calls == ["_sweep_violation"]
+        u[0, 0] = 1
+        assert K.exchange_holds(u, o) is sweep_holds(u, o)

@@ -194,6 +194,27 @@ class TestBranchOrder:
         for seed in range(20):
             assert branch_count(shuffled(d, seed)) == 2
 
+    def test_orders_are_pinned(self):
+        orders = {name: links._branch_order(links._relations(d)) for name, d in builtin_diagrams().items()}
+        assert orders["hopf"] == [0, 3] and orders["trefoil"] == [0, 3]
+        assert orders["virtual_hopf"] == [0, 1]
+        for k in range(2, 7):
+            assert links._branch_order(links._relations(parse_diagram(torus(k)))) == [0, k]
+
+    @pytest.mark.parametrize(
+        "b",
+        [alexander_biquandle(5, 2, 3), wada_biquandle(symmetric_group(3)), holomorph_biquandle(dihedral_quandle(3))],
+    )
+    def test_kinks_branch_once(self, b):
+        # The negative kink's crossing has one variable at both ends of its
+        # forcing pair (u_in, o_out): branching on it colors the whole
+        # diagram, so the search has n leaves, not n^2.
+        assert links._branch_order(links._relations(kinked_unknot("-"))) == [1]
+        for sign in "+-":
+            d = kinked_unknot(sign)
+            assert branch_count(d) == 1
+            assert coloring_count_biquandle(d, b) == coloring_count_bruteforce(d, b)
+
     @pytest.mark.parametrize("k", [1, 2, 5, 40])
     def test_unlink_branches_on_every_component(self, k):
         assert branch_count(unlink(k)) == k
