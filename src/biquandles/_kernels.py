@@ -1,8 +1,19 @@
 """Hot loops over operation tables: axiom sweeps, Yang-Baxter checks, map closure.
 
-Each sweep has one numpy implementation, batched over the last two
-indices of its triple loop.  A sweep returns the lexicographically first
-witness as a tuple of Python ints, or None when the identity holds.
+Each sweep has one numpy implementation, a gather rule for the one
+witness walk (walk): the walk visits the rows (x, y) of the triple loop in
+C order, a block of rows at a time, and the rule gives the block's mask
+over the last index z.  A block holds _BLOCK // n rows, so at small n it
+spans several x, and at large n part of one.  first_violation stops at the
+first block with a set entry, so a sweep returns the lexicographically
+first witness, as a tuple of Python ints, or None when the identity holds,
+having built no block after the witness's own; all_violations lists every
+set entry of the same blocks, in the same order.  An entry corruption of
+R_301 fails r1, so its R2 witness comes from the walk; that witness sits
+in row a = 0, and for most corruptions in the first block of 108 rows,
+of the 301 rows of a = 0.  The R2, exchange and braid sweeps, the
+structure check (structures._structure_slabs) and the combinators'
+hypothesis checks (_hom_slabs, _union_slabs) are all rules of this walk.
 
 Two checks are exceptions to the sweep over all n^3 triples: each decides
 the verdict alone, and its sweep runs only on a failure, to find the
@@ -28,12 +39,12 @@ distinct quadruple of over-column ids, then checks R2 and the
 automorphisms on a generating set of Q.  Hol(R_7), n = 294, has 42
 distinct over columns and 1,764 quadruples, against 86,436 pairs (y, z),
 and 9 elements generate its Q; Alexander(211, 3, 2) has one over column
-and one quadruple.  exchange_violation runs the row sweep exchange_slabs
-when the verdict is a failure.
+and one quadruple.  exchange_violation walks exchange_slabs when the
+verdict is a failure.
 
 The braid relation of the pair map is the three exchange identities under
 a change of variables (core.ybe_witness has the derivation).  So
-core.ybe_witness asks exchange_holds for the verdict, and the braid row
+core.ybe_witness asks exchange_holds for the verdict, and the braid
 sweep ybe_violation runs only on a failure, to find the witness.
 
 The sweeps, r2_holds and exchange_holds read a product x op y of an
@@ -43,14 +54,21 @@ raise here, as 2-D indexing would, but lands on another cell of the
 table.  The callers in core guarantee the range before any check:
 check_quandle and check_biquandle test it explicitly, and ybe_witness,
 which check_ybe calls on a FiniteBiquandle and on a raw pair alike,
-requires every column of both tables to pass _bad_columns, which refuses
-out-of-range entries too.
+requires every column of both tables to pass core._bad_columns, which
+refuses out-of-range entries too.  _bad_columns sorts each column as the
+smallest signed dtype that holds -1..n, so it clips the entries to
+[-1, n] before the cast: an entry outside that range, on a table nobody
+range-checked, stays out of range instead of wrapping onto a valid value.
 Tables are int64 (as_table's dtype) and may be in any memory order.
 
-The offsets go into n x n buffers allocated once per call.  A fresh grid
-per product lets malloc hand its pages back and fault them in again on
-every row: the exchange row sweep on Hol(R_7), n = 294, took 0.45 s that
-way in a fresh process, and 0.20 s with the buffers.
+The R2, exchange and braid rules write their products into block-sized
+buffers that walk allocates once per walk, and gather into them with
+mode="clip", which skips the copy of the output that mode="raise" makes;
+the offsets are in range, so the two modes agree.  A fresh block-sized
+array per product lets malloc hand its pages back and fault them in again
+on every block: the exchange and braid sweeps of Hol(R_7), n = 294, took
+1.1-1.4 s each that way in a fresh process, with 645,000 page faults,
+and 0.5-0.6 s with the buffers, with about 1,000.
 """
 
 from __future__ import annotations
@@ -62,46 +80,73 @@ import numpy as np
 HAVE_NUMBA = False
 
 
-def _first(bad):
-    """Index pair of the first True entry of a 2-D mask, as Python ints."""
-    i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
-    return int(i), int(j)
+# entries per gather in the blocked checks below.  Fresh processes, best of
+# 7 (2 vCPUs), on the quadruple compare: Hol(R_7) took 39-43 ms at 2^15,
+# against 89-104 ms at 2^16 and 47-48 ms at 2^13.
+_BLOCK = 1 << 15
+
+
+def walk(m, width, rule, buffers=0):
+    """The witness walk over the triples (x, y, z) of [0, m)^2 x [0, width).
+
+    Yields (x, y, bad) per block of rows in C order: x and y index the
+    block's rows (x[i], y[i]), consecutive in C order, and bad is the
+    block's mask, bad[i, z, ...] for the triple (x[i], y[i], z).  A block
+    holds max(1, _BLOCK // width) rows: several x at small m, part of one x
+    at large m.
+
+    bad = rule(x, y, *work): work is the given number of int64 buffers of
+    the block's shape, allocated once per walk, for the rule's products;
+    bad itself must be a fresh array.
+    """
+    rows = m * m
+    step = max(1, _BLOCK // width)
+    work = np.empty((buffers, min(step, rows), width), dtype=np.int64)
+    for r in range(0, rows, step):
+        x, y = np.divmod(np.arange(r, min(r + step, rows)), m)
+        yield x, y, rule(x, y, *work[:, :len(x)])
+
+
+def first_violation(blocks):
+    """(x, y, z, ...) for the first set entry, in C order, of the masks of a
+    walk, or None when none is set.  Blocks after the first one with a set
+    entry are never built."""
+    for x, y, bad in blocks:
+        if bad.any():
+            i, *rest = np.unravel_index(int(np.argmax(bad)), bad.shape)
+            return (int(x[i]), int(y[i]), *map(int, rest))
+    return None
+
+
+def all_violations(blocks):
+    """Every set entry of the masks of a walk, as first_violation's tuples,
+    in C order."""
+    out = []
+    for x, y, bad in blocks:
+        i, *rest = np.nonzero(bad)
+        out += zip(x[i].tolist(), y[i].tolist(), *(r.tolist() for r in rest))
+    return out
 
 
 def r2_slabs(t):
-    """Per row a, yield (a, bad) with bad[b, c] set where
-    (a*b)*c != (a*c)*(b*c)."""
+    """The walk of the R2 sweep: bad[i, c] set where (a*b)*c != (a*c)*(b*c)
+    at (a, b) = (x[i], y[i])."""
     n = t.shape[0]
     flat = t.ravel()
-    offsets = np.empty((n, n), dtype=np.int64)
-    for a in range(n):
-        row = t[a]
-        # both operands stay alive across the yield: freeing them together
-        # lets malloc trim and re-fault their pages on every row (2x slower
-        # at n = 301)
-        lhs = t[row]                       # lhs[b, c] = (a*b)*c
-        rhs = flat.take(np.add(row * n, t, out=offsets))  # (a*c)*(b*c)
-        yield a, lhs != rhs
 
+    def rule(a, b, left, right, offsets):
+        t.take(a, axis=0, out=offsets, mode="clip")
+        offsets *= n
+        offsets += t.take(b, axis=0, out=left, mode="clip")      # (a*c, b*c)
+        t.take(flat.take(a * n + b), axis=0, out=left, mode="clip")  # (a*b)*c
+        return left != flat.take(offsets, out=right, mode="clip")
 
-def first_violation(slabs):
-    """(x, i, j) for the first set entry, in C order, of the 2-D masks that
-    slabs yields as (x, bad) in ascending x, or None when none is set."""
-    for x, bad in slabs:
-        if bad.any():
-            return (x, *_first(bad))
-    return None
+    return walk(n, n, rule, 3)
 
 
 def r2_violation(t):
     """First (a, b, c) violating (a*b)*c == (a*c)*(b*c), or None."""
     return first_violation(r2_slabs(t))
-
-
-# entries per gather in the blocked checks below.  Fresh processes, best of
-# 7 (2 vCPUs), on the quadruple compare: Hol(R_7) took 39-43 ms at 2^15,
-# against 89-104 ms at 2^16 and 47-48 ms at 2^13.
-_BLOCK = 1 << 15
 
 
 def _r2_slices_hold(t, cs):
@@ -123,6 +168,14 @@ def _r2_slices_hold(t, cs):
             if (lhs != rhs).any():
                 return False
     return True
+
+
+def _mark_products(flat, n, left, right, reached):
+    """Set reached at every product l * r, l in left and r in right, of the
+    table flat; each gather covers at most _BLOCK products, or one l."""
+    step = max(1, _BLOCK // max(1, len(right)))
+    for s in range(0, len(left), step):
+        reached[flat.take(np.add.outer(left[s:s + step] * n, right))] = True
 
 
 def _generators(t):
@@ -150,7 +203,10 @@ def _generators(t):
         # row 0 narrows the candidates for column g first
         same = outside[t[0].take(outside) == t[0, g]]
         if len(same) > 1:
-            same = same[(t[:, same] == t[:, g, None]).all(axis=0)]
+            # in blocks of columns, at most _BLOCK entries or one column each
+            step = max(1, _BLOCK // n)
+            keep = [(t[:, c] == t[:, g, None]).all(axis=0) for c in np.split(same, range(step, len(same), step))]
+            same = same[np.concatenate(keep)]
         firsts.append(outside[:batch])
         new = np.union1d(outside[:batch], same)
         seeds.append(new)
@@ -158,8 +214,8 @@ def _generators(t):
         while new.size:
             mem = np.concatenate((old, new))
             reached = np.zeros(n, dtype=bool)
-            reached[flat.take(np.add.outer(new * n, mem))] = True
-            reached[flat.take(np.add.outer(old * n, new))] = True
+            _mark_products(flat, n, new, mem, reached)
+            _mark_products(flat, n, old, new, reached)
             reached &= ~members
             members |= reached
             old, new = mem, np.flatnonzero(reached)
@@ -188,32 +244,42 @@ def r2_holds(t):
 
 
 def exchange_slabs(u, o):
-    """Per row x, yield (x, (bad0, bad1, bad2)): the [y, z] grids where
-    identities 0, 1 and 2 fail."""
+    """The walk of the exchange sweep: bad[i, z, code] set where identity
+    code fails at (x, y, z), (x, y) = (x[i], y[i]).  So the walk's first
+    entry is the least (x, y, z, code)."""
     n = u.shape[0]
     fu, fo = u.ravel(), o.ravel()
     uT, oT = np.ascontiguousarray(u.T), np.ascontiguousarray(o.T)
-    by_y = np.empty((n, n), dtype=np.int64)  # [y, z]: offset of (x . y, z . y)
-    by_z = np.empty_like(by_y)               # [y, z]: offset of (x . z, y . z)
-    for x in range(n):
-        xu = u[x] * n                      # row offsets of x u (.)
-        xo = o[x] * n
-        np.add(xu[:, None], uT, out=by_y)
-        bad0 = fu.take(by_y) != fu.take(np.add(xu, o, out=by_z))
-        bad1 = fo.take(by_y) != fu.take(np.add(xo, o, out=by_z))
-        np.add(xo[:, None], oT, out=by_y)
-        bad2 = fo.take(by_y) != fo.take(np.add(xo, u, out=by_z))
-        yield x, (bad0, bad1, bad2)
+
+    def rule(x, y, by_y, at_y, at_x, left, right):
+        xy = x * n + y
+        bad = np.empty((3, len(x), n), dtype=bool)  # one contiguous mask per code
+        uT.take(y, axis=0, out=by_y, mode="clip")
+        by_y += (fu.take(xy) * n)[:, None]                # (x u y, z u y)
+        o.take(y, axis=0, out=at_y, mode="clip")
+        u.take(x, axis=0, out=at_x, mode="clip")
+        at_x *= n
+        at_x += at_y                                      # (x u z, y o z)
+        np.not_equal(fu.take(by_y, out=left, mode="clip"), fu.take(at_x, out=right, mode="clip"), out=bad[0])
+        o.take(x, axis=0, out=at_x, mode="clip")
+        at_x *= n
+        at_y += at_x                                      # (x o z, y o z)
+        np.not_equal(fo.take(by_y, out=left, mode="clip"), fu.take(at_y, out=right, mode="clip"), out=bad[1])
+        oT.take(y, axis=0, out=by_y, mode="clip")
+        by_y += (fo.take(xy) * n)[:, None]                # (x o y, z o y)
+        u.take(y, axis=0, out=at_y, mode="clip")
+        at_y += at_x                                      # (x o z, y u z)
+        np.not_equal(fo.take(by_y, out=left, mode="clip"), fo.take(at_y, out=right, mode="clip"), out=bad[2])
+        return np.moveaxis(bad, 0, -1)
+
+    return walk(n, n, rule, 5)
 
 
 def _sweep_violation(u, o):
-    """exchange_violation by the row sweep: x by x, all three identities."""
-    for x, bads in exchange_slabs(u, o):
-        hits = [(*_first(bad), code) for code, bad in enumerate(bads) if bad.any()]
-        if hits:
-            y, z, code = min(hits)
-            return code, x, y, z
-    return None
+    """exchange_violation by the walk: its first (x, y, z, code), as
+    (code, x, y, z)."""
+    w = first_violation(exchange_slabs(u, o))
+    return None if w is None else (w[3], *w[:3])
 
 
 def _columns(t):
@@ -296,7 +362,7 @@ def exchange_holds(u, o):
     The equivalences need only the over columns to be bijections, so a
     failure of (3c) or of an R2 slice decides any table whose over columns
     are; every other table with a column that is not a bijection gets the
-    row sweep's verdict.  The callers in core check the columns first.
+    sweep's verdict.  The callers in core check the columns first.
     """
     n = u.shape[0]
     oid, O = _columns(o)
@@ -338,9 +404,9 @@ def exchange_holds(u, o):
 def exchange_violation(u, o):
     """First violated exchange identity as (code, x, y, z), or None.
 
-    Witnesses are ordered by (x, y, z, code), as in the row sweep over x.
-    exchange_holds decides the verdict; only a failure runs the row sweep,
-    whose first triple is the witness.
+    Witnesses are ordered by (x, y, z, code), as in the walk of
+    exchange_slabs.  exchange_holds decides the verdict; only a failure
+    walks the sweep, whose first triple is the witness.
     """
     return None if exchange_holds(u, o) else _sweep_violation(u, o)
 
@@ -361,27 +427,34 @@ def ybe_violation(u, o, oinv):
     # the right composite's first step r(b, c) = (w, u[b, w]) does not
     # depend on a: w = oinvT[b, c], and u[b, w] is kept as a row offset
     rbc_n = fu.take(np.arange(n)[:, None] * n + oinvT) * n
-    offsets = np.empty((n, n), dtype=np.int64)
-    for a in range(n):
+
+    def rule(a, b, w, offsets, l1, l3, p2):
         # left composite: r(a, b) = (p, q), then r(q, c), then r(p, .)
-        p = oinvT[a]                       # p[b] = oinv[b, a]
-        q = u[a].take(p)
-        w = oinvT[q]                       # w[b, c] = oinv[c, q[b]]
-        l3 = fu.take(np.add((q * n)[:, None], w, out=offsets))
+        p = foinv.take(b * n + a)              # p = oinv[b, a]
+        q = fu.take(a * n + p)
+        oinvT.take(q, axis=0, out=w, mode="clip")         # w[i, c] = oinv[c, q[i]]
+        fu.take(np.add((q * n)[:, None], w, out=offsets), out=l3, mode="clip")
         p_n = (p * n)[:, None]
-        l1 = foinvT.take(np.add(p_n, w, out=offsets))      # oinv[w, p]
-        l2 = fu.take(np.add(p_n, l1, out=offsets))
+        foinvT.take(np.add(p_n, w, out=offsets), out=l1, mode="clip")   # oinv[w, p]
+        # each product below reuses the buffer of one that is no longer read
+        l2 = fu.take(np.add(p_n, l1, out=offsets), out=w, mode="clip")
         # right composite: r(b, c), then r(a, .), then r(., .)
-        p2 = p.take(oinvT)                 # oinv[oinv[c, b], a]
-        q2 = u[a].take(p2)
-        q3 = foinv.take(np.add(rbc_n, q2, out=offsets))
+        oinvT.take(b, axis=0, out=offsets, mode="clip")
+        offsets *= n
+        offsets += a[:, None]
+        foinv.take(offsets, out=p2, mode="clip")          # oinv[oinv[c, b], a]
+        bad = l1 != p2
+        q2 = fu.take(np.add((a * n)[:, None], p2, out=offsets), out=l1, mode="clip")
+        rbc_n.take(b, axis=0, out=offsets, mode="clip")
+        offsets += q2
+        q3 = foinv.take(offsets, out=p2, mode="clip")
+        bad |= l2 != q3
         np.multiply(q2, n, out=offsets)
         offsets += q3
-        r3 = fu.take(offsets)
-        bad = (l1 != p2) | (l2 != q3) | (l3 != r3)
-        if bad.any():
-            return (a, *_first(bad))
-    return None
+        bad |= l3 != fu.take(offsets, out=w, mode="clip")   # r3
+        return bad
+
+    return first_violation(walk(n, n, rule, 5))
 
 
 # ---------------------------------------------------------------------------

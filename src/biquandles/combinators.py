@@ -9,15 +9,16 @@ automorphism group (h(x*y) = h(y) h(x) h(y)^{-1}) is always verified.
 
 Inside, a family of k maps is one (k, n) int64 array of image rows, stacked
 once at the boundary (_check_aut_valued).  Every hypothesis check is gathers
-on these rows, swept one x at a time, and reports its first witness in C
-order; the tables are built by broadcast gathers.
+on these rows, on the blocks of the witness walk (_kernels.walk), and
+reports its first witness in C order; the tables are built by broadcast
+gathers.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._kernels import _first, first_violation
+from ._kernels import first_violation, walk
 from ._search import preserves_tables
 from .core import FiniteBiquandle, FiniteQuandle, Permutation, is_involutory_quandle, row_keys
 from .errors import DomainError
@@ -34,14 +35,18 @@ def _check_aut_valued(q_target: FiniteQuandle, maps, name):
 
 
 def _hom_slabs(t, H, f):
-    """Per x, yield (x, bad) with bad[y, z] set where H[f(x*y)] H[y] and
-    H[f(y)] H[x] differ at z, for t the source table, H its image rows and
-    f a map of the source (composition right to left)."""
-    m = H.shape[1]
-    flat = H.ravel()
+    """The witness walk over (x, y, z): bad[i, z] set where H[f(x*y)] H[y]
+    and H[f(y)] H[x] differ at z, for (x, y) = (x[i], y[i]), t the source
+    table, H its image rows and f a map of the source (composition right to
+    left)."""
+    n, m = t.shape[0], H.shape[1]
+    flat, tflat = H.ravel(), t.ravel()
     fm = f * m
-    for x in range(t.shape[0]):
-        yield x, flat.take(fm[t[x]][:, None] + H) != flat.take(fm[:, None] + H[x])
+
+    def rule(x, y):
+        return flat.take(fm.take(tflat.take(x * n + y))[:, None] + H[y]) != flat.take(fm.take(y)[:, None] + H[x])
+
+    return walk(n, m, rule)
 
 
 def _check_conj_hom(q_source: FiniteQuandle, maps, name):
@@ -56,13 +61,17 @@ def _identity_maps(n_source, n_target):
 
 
 def _union_slabs(t, A, B):
-    """Per x, yield (x, bad) with bad[y, z] set where A[z](x) * y and
-    A[B[y](z)](x * y) differ; t is the table of the quandle A acts on."""
+    """The witness walk over (x, y, z): bad[i, z] set where A[z](x) * y and
+    A[B[y](z)](x * y) differ, for (x, y) = (x[i], y[i]); t is the table of
+    the quandle A acts on."""
     n = t.shape[0]
     flat, tflat = A.ravel(), t.ravel()
-    ys = np.arange(n)[:, None]
-    for x in range(n):
-        yield x, tflat.take(A[:, x] * n + ys) != flat.take(B * n + t[x][:, None])
+    AT = np.ascontiguousarray(A.T)  # AT[x, z] = A[z, x]
+
+    def rule(x, y):
+        return tflat.take(AT[x] * n + y[:, None]) != flat.take(B[y] * n + tflat.take(x * n + y)[:, None])
+
+    return walk(n, len(A), rule)
 
 
 def union_quandle(q1: FiniteQuandle, q2: FiniteQuandle, sigma=None, tau=None) -> FiniteQuandle:
@@ -108,7 +117,7 @@ def union_biquandle_general(q1: FiniteQuandle, q2: FiniteQuandle, phi, psi) -> B
     bad_phi = phi_id[:, None] != phi_id[psi.T]
     bad = bad_phi | (psi_id[None, :] != psi_id[phi])
     if bad.any():
-        x1, x2 = _first(bad)
+        x1, x2 = np.argwhere(bad)[0].tolist()
         which = "phi" if bad_phi[x1, x2] else "psi"
         raise DomainError(f"union structure condition {which} fails at (x1={x1}, x2={x2})")
     # beta_a extends phi_a (a in Q1) or psi_a (a in Q2) by the identity

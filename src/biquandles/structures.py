@@ -8,8 +8,8 @@ x u y = beta_y(x*y) and x o y = beta_y(x), and every biquandle arises this
 way from its associated quandle.
 
 The checks hold a family of k maps as one (k, n) int64 array of image rows
-(_aut_stack), test each condition by gathers swept one x at a time, and
-report its first witness in C order.
+(_aut_stack), test each condition by gathers on the blocks of the
+witness walk (_kernels.walk), and report its first witness in C order.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import first_violation
+from ._kernels import first_violation, walk
 from ._search import preserves_tables
 from .core import (
     AxiomReport,
@@ -90,14 +90,17 @@ def _aut_stack(q: FiniteQuandle, maps):
 
 
 def _structure_slabs(t, B):
-    """Per x, yield (x, bad) with bad[y, z] set where beta_{beta_y(x*y)} beta_y
-    and beta_{beta_x(y)} beta_x differ at z; B[y] is the image row of beta_y."""
+    """The witness walk over (x, y, z): bad[i, z] set where
+    beta_{beta_y(x*y)} beta_y and beta_{beta_x(y)} beta_x differ at z, for
+    (x, y) = (x[i], y[i]); B[y] is the image row of beta_y."""
     n = len(B)
-    flat = B.ravel()
-    under_n = B[np.arange(n), t] * n  # under_n[x, y] = n beta_y(x*y)
-    B_n = B * n
-    for x in range(n):
-        yield x, flat.take(under_n[x][:, None] + B) != flat.take(B_n[x][:, None] + B[x])
+    flat, tflat = B.ravel(), t.ravel()
+
+    def rule(x, y):
+        under_n = flat.take(y * n + tflat.take(x * n + y)) * n  # n beta_y(x*y)
+        return flat.take(under_n[:, None] + B[y]) != flat.take((flat.take(x * n + y) * n)[:, None] + B[x])
+
+    return walk(n, n, rule)
 
 
 def _require_permutation(name, m):

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from biquandles import core
 from biquandles.core import (
     FiniteBiquandle,
     FiniteQuandle,
@@ -343,6 +344,36 @@ class TestConstructionValidation:
         q = FiniteQuandle(R3_TABLE)
         with pytest.raises(ValueError):
             q.table[0, 0] = 1
+
+    def test_each_table_is_coerced_once(self, monkeypatch):
+        # the constructors check the tables they coerced, not a second copy
+        calls = []
+        coerce = core.as_table
+
+        def counted(obj, what="table"):
+            calls.append(what)
+            return coerce(obj, what)
+
+        monkeypatch.setattr(core, "as_table", counted)
+        b = wada_biquandle(cyclic_group(4))
+        for build, tables, want in (
+            (FiniteQuandle, [R3_TABLE], ["table"]),
+            (FiniteBiquandle, [b.under, b.over], ["under", "over"]),
+        ):
+            calls.clear()
+            build(*tables)
+            assert calls == want
+        bad = np.array(R3_TABLE)
+        bad[0, 1] = 0
+        for check, build, tables, want in (
+            (check_quandle, FiniteQuandle, [bad], ["table"]),
+            (check_biquandle, FiniteBiquandle, [bad, bad], ["under", "over"]),
+        ):
+            calls.clear()
+            report = check(*tables)
+            with pytest.raises(AxiomError) as err:
+                build(*tables)
+            assert err.value.report == report and calls == want * 2
 
 
 class TestJson:

@@ -9,6 +9,7 @@ n = 31 and 100 against numpy oracles that index each product as t[I, J].
 
 import itertools
 import random
+import tracemalloc
 from operator import ne
 from unittest import mock
 
@@ -557,6 +558,17 @@ def layouts(*tables):
     return [tables, fortran, frozen]
 
 
+def joined_rows(blocks, n):
+    """The witness walk's blocks joined into rows: (a, mask) per a, where
+    mask[b] is the blocks' row (a, b), with any trailing axes moved to the
+    front.  The blocks must list the rows (a, b) in C order, each once."""
+    xs, ys, bads = zip(*blocks)
+    x, y, bad = (np.concatenate(v) for v in (xs, ys, bads))
+    assert np.array_equal(x * n + y, np.arange(n * n))
+    bad = bad.reshape(n, n, *bad.shape[1:])
+    return [(a, np.moveaxis(m, range(2, m.ndim), range(m.ndim - 2))) for a, m in enumerate(bad)]
+
+
 def assert_same_slabs(got, want):
     """The same rows, each with the same boolean mask or masks."""
     got, want = list(got), list(want)
@@ -564,6 +576,11 @@ def assert_same_slabs(got, want):
     for (_, g), (_, w) in zip(got, want):
         g = np.asarray(g)
         assert g.dtype == bool and np.array_equal(g, w)
+
+
+def first_of_rows(slabs):
+    """First (a, b, c) of an oracle's per-row masks, in C order."""
+    return next(((a, *np.argwhere(bad)[0].tolist()) for a, bad in slabs if bad.any()), None)
 
 
 def exchange_violation_of(slabs):
@@ -586,9 +603,9 @@ class TestFlatOffsetsAtMidSize:
         seen = 0
         for t in tables:
             want = list(r2_slabs_2d(t))
-            first = next(((a, *np.argwhere(bad)[0].tolist()) for a, bad in want if bad.any()), None)
+            first = first_of_rows(want)
             for laid in layouts(t):
-                assert_same_slabs(K.r2_slabs(*laid), want)
+                assert_same_slabs(joined_rows(K.r2_slabs(*laid), len(t)), want)
                 assert K.r2_violation(*laid) == first
             seen += first is not None
         assert 0 < seen < len(tables)
@@ -599,7 +616,7 @@ class TestFlatOffsetsAtMidSize:
         for u, o in pairs:
             want = list(exchange_slabs_2d(u, o))
             for laid in layouts(u, o):
-                assert_same_slabs(K.exchange_slabs(*laid), want)
+                assert_same_slabs(joined_rows(K.exchange_slabs(*laid), len(u)), want)
                 assert K.exchange_violation(*laid) == exchange_violation_of(want)
             seen += exchange_violation_of(want) is not None
         assert 0 < seen < len(pairs)
@@ -655,7 +672,7 @@ class TestExchangeByQuadruples:
     @settings(max_examples=80, deadline=None)
     @given(swapped_tables())
     def test_first_witness_is_the_row_sweeps(self, tables):
-        assert K.exchange_violation(*tables) == exchange_violation_of(K.exchange_slabs(*tables))
+        assert K.exchange_violation(*tables) == exchange_violation_of(joined_rows(K.exchange_slabs(*tables), len(tables[0])))
 
     def test_valid_tables_never_reach_the_row_sweep(self, monkeypatch):
         def sweep(u, o):
@@ -1048,6 +1065,21 @@ class TestExchangeThroughQuandle:
                 reached |= new
             assert reached == set(range(len(t)))
 
+    def test_generators_gather_in_blocks(self):
+        # every column of trivial_quandle(1100) is the same, so the first
+        # step takes all 1,100 elements, and its closure round has
+        # 1,100 x 1,100 products: one n x n temporary (9.7 MB) unblocked
+        t = trivial_quandle(1100).table
+        n = len(t)
+        tracemalloc.start()
+        try:
+            firsts, seeds = K._generators(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert firsts.tolist() == [0] and len(seeds) == n
+        assert peak <= 8 * (3 * K._BLOCK + 32 * n)
+
     def test_alexander_211_compares_one_quadruple(self, monkeypatch):
         # one distinct over column, so (3c) has one quadruple
         b = alexander_biquandle(211, 3, 2)
@@ -1080,3 +1112,217 @@ class TestExchangeThroughQuandle:
         assert calls == ["_sweep_violation"]
         u[0, 0] = 1
         assert K.exchange_holds(u, o) is sweep_holds(u, o)
+
+
+# ---------------------------------------------------------------------------
+# the witness walk: blocks of rows (x, y) in C order; the first witness is
+# the first entry of the all-witness listing wherever the blocks break
+
+
+def marked_rule(width, cells):
+    """A walk rule whose mask is set at the triples cells."""
+
+    def rule(x, y):
+        bad = np.zeros((len(x), width), dtype=bool)
+        for a, b, c in cells:
+            bad[(x == a) & (y == b), c] = True
+        return bad
+
+    return rule
+
+
+def counting_walk(monkeypatch, lengths):
+    """Replace K.walk by a wrapper that appends each built block's row count
+    to lengths."""
+    real = K.walk
+
+    def counted(*args):
+        for block in real(*args):
+            lengths.append(len(block[0]))
+            yield block
+
+    monkeypatch.setattr(K, "walk", counted)
+
+
+R301 = dihedral_quandle(301)
+
+
+class TestWitnessWalk:
+    @pytest.mark.parametrize("m, width", [(1, 1), (5, 5), (7, 3), (31, 31), (181, 181), (182, 182), (301, 301), (3, 40_000)])
+    def test_blocks_cover_the_rows_in_order(self, m, width):
+        step = max(1, K._BLOCK // width)
+        x, y, shapes = [], [], []
+        for bx, by, bad in K.walk(m, width, marked_rule(width, [])):
+            x.append(bx)
+            y.append(by)
+            shapes.append(bad.shape)
+        x, y = np.concatenate(x), np.concatenate(y)
+        assert np.array_equal(x * m + y, np.arange(m * m))
+        assert [s[0] for s in shapes[:-1]] == [step] * (len(shapes) - 1)
+        assert all(s[1] == width for s in shapes)
+        # step rows per block; only the last may hold fewer
+        assert len(shapes) == -(-m * m // step)
+
+    @pytest.mark.parametrize("m", [5, 31, 301])
+    def test_first_is_the_first_listed_at_every_edge(self, m):
+        # m = 5 and 31 fit in one block spanning every x; at m = 301, which
+        # _BLOCK does not divide, the last block is partial
+        rows, width = m * m, m
+        step = max(1, K._BLOCK // width)
+        last = (rows - 1) // step * step
+        edges = sorted(r for r in {0, step - 1, step, last, rows - 1} if r < rows)
+        for r in edges:
+            a, b = divmod(r, m)
+            # the witness at the row's last z, and a later one at the next
+            # row's first z
+            cells = [(a, b, width - 1)] + [(*divmod(r + 1, m), 0)] * (r + 1 < rows)
+            want = sorted(cells)
+            assert K.first_violation(K.walk(m, width, marked_rule(width, cells))) == want[0] == (a, b, width - 1)
+            assert K.all_violations(K.walk(m, width, marked_rule(width, cells))) == want
+        assert K.first_violation(K.walk(m, width, marked_rule(width, []))) is None
+
+    @pytest.mark.parametrize("where", ["last-row-of-block", "first-row-of-next"])
+    def test_kernel_witnesses_at_a_block_edge(self, monkeypatch, where):
+        # the block length is set from each witness's row r, so that r is the
+        # last row of the first block, or the first row of the second.
+        # Exchange and braid at n = 31 (the first 11 pairs), R2 at n = 8,
+        # 31 and 100
+        rng = random.Random(27)
+        pairs = [p for p in mid_size_pairs(28)[:11] if exchange_violation_of(exchange_slabs_2d(*p)) is not None]
+        tables = [t for pair in mid_size_pairs(29)[::2] for t in pair] + [random_tables(rng, 8) for _ in range(20)]
+        seen = {"r2": 0, "exchange": 0, "ybe": 0}
+        default = K._BLOCK
+
+        def block_at(n, r):
+            rows = r + 1 if where == "last-row-of-block" else r
+            monkeypatch.setattr(K, "_BLOCK", rows * n)
+
+        for t in tables:
+            monkeypatch.setattr(K, "_BLOCK", default)
+            n, want = len(t), first_of_rows(r2_slabs_2d(t))
+            if want is None or want[0] * n + want[1] < 1:
+                continue
+            block_at(n, want[0] * n + want[1])
+            assert K.r2_violation(t) == want == K.all_violations(K.r2_slabs(t))[0]
+            seen["r2"] += 1
+        for u, o in pairs:
+            monkeypatch.setattr(K, "_BLOCK", default)
+            n, want = len(u), exchange_violation_of(exchange_slabs_2d(u, o))
+            code, x, y, z = want
+            if x * n + y < 1:
+                continue
+            block_at(n, x * n + y)
+            assert K._sweep_violation(u, o) == want
+            assert K.all_violations(K.exchange_slabs(u, o))[0] == (x, y, z, code)
+            seen["exchange"] += 1
+        for u, o in pairs:
+            if _bad_columns(o).any():
+                continue
+            monkeypatch.setattr(K, "_BLOCK", default)
+            oinv = _invert_columns(o)
+            n, want = len(u), ybe_violation_2d(u, o, oinv)
+            if want is None or want[0] * n + want[1] < 1:
+                continue
+            block_at(n, want[0] * n + want[1])
+            assert K.ybe_violation(u, o, oinv) == want
+            seen["ybe"] += 1
+        assert all(seen.values()), seen
+
+    def test_small_tables_take_one_block_over_every_x(self, monkeypatch):
+        # one block holds every row (x, y) at n <= 8, so a witness at x > 0
+        # sits in the block that also holds the rows of x = 0
+        lengths = []
+        counting_walk(monkeypatch, lengths)
+        deep = 0
+        # test_failure_at_the_last_x_only's pair fails (3a) at x = 4 alone
+        a = np.arange(5)
+        over = np.broadcast_to(a[:, None], (5, 5)).copy()
+        under = over.copy()
+        under[:3, :3] = (2 * a[None, :3] - a[:3, None]) % 3
+        under[4, 0] = 3
+        pairs = table_pairs(33) + [(under, over)]
+        for u, o in pairs:
+            n = len(u)
+            lengths.clear()
+            got = K.r2_violation(u)
+            assert got == r2_oracle(u) == (r2_all_oracle(u) or [None])[0]
+            lengths.clear()
+            got = K.exchange_violation(u, o)
+            assert got == exchange_oracle(u, o)
+            assert lengths in ([], [n * n])
+            every = K.all_violations(K.exchange_slabs(u, o))
+            assert got == ((every[0][3], *every[0][:3]) if every else None)
+            deep += got is not None and got[1] > 0
+            if not _bad_columns(o).any():
+                oinv = _invert_columns(o)
+                lengths.clear()
+                got = K.ybe_violation(u, o, oinv)
+                assert got == ybe_oracle(u, o, oinv) and lengths == [n * n]
+                deep += got is not None and got[0] > 0
+        assert deep
+
+    def test_r301_entry_witness_reads_only_its_block(self, monkeypatch):
+        # an entry corruption fails r1, so the R2 witness comes from the walk;
+        # it sits in row a = 0, and no block after its own is built
+        n = R301.n
+        step = K._BLOCK // n
+        lengths = []
+        counting_walk(monkeypatch, lengths)
+        t = np.array(R301.table)
+        t[5, 7] = (t[5, 7] + 1) % n
+        violations = dict(check_quandle(t).violations)
+        assert "r1" in violations and violations["r2"] == (0, 5, 7)
+        assert lengths == [step]
+        rng = random.Random(31)
+        firsts = 0
+        for _ in range(12):
+            lengths.clear()
+            w = K.r2_violation(corrupted(rng, R301.table, "entry"))
+            assert w[0] == 0 and len(lengths) == w[1] // step + 1
+            firsts += len(lengths) == 1
+        assert firsts
+
+    def test_partial_last_block_at_r301(self):
+        # 32,768 // 301 = 108 rows per block; 301^2 = 90,601 rows leave 97 in
+        # the last block.  Corrupted tables: the walk's first witness is the
+        # first entry of its all-witness listing and the 2-D oracle's
+        rng = random.Random(32)
+        for kind in ("entry", "swap"):
+            t = corrupted(rng, R301.table, kind)
+            listed = K.all_violations(K.r2_slabs(t))
+            assert K.r2_violation(t) == listed[0] == first_of_rows(r2_slabs_2d(t))
+        assert [len(x) for x, _, _ in K.r2_slabs(R301.table)][-1] == 301 * 301 % (K._BLOCK // 301)
+
+
+class TestBadColumnsNarrowKeys:
+    """_bad_columns sorts narrow keys; the int64 sort is its oracle."""
+
+    @pytest.mark.parametrize("n", [1, 127, 128, 255, 256])
+    def test_against_the_int64_sort(self, n):
+        rng = np.random.default_rng(n)
+        base = np.argsort(rng.random((n, n)), axis=0)
+        tables = [base]
+        for value in (-1, -129, n, n + 256, 1 << 33):
+            t = base.copy()
+            t[rng.integers(n), rng.integers(n)] = value
+            tables.append(t)
+        # out-of-range entries that wrap onto the value they replace, or onto
+        # 0, in a narrow dtype
+        for shift in (1 << 33, 1 << 16, 1 << 8, -(1 << 8)):
+            t = base.copy()
+            t[0, 0] += shift
+            tables.append(t)
+        mixed = base.copy()
+        for j, value in enumerate((-1, -129, n, n + 256, 1 << 33)):
+            mixed[0, j % n] = value
+        tables.append(mixed)
+        if n > 1:
+            repeat = base.copy()
+            repeat[0, n - 1] = repeat[1, n - 1]
+            tables.append(repeat)
+        for t in tables:
+            assert t.dtype == np.int64
+            want = (np.sort(t, axis=0) != np.arange(n)[:, None]).any(axis=0)
+            assert np.array_equal(_bad_columns(t), want)
+            assert _bad_columns(np.asfortranarray(t)).tolist() == want.tolist()
+        assert not _bad_columns(base).any() and all(_bad_columns(t).any() for t in tables[1:])
