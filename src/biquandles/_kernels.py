@@ -73,6 +73,8 @@ and 0.5-0.6 s with the buffers, with about 1,000.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 # read by env_stamp in perfbench/run.py, so it stays while that does; there
@@ -464,39 +466,101 @@ def ybe_violation(u, o, oinv):
 # B-indices (-1 unassigned), pre is its partial inverse.
 
 
-def closure_extend(tA, tB, img, pre, new=None):
+class ClosurePlan(NamedTuple):
+    """The A side of every closure a search of tables tA makes.
+
+    base: the base points a_0, a_1, ...: a_i is the first element that the
+    closure of a_0 .. a_(i-1) leaves free.
+    fixed_at: per element, the level i at which the closure of a_0 .. a_i
+    first holds it.
+    levels: per base point a_i, the rounds of the closure of the earlier
+    base points plus a_i, each a layer (new, dom, old, products, first,
+    fresh): the frontier new (a_i, then the elements the round before
+    reached), the domain dom it joined, old = dom without new, the A
+    products of the pairs (new, dom) and (old, new) of every table (as
+    _pairs orders them, table by table), the positions first in products
+    that first reach an element outside dom, and those elements fresh.
+    All but products and first are ascending.
+    """
+
+    base: list
+    fixed_at: np.ndarray
+    levels: list
+
+
+def _pairs(new, dom, old, n):
+    """Flat offsets x * n + y of the pairs (new, dom), then (old, new), in C
+    order: every ordered pair of dom with a factor in new, once."""
+    m = len(new) * len(dom)
+    out = np.empty(m + len(old) * len(new), dtype=np.int64)
+    np.add((new * n)[:, None], dom, out=out[:m].reshape(len(new), len(dom)))
+    np.add((old * n)[:, None], new, out=out[m:].reshape(len(old), len(new)))
+    return out
+
+
+def closure_plan(tA):
+    """The ClosurePlan of the stacked tables tA.
+
+    Whether an element is reached, and in which round, depends on A alone:
+    a round maps exactly the products of its pairs that are still
+    unmapped.  So every search node that extends the closure of
+    a_0 .. a_(i-1) by a_i -> b meets the rounds of levels[i], whatever b
+    and the B side are, up to the round where it fails.  Each ordered pair
+    of elements is in one layer of one level, so the products of a plan
+    add up to k n^2 entries, one table stack.
+    """
+    k, n, _ = tA.shape
+    flat = tA.reshape(k, n * n)
+    mapped = np.zeros(n, dtype=bool)
+    fixed_at = np.full(n, n, dtype=np.int64)
+    base, levels = [], []
+    while not mapped.all():
+        a = int(np.argmin(mapped))
+        old, new = np.flatnonzero(mapped), np.array([a])
+        mapped[a] = True
+        layers = []
+        while new.size:
+            dom = np.flatnonzero(mapped)
+            products = flat.take(_pairs(new, dom, old, n), axis=1).ravel()
+            reach = np.flatnonzero(~mapped[products])
+            fresh, first = np.unique(products.take(reach), return_index=True)
+            first = reach.take(first)
+            layers.append((new, dom, old, products, first, fresh))
+            mapped[fresh] = True
+            old, new = dom, fresh
+        fixed_at[mapped & (fixed_at == n)] = len(base)
+        base.append(a)
+        levels.append(layers)
+    return ClosurePlan(base, fixed_at, levels)
+
+
+def closure_extend(layers, tB, img, pre):
     """Propagate a partial bijective homomorphism to its closure in place.
 
-    new: the frontier, i.e. the elements mapped since img was last a
-    fixpoint; None means every mapped element.  Each round gathers only the
-    products with a frontier factor, (new, dom) and (dom, new), and the
-    elements it maps form the next round's frontier.  So a caller that
-    extends a fixpoint by one assignment a -> b passes new=[a] and pays for
-    the products of the new assignments alone.
+    img is the closure of the base points before a_i plus a_i -> b, and
+    layers is levels[i] of the A side's ClosurePlan; tB is the B stack as
+    one (k, n * n) array.  Each layer gathers only the B products of its
+    pairs, tB.take(_pairs(img[new], img[dom], img[old])), in the order of
+    the layer's A products.  The images of the fresh elements are the B
+    products at first, which must be unused and distinct, and then every
+    product of the layer must map onto its B product.
 
-    Returns True at a fixpoint, False (img/pre then undefined) on conflict.
+    Returns True at the closure, False (img/pre then undefined) on
+    conflict.
     """
-    dom = np.flatnonzero(img >= 0)
-    new = dom if new is None else np.asarray(new, dtype=np.int64)
-    while new.size:
-        before = img >= 0
-        for ta, tb in zip(tA, tB):
-            for rows, cols in ((new, dom), (dom, new)):
-                P = ta[rows[:, None], cols].ravel()
-                I = tb[img[rows][:, None], img[cols]].ravel()
-                unm = img[P] == -1
-                Pu, Iu = P[unm], I[unm]
-                # an unmapped product may not land on an image already used
-                if (pre[Iu] != -1).any():
-                    return False
-                img[Pu] = Iu
-                if (img[P] != I).any():
-                    return False
-                # two unmapped products of this batch landing on one image
-                pre[Iu] = Pu
-                if (pre[Iu] != Pu).any():
-                    return False
-        now = img >= 0
-        new = np.flatnonzero(now & ~before)
-        dom = np.flatnonzero(now)
+    n = img.size
+    for new, dom, old, products, first, fresh in layers:
+        images = tB.take(_pairs(img.take(new), img.take(dom), img.take(old), n), axis=1).ravel()
+        if fresh.size:
+            to = images.take(first)
+            # a fresh element may not land on an image already used
+            if (pre.take(to) != -1).any():
+                return False
+            pre[to] = fresh
+            # two fresh elements landing on one image
+            if (pre.take(to) != fresh).any():
+                return False
+            img[fresh] = to
+        if (img.take(products) != images).any():
+            return False
     return True

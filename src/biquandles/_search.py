@@ -2,16 +2,23 @@
 
 Serves automorphism groups of groups, quandles and biquandles (tables vs
 themselves), isomorphism testing (tables vs other tables), and lift
-searches.  Partial maps are extended along a dynamically chosen generating
-sequence, depth first with an explicit stack.  Every search node holds a
-closed partial map; a candidate assignment a -> b is propagated to its
-closure by the kernel in biquandles._kernels with frontier [a], so a node
-gathers only the products that involve a or an element it forces: with d
-elements mapped before and f after, at most 2k(f - d)f products for k
-tables, where a closure restarted from the whole domain gathers 2kf^2 in
-its first round alone.  Candidates are pruned by per-element invariants
-(column cycle types and orbit size), which relabeling preserves for tables
-whose columns are permutations.
+searches.  Partial maps are extended along a generating sequence, depth
+first with an explicit stack.  Every search node holds a closed partial
+map, and assigns the first element it leaves free.  That element, and the
+rounds in which the closure of a -> b reaches each new element, depend
+on the A side alone: the node at depth i holds the closure of the base
+points a_0 .. a_(i-1), as in a Sims base (Sims 1970), whatever their
+images.  So _kernels.closure_plan compiles the A side once per search:
+the base, and per base point the layers of its closure, each with its A
+products and the positions that first reach a new element; every pair of
+elements is in one layer, so a plan holds k n^2 products for k tables, one
+table stack.  A node replays its level (_kernels.closure_extend): per
+layer it gathers the B products of the same pairs, assigns the new
+elements and checks that the map stays a bijection and agrees with every
+product, with no A-side gather, mask or search for the next free element.
+Candidates are pruned by per-element invariants (column cycle types and
+orbit size), which relabeling preserves for tables whose columns are
+permutations.
 
 A search never runs past its first leaf.  A witness search stops there; a
 full list is built from the automorphism group of the A side held as a
@@ -28,7 +35,7 @@ member per level, formed by numpy gathers and sorted once, and a list
 between two different sides is that group composed with the witness.  So
 the search work grows with the number of orbits met, not with the product
 of the level sizes: the 5,040 automorphisms of the trivial quandle of
-order 7 take 34 closures, 7 of them for the base, not 13,699.
+order 7 take 27 closures, and the plan fixes the base, not 13,699.
 """
 
 from __future__ import annotations
@@ -120,22 +127,25 @@ def preserves_tables(images, tables) -> bool:
     return all(np.array_equal(img[t], t[np.ix_(img, img)]) for t in tables)
 
 
-def _first_leaf(tables, candidates, colours, img, pre, a, untried=None):
-    """The first complete map from tables[0] onto tables[1] below the closed
-    partial map img whose first unmapped element a takes one of untried (by
-    default its candidates), in depth-first order, or None.
+def _first_leaf(plan, tB, candidates, colours, img, pre, i, untried=None):
+    """The first complete map from the A side of plan onto the tables tB
+    (stacked as one (k, n * n) array) below the closed partial map img,
+    the closure of the base points before a_i = plan.base[i], whose a_i
+    takes one of untried (by default its candidates), in depth-first
+    order, or None.
 
-    Every node assigns the first unmapped element of its closed map, and
-    tries its candidates in ascending order; since the closure fixes every
-    element before the next one assigned, the first leaf is the least
-    bijection below img in lexicographic order.
+    Every node assigns the next base point, the first element its closed
+    map leaves free, and tries its candidates in ascending order; since the
+    closure fixes every element before the next one assigned, the first
+    leaf is the least bijection below img in lexicographic order.
     """
-    tA, tB = tables
-    # frames (img, pre, a, candidates of a not yet tried): img is closed, a
-    # is its first unmapped element
-    stack = [(img, pre, a, iter(candidates[a] if untried is None else untried))]
+    base, levels = plan.base, plan.levels
+    # frames (img, pre, i, candidates of a_i not yet tried): img is the
+    # closure of a_0 .. a_(i-1)
+    stack = [(img, pre, i, iter(candidates[base[i]] if untried is None else untried))]
     while stack:
-        img, pre, a, untried = stack[-1]
+        img, pre, i, untried = stack[-1]
+        a = base[i]
         for b in untried:
             if pre[b] != -1:
                 continue
@@ -143,14 +153,12 @@ def _first_leaf(tables, candidates, colours, img, pre, a, untried=None):
             pre2 = pre.copy()
             img2[a] = b
             pre2[b] = a
-            if _kernels.closure_extend(tA, tB, img2, pre2, [a]) and (
+            if _kernels.closure_extend(levels[i], tB, img2, pre2) and (
                 colours is None or (colours[1][img2] == colours[0])[img2 >= 0].all()
             ):
-                free = np.flatnonzero(img2 < 0)
-                if free.size == 0:
+                if i + 1 == len(base):
                     return img2
-                a2 = int(free[0])
-                stack.append((img2, pre2, a2, iter(candidates[a2])))
+                stack.append((img2, pre2, i + 1, iter(candidates[base[i + 1]])))
                 break
         else:
             stack.pop()
@@ -171,43 +179,31 @@ def _close_orbit(reps, gens):
     return reps
 
 
-def _transversals(tA, candidates, colour):
-    """The transversal chain of the automorphisms of tables tA that keep
-    the labelling colour (None: no labelling), level i holding one
-    automorphism fixing the prefix of base point a_i for each image of a_i
-    (Sims 1970).  Every automorphism is t1 o t2 o ... o tk for exactly one
-    choice of ti in level i, so the group's order is known before any
-    product is formed.
+def _transversals(plan, tA, candidates, colour):
+    """The transversal chain of the automorphisms of the tables tA (stacked
+    as one (k, n * n) array, with closure plan plan) that keep the
+    labelling colour (None: no labelling), level i holding one automorphism
+    fixing the prefix of base point a_i for each image of a_i (Sims 1970).
+    Every automorphism is t1 o t2 o ... o tk for exactly one choice of ti
+    in level i, so the group's order is known before any product is formed.
 
-    The base comes first and needs no search: a_i is the first element the
-    closed identity prefix of a_0 .. a_(i-1) leaves free, and fixed_at
-    holds the level at which each element becomes fixed.  Then the levels
-    are filled deepest first, so the maps found at deeper levels and so far
-    at level i generate a group H that fixes the prefix of level i.  An
-    image b of a_i is searched for (the first leaf below a_i -> b) only if
-    it is neither in the H-orbit of a_i, where a known map composed with an
-    element of H reaches it, nor in the H-orbit of an image whose search
-    failed, where the same composition would have reached that image
-    (McKay 1981).
+    The base is the plan's, found with no search: a_i is the first element
+    the closure of a_0 .. a_(i-1) leaves free, and plan.fixed_at holds the
+    level at which each element becomes fixed.  The levels are filled
+    deepest first, so the maps found at deeper levels and so far at level i
+    generate a group H that fixes the prefix of level i.  An image b of a_i
+    is searched for (the first leaf below a_i -> b) only if it is neither
+    in the H-orbit of a_i, where a known map composed with an element of H
+    reaches it, nor in the H-orbit of an image whose search failed, where
+    the same composition would have reached that image (McKay 1981).
 
     Raises DomainError once the order of the levels filled exceeds
     MAX_LISTED.
     """
-    n = tA.shape[1]
+    base, fixed_at = plan.base, plan.fixed_at
+    n = len(fixed_at)
     colours = None if colour is None else (colour, colour)
     ident = np.arange(n, dtype=np.int64)
-    img = np.full(n, -1, dtype=np.int64)
-    pre = img.copy()
-    fixed_at = np.full(n, n, dtype=np.int64)
-    base = []
-    free = ident
-    while free.size:
-        a = int(free[0])
-        img[a] = pre[a] = a
-        _kernels.closure_extend(tA, tA, img, pre, [a])
-        fixed_at[(img >= 0) & (fixed_at == n)] = len(base)
-        base.append(a)
-        free = np.flatnonzero(img < 0)
     levels = [None] * len(base)
     gens = []  # the maps found by search, deepest level first
     order = 1
@@ -220,7 +216,7 @@ def _transversals(tA, candidates, colour):
             if b in reps or b in failed or fixed_at[b] < i:
                 continue
             # the identity prefix is its own preimage array
-            leaf = _first_leaf((tA, tA), candidates, colours, prefix, prefix, a, [b])
+            leaf = _first_leaf(plan, tA, candidates, colours, prefix, prefix, i, [b])
             if leaf is None:
                 failed.update(_close_orbit({b: ident}, gens))
             else:
@@ -244,7 +240,7 @@ def _classes(inv_a, inv_b):
     return [classes[key] for key in inv_a]
 
 
-def table_bijections(tables_a, tables_b, limit=None, colours=None, invariants=None):
+def table_bijections(tables_a, tables_b, limit=None, colours=None, invariants=None, plan=None):
     """All bijections f with f(T[a,b]) = T'[f(a), f(b)] for every table pair.
 
     tables_a, tables_b: equal-length lists of equal-size square int arrays
@@ -258,6 +254,9 @@ def table_bijections(tables_a, tables_b, limit=None, colours=None, invariants=No
     invariants: None, or (invA, invB), the lists _invariants gives for
     tables_a and tables_b, used instead of computing them again (a caller
     that keeps them per object passes them).
+    plan: None, or the _kernels.closure_plan of tables_a stacked, used
+    instead of building it again (a caller that keeps it per object passes
+    it).
     Returns the maps as one (k, n) array of image rows, sorted
     lexicographically and (0, n) when there is none; limit=k keeps the
     first k (limit=1 is a plain existence/witness search, which lists
@@ -271,7 +270,7 @@ def table_bijections(tables_a, tables_b, limit=None, colours=None, invariants=No
     """
     tA = np.stack([np.asarray(t, dtype=np.int64) for t in tables_a])
     tB = np.stack([np.asarray(t, dtype=np.int64) for t in tables_b])
-    n = tA.shape[1]
+    k, n = tA.shape[:2]
     none = np.empty((0, n), dtype=np.int64)
     if tA.shape != tB.shape:
         return none
@@ -289,15 +288,18 @@ def table_bijections(tables_a, tables_b, limit=None, colours=None, invariants=No
         colours = (cA, cB)
     if Counter(invA) != Counter(invB):
         return none
+    if plan is None:
+        plan = _kernels.closure_plan(tA)
     if limit == 1 or not same:
         img = np.full(n, -1, dtype=np.int64)
-        witness = _first_leaf((tA, tB), _classes(invA, invB), colours, img, img.copy(), 0)
+        witness = _first_leaf(plan, tB.reshape(k, n * n), _classes(invA, invB), colours, img, img.copy(), 0)
         if witness is None:
             return none
         if limit == 1:
             return witness[None, :]
     group = np.arange(n, dtype=np.int64)[None, :]
-    for level in reversed(_transversals(tA, _classes(invA, invA), None if colours is None else cA)):
+    tA = tA.reshape(k, n * n)
+    for level in reversed(_transversals(plan, tA, _classes(invA, invA), None if colours is None else cA)):
         group = level[:, group].reshape(-1, n)  # t o g for t in level, g below
     if not same:
         group = witness[group]

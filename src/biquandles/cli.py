@@ -14,7 +14,16 @@ import sys
 import numpy as np
 
 from . import automorphisms, combinators, coverings, enumeration, group_constructions, groups, links, verbal
-from .core import FiniteBiquandle, FiniteQuandle, Permutation, check_biquandle, check_quandle, check_ybe, read_json_tables
+from .core import (
+    FiniteBiquandle,
+    FiniteQuandle,
+    Permutation,
+    _check_biquandle,
+    _check_quandle,
+    _same_size,
+    check_ybe,
+    read_json_tables,
+)
 from .errors import DomainError, MalformedInput
 from .structures import BiquandleStructure
 
@@ -145,13 +154,14 @@ def _report_payload(report):
 
 def cmd_check(args):
     d = _read_json(args.file)
+    # read_json_tables coerces each table once; the checks take them as they are
     if "under" in d:
-        kind, check = "biquandle", check_biquandle
+        kind, check = "biquandle", lambda u, o: _check_biquandle(*_same_size(u, o), args.all_witnesses)
     elif "table" in d:
-        kind, check = "quandle", check_quandle
+        kind, check = "quandle", lambda t: _check_quandle(t, args.all_witnesses)
     else:
         raise MalformedInput(f"{args.file}: expected quandle or biquandle JSON")
-    report = read_json_tables(d, kind, lambda *tables: check(*tables, all_witnesses=args.all_witnesses))
+    report = read_json_tables(d, kind, check)
     lines = [f"{kind}: {'ok' if report.passed else 'FAILED'}"]
     lines += [f"  {axiom} witness {tuple(w)}" for axiom, w in report.violations]
     _emit(args, {"kind": kind, **_report_payload(report)}, lines)

@@ -155,8 +155,12 @@ def check_biquandle(under, over, all_witnesses=False):
 
 def _as_tables(under, over):
     """as_table on an under and an over table of one size."""
-    u = as_table(under, "under")
-    o = as_table(over, "over")
+    return _same_size(as_table(under, "under"), as_table(over, "over"))
+
+
+def _same_size(u, o):
+    """(u, o), two tables as_table returned, or MalformedInput when their
+    sizes differ."""
     if u.shape != o.shape:
         raise MalformedInput(f"table sizes differ: {u.shape} vs {o.shape}")
     return u, o
@@ -441,16 +445,32 @@ def read_json_tables(d, kind, build):
     return build(*tables)
 
 
-def _memo_invariants(obj, tables):
-    """_search._invariants of tables and their multiset as a sorted tuple,
-    kept in obj._inv_memo with the table objects they came from and
-    recomputed only if obj ever holds other ones.  The tables are read-only
+def _memo(obj, tables):
+    """obj._inv_memo: [tables, _search._invariants of tables, their
+    multiset as a sorted tuple, the closure plan of tables or None until
+    _memo_plan builds it], kept with the table objects it came from and
+    rebuilt only if obj ever holds other ones.  The tables are read-only
     copies, so the memo cannot go stale while they stay."""
     memo = obj._inv_memo
     if memo is None or not all(map(operator.is_, memo[0], tables)):
         inv = _search._invariants(np.stack(tables))
-        memo = obj._inv_memo = (tables, inv, tuple(sorted(inv)))
+        memo = obj._inv_memo = [tables, inv, tuple(sorted(inv)), None]
+    return memo
+
+
+def _memo_invariants(obj, tables):
+    """The invariants of tables and their multiset, from obj's memo."""
+    memo = _memo(obj, tables)
     return memo[1], memo[2]
+
+
+def _memo_plan(obj, tables):
+    """The _kernels.closure_plan of tables stacked, built once into obj's
+    memo."""
+    memo = _memo(obj, tables)
+    if memo[3] is None:
+        memo[3] = _kernels.closure_plan(np.stack(tables))
+    return memo[3]
 
 
 class FiniteQuandle:
@@ -485,6 +505,10 @@ class FiniteQuandle:
         type, idempotence, orbit size) and their multiset as a sorted tuple,
         computed once."""
         return _memo_invariants(self, (self.table,))
+
+    def _closure_plan(self):
+        """The search's closure plan of the table, built once."""
+        return _memo_plan(self, (self.table,))
 
     def op(self, a, b):
         return int(self.table[a, b])
@@ -551,6 +575,11 @@ class FiniteBiquandle:
         """Per-element isomorphism invariants of the under and over tables
         and their multiset as a sorted tuple, computed once."""
         return _memo_invariants(self, (self.under, self.over))
+
+    def _closure_plan(self):
+        """The search's closure plan of the under and over tables, built
+        once."""
+        return _memo_plan(self, (self.under, self.over))
 
     def alpha(self, y):
         return Permutation(tuple(int(v) for v in self.under[:, y]))

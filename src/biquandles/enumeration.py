@@ -315,7 +315,10 @@ def are_isomorphic(a, b):
     computes its per-element invariants once and keeps them (`invariants`),
     so classifying many objects pairwise costs one invariant pass per
     object; a pair whose invariant multisets differ is answered without a
-    search.  The witness is the least table-preserving bijection."""
+    search.  a keeps the search's closure plan of its tables the same way,
+    built at its first search, so classifying against a few
+    representatives builds one plan per representative.  The witness is
+    the least table-preserving bijection."""
     if isinstance(a, FiniteQuandle) and isinstance(b, FiniteQuandle):
         tables_a, tables_b = [a.table], [b.table]
     elif isinstance(a, FiniteBiquandle) and isinstance(b, FiniteBiquandle):
@@ -327,5 +330,5 @@ def are_isomorphic(a, b):
     (inv_a, count_a), (inv_b, count_b) = a.invariants(), b.invariants()
     if count_a != count_b:
         return None
-    maps = table_bijections(tables_a, tables_b, limit=1, invariants=(inv_a, inv_b))
+    maps = table_bijections(tables_a, tables_b, limit=1, invariants=(inv_a, inv_b), plan=a._closure_plan())
     return Permutation.from_array(maps[0]) if len(maps) else None

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from biquandles import core
 from biquandles.cli import main
 from biquandles.group_constructions import dihedral_quandle, trivial_quandle, wada_biquandle
 from biquandles.combinators import union_biquandle_constant
@@ -412,3 +414,65 @@ class TestLoaderFuzz:
                 code = main(list(argv))
             assert code in (0, 1, 2), (doc, argv)
             assert (code == 0) != err.getvalue().startswith("error:"), (doc, argv, err.getvalue())
+
+
+def check_documents():
+    """Quandle and biquandle files for check: valid, failing each kind of
+    axiom, out of range, of mismatched sizes and with a wrong declared n."""
+    r3 = dihedral_quandle(3).to_dict()
+    r5 = dihedral_quandle(5).table.tolist()
+    r5[0][1], r5[2][1] = r5[2][1], r5[0][1]  # column 1 stays a bijection; R2 fails
+    wada = wada_biquandle(cyclic_group(3)).to_dict()
+    swapped = [row[:] for row in wada["under"]]
+    swapped[0][1], swapped[2][1] = swapped[2][1], swapped[0][1]
+    return [
+        r3,
+        {"n": 3, "table": [[0, 1, 1], [2, 1, 0], [1, 0, 2]]},
+        {"n": 3, "table": [[1, 2, 1], [2, 1, 0], [1, 0, 2]]},
+        {"n": 3, "table": [[0, 2, 5], [2, 1, 0], [-1, 0, 2]]},
+        {"n": 5, "table": r5},
+        {"n": 5, "table": r3["table"]},
+        wada,
+        {"n": 3, "under": swapped, "over": wada["over"]},
+        {"n": 3, "under": wada["under"], "over": [[0, 0, 0], [1, 1, 1], [2, 2, 2]]},
+        {"n": 3, "under": wada["under"], "over": [[0, 1, 7], [1, 2, 0], [2, 0, 1]]},
+        {"n": 3, "under": wada["under"], "over": [[0] * 4] * 4},
+        {"n": 3, "under": [[0] * 4] * 4, "over": wada["over"]},
+    ]
+
+
+def check_runs(capsys, tmp_path):
+    """(exit code, stdout, stderr) of check on every check_documents file,
+    in text, with --all-witnesses and as JSON."""
+    out = []
+    for i, doc in enumerate(check_documents()):
+        p = tmp_path / f"{i}.json"
+        p.write_text(json.dumps(doc))
+        for argv in (("check", str(p)), ("check", str(p), "--all-witnesses"), ("--format", "json", "check", str(p))):
+            out.append(run(capsys, *argv))
+    return out
+
+
+class TestCheckCoercion:
+    def test_each_table_is_coerced_once(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        coerce = core.as_table
+
+        def counted(obj, what="table"):
+            calls.append(what)
+            return coerce(obj, what)
+
+        monkeypatch.setattr(core, "as_table", counted)
+        for doc in check_documents():
+            p = tmp_path / "doc.json"
+            p.write_text(json.dumps(doc))
+            calls.clear()
+            run(capsys, "check", str(p))
+            assert calls == (["table"] if "table" in doc else ["under", "over"]), doc
+
+    def test_output_bytes_are_unchanged(self, capsys, tmp_path):
+        # pinned as check printed them when it coerced each table twice
+        runs = check_runs(capsys, tmp_path)
+        assert [code for code, _, _ in runs].count(2) == 9
+        text = repr(runs).replace(str(tmp_path), "<dir>")
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == "a79b3128d5638c9e"

@@ -312,6 +312,18 @@ class TestInvariantMemo:
         q.table = trivial_quandle(4).table
         assert q.invariants() == trivial_quandle(4).invariants() != before
 
+    def test_plan_rebuilt_when_the_tables_are_replaced(self):
+        q = dihedral_quandle(4)
+        before = q._closure_plan()
+        assert q._closure_plan() is before and before.base == [0, 1]
+        q.table = trivial_quandle(4).table
+        assert q._closure_plan().base == [0, 1, 2, 3]
+        assert are_isomorphic(q, trivial_quandle(4)) is not None
+        b = alexander_biquandle(7, 2, 3)
+        assert b._closure_plan().base == [0, 1]
+        b.under = b.over = trivial_quandle(7).table
+        assert b._closure_plan().base == list(range(7))
+
 
 class TestIsomorphism:
     def test_r3_isomorphic_to_alexander(self):

@@ -15,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from biquandles import _kernels as K
@@ -257,131 +257,225 @@ class TestOracleParity:
         outcomes = set()
         for _ in range(60):
             if case == "R5":
-                n, tA, tB = 5, np.stack([R5.table]), np.stack([R5.table])
+                tA, tB = np.stack([R5.table]), np.stack([R5.table])
             else:
                 n = rng.randrange(1, 6)
                 tA = np.stack([random_tables(rng, n) for _ in range(2)])
                 tB = np.stack([random_tables(rng, n) for _ in range(2)])
-            img1 = np.full(n, -1, dtype=np.int64)
-            pre1 = np.full(n, -1, dtype=np.int64)
-            a, b = rng.randrange(n), rng.randrange(n)
-            img1[a] = b
-            pre1[b] = a
-            img2, pre2 = img1.copy(), pre1.copy()
-            ok = K.closure_extend(tA, tB, img1, pre1)
-            assert ok is closure_oracle(tA, tB, img2, pre2)
-            if ok:
-                assert np.array_equal(img1, img2) and np.array_equal(pre1, pre2)
-            outcomes.add(ok)
+            outcomes.update(replay_tree(tA, tB))
         if case == "random":
             assert outcomes == {True, False}
 
 
+def replay(tA, tB, i, img, pre):
+    """closure_extend on level i of the closure plan of tA."""
+    k, n = tA.shape[:2]
+    return K.closure_extend(K.closure_plan(tA).levels[i], tB.reshape(k, n * n), img, pre)
+
+
+def replay_tree(tA, tB, limit=400):
+    """The replay against closure_oracle at every node of the search tree,
+    up to limit closures: at level i, from each closure of the base points
+    before a_i that the oracle reached, a_i -> b for every unused b.  On a
+    success both leave the same img and pre, whose domain is the closure of
+    a_0 .. a_i.  Returns the verdicts."""
+    plan = K.closure_plan(tA)
+    k, n = tA.shape[:2]
+    flat_b = tB.reshape(k, n * n)
+    verdicts = []
+    stack = [(0, np.full(n, -1, dtype=np.int64), np.full(n, -1, dtype=np.int64))]
+    while stack and len(verdicts) < limit:
+        i, img, pre = stack.pop()
+        a = plan.base[i]
+        for b in np.flatnonzero(pre == -1).tolist():
+            runs = []
+            for closure in (
+                lambda img, pre: K.closure_extend(plan.levels[i], flat_b, img, pre),
+                lambda img, pre: closure_oracle(tA, tB, img, pre),
+            ):
+                img_b, pre_b = img.copy(), pre.copy()
+                img_b[a] = b
+                pre_b[b] = a
+                runs.append((closure(img_b, pre_b), img_b, pre_b))
+            (ok, img_b, pre_b), (ok_oracle, img_o, pre_o) = runs
+            assert ok is ok_oracle, (i, b)
+            verdicts.append(ok)
+            if ok:
+                assert np.array_equal(img_b, img_o) and np.array_equal(pre_b, pre_o)
+                assert np.array_equal(img_b >= 0, plan.fixed_at <= i)
+                if i + 1 < len(plan.base):
+                    stack.append((i + 1, img_b, pre_b))
+    return verdicts
+
+
+# crafted conflicts (tA, tB), each caught by one check of the replay
+FORCED_COLLISION = (
+    # from {0 -> 0}: 0*0 forces 1 -> 1, then 1*0 forces 2 -> 3, then 2*0
+    # forces 3 -> 3, the image of 2: a fresh element on a used image, three
+    # layers after the first witness
+    np.array([[[1, 0, 0, 0], [2, 1, 1, 1], [3, 2, 2, 2], [3, 3, 3, 3]]], dtype=np.int64),
+    np.array([[[1, 0, 0, 0], [3, 1, 1, 1], [2, 2, 2, 2], [3, 3, 3, 3]]], dtype=np.int64),
+)
+# from {0 -> 0}, table 0 forces 1 -> 1 and table 1 forces 2 -> 1 in one
+# layer: both images are unused until the layer assigns its fresh elements
+# at once, so only the collision check sees the clash
+HIDDEN_COLLISION = (
+    np.stack([np.ones((3, 3), dtype=np.int64), np.full((3, 3), 2, dtype=np.int64)]),
+    np.ones((2, 3, 3), dtype=np.int64),
+)
+# from {0 -> 0}, 0*0 = 1 in both A tables, but the B tables send it to 1
+# and to 2: the fresh element takes the first, and only the consistency
+# check sees the second
+TWO_IMAGES = HIDDEN_COLLISION[1], HIDDEN_COLLISION[0]
+# {0 -> 0} is closed; adding 1 -> 1 sends the unmapped product 1*0 = 2 to
+# 1*0 = 0 in B, already the image of 0, while no product of the layer is 0
+USED_IMAGE = (np.array([[[0, 2, 2], [2, 2, 2], [2, 2, 2]]], dtype=np.int64), np.zeros((1, 3, 3), dtype=np.int64))
+# the whole-domain closure's case: from {0 -> 0, 1 -> 1} every product
+# forces 2 -> 1; as a plan, 2 joins at level 0 and 1 is base point 1
+WHOLE_DOMAIN_COLLISION = (np.full((1, 3, 3), 2, dtype=np.int64), np.ones((1, 3, 3), dtype=np.int64))
+
+
+def both_closures(tables, i, img, pre):
+    """The verdicts of the replay and the oracle on level i from img, pre."""
+    tA, tB = tables
+    return [
+        closure(img.copy(), pre.copy())
+        for closure in (lambda *m: replay(tA, tB, i, *m), lambda *m: closure_oracle(tA, tB, *m))
+    ]
+
+
 class TestClosureInjectivity:
     def test_numpy_closure_rejects_forced_collision(self):
-        # crafted tables that funnel two elements onto one image through
-        # rounds that never revisit the first witness
-        # from img = {0 -> 0}: 0*0 forces 1 -> 1, then 1*0 forces 2 -> 3,
-        # then 2*0 forces 3 -> 3, colliding with the image of 2
-        tA = np.array([[
-            [1, 0, 0, 0],
-            [2, 1, 1, 1],
-            [3, 2, 2, 2],
-            [3, 3, 3, 3],
-        ]], dtype=np.int64)
-        tB = np.array([[
-            [1, 0, 0, 0],
-            [3, 1, 1, 1],
-            [2, 2, 2, 2],
-            [3, 3, 3, 3],
-        ]], dtype=np.int64)
-        for closure in (K.closure_extend, closure_oracle):
-            img = np.full(4, -1, dtype=np.int64)
-            pre = np.full(4, -1, dtype=np.int64)
-            img[0] = 0
-            pre[0] = 0
-            assert closure(tA, tB, img, pre) is False
+        plan = K.closure_plan(FORCED_COLLISION[0])
+        assert [layer[5].tolist() for layer in plan.levels[0]] == [[1], [2], [3], []]
+        img = np.array([0, -1, -1, -1], dtype=np.int64)
+        assert both_closures(FORCED_COLLISION, 0, img, img.copy()) == [False, False]
 
     def test_closure_rejects_collision_hidden_from_its_batch(self):
-        # from img = {0 -> 0, 1 -> 1} every product forces 2 -> 1; no batch
-        # holds 1 itself, so only the final consistency sweep sees the clash
-        tA = np.full((1, 3, 3), 2, dtype=np.int64)
-        tB = np.ones((1, 3, 3), dtype=np.int64)
-        for closure in (K.closure_extend, closure_oracle):
-            img = np.array([0, 1, -1], dtype=np.int64)
-            pre = np.array([0, 1, -1], dtype=np.int64)
-            assert closure(tA, tB, img, pre) is False
+        assert K.closure_plan(HIDDEN_COLLISION[0]).levels[0][0][5].tolist() == [1, 2]
+        img = np.array([0, -1, -1], dtype=np.int64)
+        assert both_closures(HIDDEN_COLLISION, 0, img, img.copy()) == [False, False]
+
+    def test_closure_rejects_fresh_element_with_two_images(self):
+        img = np.array([0, -1, -1], dtype=np.int64)
+        assert both_closures(TWO_IMAGES, 0, img, img.copy()) == [False, False]
 
 
 @st.composite
-def closed_seed_and_fresh_pair(draw):
-    """Tables tA, tB (k <= 2, n <= 6), a closed partial map img/pre on
-    m >= 1 elements, and a fresh assignment a -> b, a unmapped, b unused.
-
-    Rows and columns 0..m-1 of each A table form a subtable.  The seed map
-    is a drawn permutation s of 0..m-1, and the B subtables are the A ones
-    relabeled by s, so the seed is closed.  Outside the subtables, tB is tA
-    relabeled by s extended to all n points, or drawn freely."""
-    n = draw(st.integers(2, 6))
-    m = draw(st.integers(1, n - 1))
+def table_stacks(draw):
+    """Tables tA, tB (k <= 2, n <= 6, entries in [0, n)).  tA is drawn
+    cell by cell, whose closures mostly take one or two levels, or column
+    by column from 1-2 permutations, whose closures take up to n levels
+    (the identity alone gives the trivial quandle).  tB is tA, tA relabeled
+    by a drawn permutation, or drawn the same way as tA."""
+    n = draw(st.integers(1, 6))
     k = draw(st.integers(1, 2))
 
-    def entries():
-        cells = st.lists(st.integers(0, n - 1), min_size=k * n * n, max_size=k * n * n)
-        return np.array(draw(cells), dtype=np.int64).reshape(k, n, n)
+    def stack():
+        if draw(st.booleans()):
+            cells = draw(st.lists(st.integers(0, n - 1), min_size=k * n * n, max_size=k * n * n))
+            return np.array(cells, dtype=np.int64).reshape(k, n, n)
+        pool = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=2))
+        picks = draw(st.lists(st.sampled_from(pool), min_size=k * n, max_size=k * n))
+        return np.array(picks, dtype=np.int64).reshape(k, n, n).transpose(0, 2, 1)
 
-    s = np.array(draw(st.permutations(range(m))) + draw(st.permutations(range(m, n))), dtype=np.int64)
-    tA = entries()
-    tA[:, :m, :m] %= m
+    tA = stack()
+    kind = draw(st.sampled_from(["same", "relabeled", "free"]))
+    if kind == "same":
+        return tA, tA.copy()
+    if kind == "free":
+        return tA, stack()
+    s = np.array(draw(st.permutations(range(n))), dtype=np.int64)
     inv = np.argsort(s)
-    tB = s[tA[:, inv][:, :, inv]]
-    if draw(st.booleans()):
-        free = entries()
-        free[:, :m, :m] = tB[:, :m, :m]
-        tB = free
-    img = np.full(n, -1, dtype=np.int64)
-    pre = np.full(n, -1, dtype=np.int64)
-    img[:m] = s[:m]
-    pre[s[:m]] = np.arange(m)
-    return tA, tB, img, pre, draw(st.integers(m, n - 1)), draw(st.integers(m, n - 1))
+    return tA, s[tA[:, inv][:, :, inv]]
+
+
+def corpus_stacks():
+    """Tables of the library, each against itself and against a seeded
+    relabeling."""
+    rng = np.random.default_rng(5)
+    stacks = [np.stack([q.table]) for q in enumerate_quandles(4)]
+    stacks += [np.stack([q.table]) for q in (R5, trivial_quandle(5), dihedral_quandle(6))]
+    stacks += [np.stack([b.under, b.over]) for b in (WADA4, ALEX532, holomorph_biquandle(dihedral_quandle(3)))]
+    pairs = []
+    for tA in stacks:
+        s = rng.permutation(tA.shape[1])
+        inv = np.argsort(s)
+        pairs += [(tA, tA), (tA, s[tA[:, inv][:, :, inv]])]
+    return pairs
 
 
 class TestClosureFrontier:
-    """closure_extend(..., new=[a]) on a closed map plus a -> b agrees with
-    the whole-domain call and with the stack oracle."""
+    """closure_extend replaying level i of the plan, on the closure of the
+    base points before a_i plus a_i -> b, agrees with the whole-domain
+    stack oracle at every level and for every b."""
 
-    @settings(max_examples=300)
-    @given(closed_seed_and_fresh_pair())
-    def test_frontier_call_matches_whole_domain_and_oracle(self, case):
-        tA, tB, img, pre, a, b = case
-        assert closure_oracle(tA, tB, img.copy(), pre.copy())
-        img[a] = b
-        pre[b] = a
-        runs = []
-        for closure, kwargs in (
-            (K.closure_extend, {"new": [a]}),
-            (K.closure_extend, {}),
-            (closure_oracle, {}),
-        ):
-            img_i, pre_i = img.copy(), pre.copy()
-            runs.append((closure(tA, tB, img_i, pre_i, **kwargs), img_i, pre_i))
-        (ok, img1, pre1), *others = runs
-        for ok_i, img_i, pre_i in others:
-            assert ok is ok_i
-            if ok:
-                assert np.array_equal(img1, img_i) and np.array_equal(pre1, pre_i)
+    @settings(max_examples=200)
+    @given(table_stacks())
+    @example(FORCED_COLLISION)
+    @example(HIDDEN_COLLISION)
+    @example(TWO_IMAGES)
+    @example(USED_IMAGE)
+    @example(WHOLE_DOMAIN_COLLISION)
+    def test_frontier_call_matches_whole_domain_and_oracle(self, tables):
+        replay_tree(*tables)
+
+    def test_corpus(self):
+        verdicts = set()
+        for tables in corpus_stacks():
+            verdicts.update(replay_tree(*tables))
+        assert verdicts == {True, False}
 
     def test_frontier_rejects_product_landing_on_used_image(self):
-        # {0 -> 0} is closed; adding 1 -> 1 sends the unmapped product
-        # 1*0 = 2 to 1*0 = 0 in B, already the image of 0, while no product
-        # of the batch is 0 itself
-        tA = np.full((1, 3, 3), 2, dtype=np.int64)
-        tA[0, 0, 0] = 0
-        tB = np.zeros((1, 3, 3), dtype=np.int64)
-        for closure, kwargs in ((K.closure_extend, {"new": [1]}), (closure_oracle, {})):
-            img = np.array([0, 1, -1], dtype=np.int64)
-            pre = np.array([0, 1, -1], dtype=np.int64)
-            assert closure(tA, tB, img, pre, **kwargs) is False
+        plan = K.closure_plan(USED_IMAGE[0])
+        assert plan.base == [0, 1] and plan.fixed_at.tolist() == [0, 1, 1]
+        img = np.array([0, 1, -1], dtype=np.int64)
+        assert both_closures(USED_IMAGE, 1, img, img.copy()) == [False, False]
+
+
+def plan_oracle(tA):
+    """(base, fixed_at) by set closures: each base point is the least
+    element outside the closure of the earlier ones."""
+    k, n = tA.shape[:2]
+    held, base, fixed_at = set(), [], [None] * n
+    while len(held) < n:
+        base.append(min(set(range(n)) - held))
+        held.add(base[-1])
+        grown = True
+        while grown:
+            reached = {int(t[x, y]) for t in tA for x in held for y in held}
+            grown = not reached <= held
+            held |= reached
+        for x in held:
+            if fixed_at[x] is None:
+                fixed_at[x] = len(base) - 1
+    return base, fixed_at
+
+
+class TestClosurePlan:
+    @pytest.mark.parametrize("tables", corpus_stacks()[::2])
+    def test_base_and_fixed_at(self, tables):
+        tA = tables[0]
+        plan = K.closure_plan(tA)
+        assert (plan.base, plan.fixed_at.tolist()) == plan_oracle(tA)
+        # each ordered pair is in one layer of one level
+        k, n = tA.shape[:2]
+        assert sum(layer[3].size for layers in plan.levels for layer in layers) == k * n * n
+
+    def test_holomorph_r7_plan_is_one_table_stack(self):
+        b = holomorph_biquandle(dihedral_quandle(7))
+        tA = np.stack([b.under, b.over])
+        stack_bytes = tA.nbytes  # k n^2 int64 entries, 1.38 MB
+        tracemalloc.start()
+        try:
+            plan = K.closure_plan(tA)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(layer[3].size for layers in plan.levels for layer in layers) == tA.size
+        # the products are the plan; the rest is a few index arrays
+        assert held <= 1.05 * stack_bytes
+        assert peak <= 1.25 * stack_bytes
 
 
 class TestWitnessModes:

@@ -13,12 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biquandles import _kernels, _search, links
+from biquandles import _kernels, _search, enumeration, links
 from biquandles._search import table_bijections
 from biquandles.automorphisms import biquandle_aut, quandle_aut
 from biquandles.combinators import holomorph_biquandle
 from biquandles.core import FiniteQuandle, orbits
-from biquandles.enumeration import enumerate_quandles
+from biquandles.enumeration import are_isomorphic, enumerate_quandles
 from biquandles.errors import DomainError
 from biquandles.group_constructions import dihedral_quandle, trivial_quandle
 from biquandles.groups import small_groups
@@ -160,34 +160,64 @@ def searches(monkeypatch):
     return counter(monkeypatch, _search, "_first_leaf")
 
 
+@pytest.fixture
+def plans(monkeypatch):
+    return counter(monkeypatch, _kernels, "closure_plan")
+
+
 class TestWork:
     """Closure calls and first-leaf searches of whole automorphism
     searches.  The leaf-by-leaf engine made 13,699 and 795 closure calls
     for the first two groups below; one search per image of each base point
-    made 119, 338 and 1,632 closure calls in 21, 63 and 144 searches."""
+    made 119, 338 and 1,632 closure calls in 21, 63 and 144 searches.
+    Before the closure plan, fixing the base points took one closure each,
+    34, 128 and 586 calls in all; the plan build makes none."""
 
-    def test_trivial_quandle_7(self, closures, searches):
+    def test_trivial_quandle_7(self, closures, searches, plans):
         assert quandle_aut(trivial_quandle(7)).order == 5040
-        assert len(closures) <= 34
-        assert len(searches) <= 6
+        assert len(closures) == 27
+        assert len(searches) == 6
+        assert len(plans) == 1
 
-    def test_holomorph_r5(self, closures, searches):
+    def test_holomorph_r5(self, closures, searches, plans):
         b = holomorph_biquandle(dihedral_quandle(5))
         closures.clear()
         searches.clear()
+        plans.clear()
         assert biquandle_aut(b).order == 20
-        assert len(closures) <= 128
-        assert len(searches) <= 31
+        assert len(closures) == 122
+        assert len(searches) == 31
+        assert len(plans) == 1
 
-    def test_holomorph_r7(self, closures, searches):
+    def test_holomorph_r7(self, closures, searches, plans):
         b = holomorph_biquandle(dihedral_quandle(7))
         closures.clear()
         searches.clear()
+        plans.clear()
         g = biquandle_aut(b)
         assert g.order == 42
         assert hashlib.sha256(g.rows.tobytes()).hexdigest()[:16] == "26931ae27e5cec1f"
-        assert len(closures) <= 586
-        assert len(searches) <= 61
+        assert len(closures) == 578
+        assert len(searches) == 61
+        assert len(plans) == 1
+
+    def test_classification_builds_one_plan_per_searched_representative(self, monkeypatch, plans):
+        # are_isomorphic(r, q) searches with r's plan, kept by r
+        searched = set()
+        search = enumeration.table_bijections
+
+        def recorded(tables_a, *args, **kwargs):
+            searched.add(id(tables_a[0]))
+            return search(tables_a, *args, **kwargs)
+
+        monkeypatch.setattr(enumeration, "table_bijections", recorded)
+        reps = []
+        for q in enumerate_quandles(4):
+            if all(are_isomorphic(r, q) is None for r in reps):
+                reps.append(q)
+        assert len(reps) == 7
+        assert searched <= {id(r.table) for r in reps}
+        assert 0 < len(plans) <= len(searched)
 
 
 class TestListingCap:

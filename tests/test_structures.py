@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from biquandles.core import Permutation, associated_quandle, biquandle_of_quandle
+from biquandles import _kernels
+from biquandles.combinators import holomorph_biquandle
+from biquandles.core import FiniteQuandle, Permutation, associated_quandle, biquandle_of_quandle
 from biquandles.errors import DomainError, MalformedInput
 from biquandles.groups import cyclic_group, symmetric_group
 from biquandles.group_constructions import (
@@ -13,6 +15,8 @@ from biquandles.group_constructions import (
 )
 from biquandles.structures import (
     BiquandleStructure,
+    _aut_stack,
+    _structure_slabs,
     biquandle_from_structure,
     constant_structure,
     inverse_inner_structure,
@@ -129,3 +133,65 @@ class TestJson:
     def test_roundtrip(self):
         s = structure_of_biquandle(wada_biquandle(cyclic_group(3)))
         assert BiquandleStructure.from_json(s.to_json()).betas == s.betas
+
+
+def structure_oracle(t, B):
+    """Every (x, y, z) where beta_{beta_y(x*y)} beta_y and
+    beta_{beta_x(y)} beta_x differ at z, in C order."""
+    t, B = t.tolist(), B.tolist()
+    n = len(B)
+    return [
+        (x, y, z)
+        for x in range(n)
+        for y in range(n)
+        for z in range(n)
+        if B[B[y][t[x][y]]][B[y][z]] != B[B[x][y]][B[x][z]]
+    ]
+
+
+def aut_oracle(t, B):
+    """Per row f of B, whether f(a*b) == f(a)*f(b) for all a, b."""
+    t, n = t.tolist(), len(t)
+    return [all(f[t[a][b]] == t[f[a]][f[b]] for a in range(n) for b in range(n)) for f in B.tolist()]
+
+
+def perturbed_structures():
+    """(base table, beta rows) of the corpus structures, as they are and
+    with two entries of one row swapped, or one row replaced by another."""
+    rng = np.random.default_rng(9)
+    out = []
+    for b in corpus_biquandles() + [holomorph_biquandle(dihedral_quandle(3))]:
+        s = structure_of_biquandle(b)
+        t, B = s.base.table, s.beta_arrays()
+        out.append((t, B))
+        for _ in range(4):
+            P = B.copy()
+            y, i, j = rng.integers(b.n, size=3)
+            P[y, [i, j]] = P[y, [j, i]]
+            out.append((t, P))
+            P = B.copy()
+            P[rng.integers(b.n)] = B[rng.integers(b.n)]
+            out.append((t, P))
+    return out
+
+
+class TestStructureWalk:
+    """The buffered structure rule and automorphism check against plain
+    loops, with blocks of several rows, of one row and of part of a row."""
+
+    @pytest.mark.parametrize("block", [1 << 15, 40, 3])
+    def test_first_and_all_witnesses(self, monkeypatch, block):
+        monkeypatch.setattr(_kernels, "_BLOCK", block)
+        broken = 0
+        for t, B in perturbed_structures():
+            want = structure_oracle(t, B)
+            assert _kernels.all_violations(_structure_slabs(t, B)) == want
+            assert _kernels.first_violation(_structure_slabs(t, B)) == (want[0] if want else None)
+            broken += bool(want)
+        assert broken > 20
+
+    def test_automorphism_mask(self):
+        for t, B in perturbed_structures():
+            q = FiniteQuandle(t)
+            rows, ok = _aut_stack(q, [Permutation(tuple(r)) for r in B.tolist()])
+            assert np.array_equal(rows, B) and ok.tolist() == aut_oracle(t, B)
