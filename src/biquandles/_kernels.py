@@ -11,9 +11,9 @@ having built no block after the witness's own; all_violations lists every
 set entry of the same blocks, in the same order.  An entry corruption of
 R_301 fails r1, so its R2 witness comes from the walk; that witness sits
 in row a = 0, and for most corruptions in the first block of 108 rows,
-of the 301 rows of a = 0.  The R2, exchange and braid sweeps, the
-structure check (structures._structure_slabs) and the combinators'
-hypothesis checks (_hom_slabs, _union_slabs) are all rules of this walk.
+of the 301 rows of a = 0.  The R2, exchange and braid sweeps and the
+union conditions of combinators (_union_slabs) are the rules of this
+walk: each witness needs its z.
 
 Two checks are exceptions to the sweep over all n^3 triples: each decides
 the verdict alone, and its sweep runs only on a failure, to find the
@@ -29,18 +29,20 @@ The worst case is n slices, the sweep's own work.  At small n a gather
 takes several whole slices, up to _BLOCK entries, so Hol(R_3)'s
 associated quandle, n = 18, checks all 18 slices in one gather.
 
-The exchange identities: each says that two composites of column maps,
-picked by (y, z), agree as maps of x.  With bijective columns they hold
-exactly when (3c) holds, the associated quandle Q, x * y = O_y^-1(x u y),
-satisfies R2, and every over column is an automorphism of Q
-(exchange_holds has the derivation).  So exchange_holds numbers the
-distinct over columns and compares (3c)'s two composites once per
-distinct quadruple of over-column ids, then checks R2 and the
-automorphisms on a generating set of Q.  Hol(R_7), n = 294, has 42
-distinct over columns and 1,764 quadruples, against 86,436 pairs (y, z),
-and 9 elements generate its Q; Alexander(211, 3, 2) has one over column
-and one quadruple.  exchange_violation walks exchange_slabs when the
-verdict is a failure.
+The pair check: a condition "M_a M_b == M_c M_d as maps, for the
+(a, b, c, d) that each pair (x, y) picks from one family of maps" goes
+through first_disagreement, which compares each distinct quadruple of map
+ids once and returns the first failing pair in C order: exchange_holds'
+(3c), structure condition 1 (structures.validate_structure), and the
+combinators' conjugation-homomorphism and product-case conditions.
+automorphism_mask checks bijections for automorphisms of a quandle once
+per distinct map, at the seeds of a generating set alone.  With bijective
+over columns the exchange identities hold exactly when (3c) holds, the
+associated quandle Q, x * y = O_y^-1(x u y), satisfies R2, and every over
+column is in Aut(Q) (exchange_holds has the derivation).  Hol(R_7),
+n = 294, has 42 distinct over columns and 1,764 quadruples, against
+86,436 pairs (y, z), and 9 elements generate its Q.  exchange_violation
+walks exchange_slabs when the verdict is a failure.
 
 The braid relation of the pair map is the three exchange identities under
 a change of variables (core.ybe_witness has the derivation).  So
@@ -293,12 +295,12 @@ def _columns(t):
     # here; return_inverse would add a third n x n copy (+11 MB peak there)
     keys = cols.view(f"V{8 * cols.shape[1]}").ravel()
     maps = np.unique(keys)
-    return np.searchsorted(maps, keys), maps.view(np.int64).reshape(len(maps), -1)
+    return np.searchsorted(maps, keys), maps.view(np.int64).reshape(len(maps), cols.shape[1])
 
 
 def _composites_differ(maps, quads):
-    """Whether M_a M_b != M_c M_d as maps of x for some quadruple
-    (a, b, c, d) of the id arrays quads, where maps holds each M_i as row
+    """The mask of the quadruples (a, b, c, d) of the id arrays quads at
+    which M_a M_b != M_c M_d as maps of x, where maps holds each M_i as row
     i."""
     a, b, c, d = quads
     n = maps.shape[1]
@@ -308,25 +310,75 @@ def _composites_differ(maps, quads):
     left = flat.take(offsets)
     maps.take(d, axis=0, out=offsets)
     offsets += (c * n)[:, None]
-    return bool((left != flat.take(offsets)).any())
+    return (left != flat.take(offsets)).any(axis=1)
 
 
-def _maps_preserve(maps, t, elements):
-    """Whether f(x * g) == f(x) * f(g) for every row f of maps, every x and
-    every g in elements, where * is the table t: f S_g == S_{f(g)} f.  The
-    (f, g) pairs are compared in blocks, one gather per side."""
+def first_disagreement(ids, maps, a, b, c, d, witness=True):
+    """The first pair (x, y), in C order, at which M_a M_b != M_c M_d as
+    maps, with (a, b, c, d) = (a[x, y], b[x, y], c[x, y], d[x, y]), or None.
+
+    a, b, c and d index one family of maps and broadcast to one grid of
+    pairs (a 1-D one is a row of it); ids[i] numbers map i among the rows
+    of maps (_columns).  Each pair's four ids make one code, built by row
+    blocks and sorted in place, so each distinct quadruple is compared
+    once.  With witness=False, True stands for the pair, at the first
+    failing block of quadruples; otherwise the witness is the first pair
+    whose code failed, from the codes built again up to its block.
+    """
+    quad = (a, b, c, d)
+    rows, cols = np.broadcast(*quad).shape
+    dims = (len(maps),) * 4
+    step = max(1, _BLOCK // cols)          # rows per block of codes
+    width = max(1, _BLOCK // maps.shape[1])  # quadruples per compare
+
+    def codes(r):
+        block = slice(r, r + step)
+        return np.ravel_multi_index([ids.take(v[block] if v.ndim == 2 else v) for v in quad], dims)
+
+    grid = np.empty((rows, cols), dtype=np.int64)
+    for r in range(0, rows, step):
+        grid[r:r + step] = codes(r)
+    grid = grid.ravel()
+    grid.sort()  # in place: np.unique would hash a copy, several times slower
+    quads = grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
+    failed = []
+    for s in range(0, len(quads), width):
+        block = quads[s:s + width]
+        bad = _composites_differ(maps, np.unravel_index(block, dims))
+        if bad.any():
+            if not witness:
+                return True
+            failed.append(block[bad])
+    if not failed:
+        return None
+    failed = np.concatenate(failed)
+    for r in range(0, rows, step):
+        block = codes(r)
+        hit = failed.take(np.searchsorted(failed, block), mode="clip") == block
+        if hit.any():
+            return divmod(r * cols + int(np.argmax(hit)), cols)
+
+
+def automorphism_mask(maps, t, seeds):
+    """The mask of the rows f of maps with f S_g == S_{f(g)} f, that is
+    f(x * g) == f(x) * f(g), for every x and every g in seeds, where * is
+    the table t.  For a bijection f of a quandle t that seeds generate, it
+    says f is an automorphism (exchange_holds has the derivation).  A
+    gather covers a block of maps at all seeds or one map at a block of
+    seeds, at most _BLOCK entries or one column."""
     k, n = maps.shape
-    fm, ft = maps.ravel(), t.ravel()
-    f, g = np.divmod(np.arange(k * len(elements)), len(elements))
-    g = elements.take(g)
-    step = max(1, _BLOCK // n)
-    for s in range(0, len(f), step):
-        fs, gs = f[s:s + step], g[s:s + step]
-        left = fm.take(t[:, gs].T + (fs * n)[:, None])                    # f(x * g)
-        right = ft.take(maps.take(fs, axis=0) * n + maps[fs, gs][:, None])  # f(x) * f(g)
-        if not np.array_equal(left, right):
-            return False
-    return True
+    ft = t.ravel()
+    step = max(1, _BLOCK // (n * len(seeds)))  # maps per gather
+    width = max(1, _BLOCK // n)                # seeds per gather
+    ok = np.ones(k, dtype=bool)
+    for i in range(0, k, step):
+        f = maps[i:i + step]
+        for j in range(0, len(seeds), width):
+            g = seeds[j:j + width]
+            left = f.take(t.take(g, axis=1).T, axis=1)                          # f(x * g)
+            right = ft.take(f[:, None, :] * n + f.take(g, axis=1)[:, :, None])  # f(x) * f(g)
+            ok[i:i + step] &= (left == right).all(axis=(1, 2))
+    return ok
 
 
 def exchange_holds(u, o):
@@ -353,14 +405,14 @@ def exchange_holds(u, o):
         = S_{f(b)*f(c)} f.
     So the identities hold iff (3c) holds, Q satisfies R2 and every over
     column is an automorphism of Q.  The check:
-      * (3c) once per distinct quadruple of over-column ids, at most
-        min(n^2, k^4) of them with k distinct over columns;
+      * (3c) once per distinct quadruple of over-column ids
+        (first_disagreement);
       * R2 on the slices of the firsts of a generating set of Q
         (_generators), as in r2_holds.  Those slices and bijective columns
         at the firsts give every column: S_{c*d} = S_d S_c S_d^-1 is a
         bijective homomorphism when S_c and S_d are;
       * f S_g == S_{f(g)} f for each distinct over column f at the seeds g
-        of that generating set alone.
+        of that generating set alone (automorphism_mask).
     The equivalences need only the over columns to be bijections, so a
     failure of (3c) or of an R2 slice decides any table whose over columns
     are; every other table with a column that is not a bijection gets the
@@ -376,31 +428,20 @@ def exchange_holds(u, o):
     inv.ravel()[rows_n + O] = np.arange(n)
     if not (inv.ravel().take(rows_n + O) == np.arange(n)).all():
         return _sweep_violation(u, o) is None
-    # (3c): the codes of the quadruples go into one grid, built in row
-    # blocks, so that no n x n temporaries pile up beside it
-    grid = np.empty((n, n), dtype=np.int64)
-    step = max(1, _BLOCK // n)  # rows, or quadruples, per block
-    dims = (k,) * 4
-    for y0 in range(0, n, step):
-        ys = slice(y0, y0 + step)
-        grid[ys] = np.ravel_multi_index((oid.take(o.T[ys]), oid[ys, None], oid.take(u[ys]), oid), dims)
-    codes = grid.ravel()
-    codes.sort()  # in place: np.unique would hash a copy, several times slower
-    quads = codes[np.r_[True, codes[1:] != codes[:-1]]]
-    for s in range(0, len(quads), step):
-        if _composites_differ(O, np.unravel_index(quads[s:s + step], dims)):
-            return False
-    # Q in the grid's memory, by row blocks as the codes: q[x, y] = O_y^-1(x u y)
-    q, ids = grid, oid * n
-    for x0 in range(0, n, step):
-        xs = slice(x0, x0 + step)
-        q[xs] = inv.ravel().take(u[xs] + ids)
+    # (3c) at each pair (y, z): O_{z o y} O_y == O_{y u z} O_z
+    ar = np.arange(n)
+    if first_disagreement(oid, O, o.T, ar[:, None], u, ar, witness=False):
+        return False
+    # Q by row blocks: q[x, y] = O_y^-1(x u y)
+    q, ids, step = np.empty((n, n), dtype=np.int64), oid * n, max(1, _BLOCK // n)
+    for x in range(0, n, step):
+        q[x:x + step] = inv.ravel().take(u[x:x + step] + ids)
     firsts, seeds = _generators(q)
     if not _r2_slices_hold(q, firsts):
         return False
-    if (np.sort(q[:, firsts], axis=0) != np.arange(n)[:, None]).any():
+    if (np.sort(q[:, firsts], axis=0) != ar[:, None]).any():
         return _sweep_violation(u, o) is None
-    return _maps_preserve(O, q, seeds)
+    return bool(automorphism_mask(O, q, seeds).all())
 
 
 def exchange_violation(u, o):

@@ -8,50 +8,36 @@ homomorphism property into the conjugation quandle of the target's
 automorphism group (h(x*y) = h(y) h(x) h(y)^{-1}) is always verified.
 
 Inside, a family of k maps is one (k, n) int64 array of image rows, stacked
-once at the boundary (_check_aut_valued).  Every hypothesis check is gathers
-on these rows, on the blocks of the witness walk (_kernels.walk), and
-reports its first witness in C order; the tables are built by broadcast
-gathers.
+once at the boundary (_check_aut_valued).  The conditions on pairs (x, y)
+compare each distinct quadruple of maps once (_kernels.first_disagreement),
+the union conditions on triples are rules of the witness walk, and each
+reports its first witness in C order.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._kernels import first_violation, walk
+from ._kernels import _columns, first_disagreement, first_violation, walk
 from ._search import preserves_tables
 from .core import FiniteBiquandle, FiniteQuandle, Permutation, is_involutory_quandle, row_keys
 from .errors import DomainError
-from .structures import BiquandleStructure, _aut_stack, _require_permutation
+from .structures import BiquandleStructure, _image_rows, _require_permutation
 
 
 def _check_aut_valued(q_target: FiniteQuandle, maps, name):
     """The family maps as image rows; raises at the first member that is not
     an automorphism of q_target."""
-    rows, ok = _aut_stack(q_target, maps)
+    rows, *_, ok = _image_rows(q_target, tuple(maps))
     if not ok.all():
         raise DomainError(f"{name}[{int(np.argmin(ok))}] is not an automorphism of the target quandle")
     return rows
 
 
-def _hom_slabs(t, H, f):
-    """The witness walk over (x, y, z): bad[i, z] set where H[f(x*y)] H[y]
-    and H[f(y)] H[x] differ at z, for (x, y) = (x[i], y[i]), t the source
-    table, H its image rows and f a map of the source (composition right to
-    left)."""
-    n, m = t.shape[0], H.shape[1]
-    flat, tflat = H.ravel(), t.ravel()
-    fm = f * m
-
-    def rule(x, y):
-        return flat.take(fm.take(tflat.take(x * n + y))[:, None] + H[y]) != flat.take(fm.take(y)[:, None] + H[x])
-
-    return walk(n, m, rule)
-
-
 def _check_conj_hom(q_source: FiniteQuandle, maps, name):
     """h(x*y) == h(y) h(x) h(y)^{-1}, i.e. h(x*y) h(y) == h(y) h(x), for all x, y."""
-    hit = first_violation(_hom_slabs(q_source.table, maps, np.arange(q_source.n)))
+    y = np.arange(q_source.n)
+    hit = first_disagreement(*_columns(maps.T), q_source.table, y, y, y[:, None])
     if hit:
         raise DomainError(f"{name} is not a quandle homomorphism into the conjugation quandle: witness (x={hit[0]}, y={hit[1]})")
 
@@ -113,7 +99,7 @@ def union_biquandle_general(q1: FiniteQuandle, q2: FiniteQuandle, phi, psi) -> B
     _check_conj_hom(q1, phi, "phi")
     _check_conj_hom(q2, psi, "psi")
     # both conditions on the [x1, x2] grid, maps compared by row id
-    phi_id, psi_id = (np.unique(h, axis=0, return_inverse=True)[1].reshape(-1) for h in (phi, psi))
+    phi_id, psi_id = (_columns(h.T)[0] for h in (phi, psi))
     bad_phi = phi_id[:, None] != phi_id[psi.T]
     bad = bad_phi | (psi_id[None, :] != psi_id[phi])
     if bad.any():
@@ -180,7 +166,9 @@ def product_biquandle(q1: FiniteQuandle, q2: FiniteQuandle, phi, psi, case) -> F
     q, maps, const, (cname, u, v) = (q1, phi, psi, ("psi", "x", "y")) if case == 1 else (q2, psi, phi, ("phi", "a", "b"))
     if (const != const[0]).any():
         raise DomainError(f"case {case} needs a constant {cname}")
-    hit = first_violation(_hom_slabs(q.table, maps, const[0]))
+    # h_{f(x*y)} h_y == h_{f(y)} h_x at each (x, y), f = const[0]
+    f, y = const[0], np.arange(q.n)
+    hit = first_disagreement(*_columns(maps.T), f.take(q.table), y, f, y[:, None])
     if hit:
         raise DomainError(f"case {case} condition fails at ({u}={hit[0]}, {v}={hit[1]})")
     # axes [x, a, y, b] of the pair (x, a) acting with (y, b)

@@ -445,32 +445,30 @@ def read_json_tables(d, kind, build):
     return build(*tables)
 
 
-def _memo(obj, tables):
-    """obj._inv_memo: [tables, _search._invariants of tables, their
-    multiset as a sorted tuple, the closure plan of tables or None until
-    _memo_plan builds it], kept with the table objects it came from and
-    rebuilt only if obj ever holds other ones.  The tables are read-only
-    copies, so the memo cannot go stale while they stay."""
+def _memo(obj, tables, slot, build):
+    """Entry slot of obj._inv_memo, built by build() on first use: [tables,
+    their _search._invariants, those as a sorted tuple, their closure plan,
+    a quandle table's _kernels._generators], kept with the table objects it
+    came from and started over only if obj ever holds other ones.  The
+    tables are read-only copies, so the memo cannot go stale while they
+    stay."""
     memo = obj._inv_memo
     if memo is None or not all(map(operator.is_, memo[0], tables)):
-        inv = _search._invariants(np.stack(tables))
-        memo = obj._inv_memo = [tables, inv, tuple(sorted(inv)), None]
-    return memo
+        memo = obj._inv_memo = [tables, None, None, None, None]
+    if memo[slot] is None:
+        memo[slot] = build()
+    return memo[slot]
 
 
 def _memo_invariants(obj, tables):
     """The invariants of tables and their multiset, from obj's memo."""
-    memo = _memo(obj, tables)
-    return memo[1], memo[2]
+    inv = _memo(obj, tables, 1, lambda: _search._invariants(np.stack(tables)))
+    return inv, _memo(obj, tables, 2, lambda: tuple(sorted(inv)))
 
 
 def _memo_plan(obj, tables):
-    """The _kernels.closure_plan of tables stacked, built once into obj's
-    memo."""
-    memo = _memo(obj, tables)
-    if memo[3] is None:
-        memo[3] = _kernels.closure_plan(np.stack(tables))
-    return memo[3]
+    """The _kernels.closure_plan of tables stacked, from obj's memo."""
+    return _memo(obj, tables, 3, lambda: _kernels.closure_plan(np.stack(tables)))
 
 
 class FiniteQuandle:
@@ -509,6 +507,10 @@ class FiniteQuandle:
     def _closure_plan(self):
         """The search's closure plan of the table, built once."""
         return _memo_plan(self, (self.table,))
+
+    def _generators(self):
+        """(firsts, seeds) of _kernels._generators on the table, built once."""
+        return _memo(self, (self.table,), 4, lambda: _kernels._generators(self.table))
 
     def op(self, a, b):
         return int(self.table[a, b])

@@ -7,9 +7,10 @@ y -> beta_y(y) is a bijection.  It produces the biquandle with
 x u y = beta_y(x*y) and x o y = beta_y(x), and every biquandle arises this
 way from its associated quandle.
 
-The checks hold a family of k maps as one (k, n) int64 array of image rows
-(_aut_stack), test each condition by gathers on the blocks of the
-witness walk (_kernels.walk), and report its first witness in C order.
+Under the correspondence, structure-1 is the exchange identity (3c) and
+"beta_y is an automorphism" the automorphism half of
+_kernels.exchange_holds, and they are checked the same way: once per
+distinct beta, and once per distinct quadruple of betas.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import first_violation, walk
+from ._kernels import _columns, automorphism_mask, first_disagreement
 from ._search import preserves_tables
 from .core import (
     AxiomReport,
@@ -71,50 +72,18 @@ class BiquandleStructure:
         return BiquandleStructure.from_dict(d)
 
 
-def _aut_stack(q: FiniteQuandle, maps):
-    """(rows, ok): the maps as one (k, q.n) int64 array of image rows and
-    the mask of those that are automorphisms of q, f(a*b) = f(a)*f(b),
-    checked for all k at once, one row a at a time.  A member that is not
-    a Permutation of degree q.n gets the identity row and a False entry."""
-    maps = tuple(maps)
+def _image_rows(q: FiniteQuandle, maps):
+    """(rows, ids, distinct, ok): the maps as one (k, q.n) int64 array of
+    image rows, the rows numbered by _kernels._columns, and the mask of the
+    maps that are automorphisms of q, checked once per distinct row.  A
+    member that is not a Permutation of degree q.n gets the identity row
+    and a False entry."""
     n = q.n
-    fits = [isinstance(m, Permutation) and m.n == n for m in maps]
-    ident = tuple(range(n))
-    rows = np.array([m.images if f else ident for m, f in zip(maps, fits)], dtype=np.int64).reshape(len(maps), n)
-    ok = np.array(fits, dtype=bool)
-    t, flat = q.table, q.table.ravel()
-    rows_n = rows * n
-    # one set of buffers for every row a: a fresh (k, n) array per product
-    # and row faulted its pages in again each time (140,000 minor faults on
-    # the 294 over columns of Hol(R_7))
-    left, right, offsets = np.empty((3, len(maps), n), dtype=np.int64)
-    same = np.empty((len(maps), n), dtype=bool)
-    for a in range(n):
-        rows.take(t[a], axis=1, out=left, mode="clip")               # f(a*b)
-        np.add(rows_n[:, a, None], rows, out=offsets)
-        np.equal(left, flat.take(offsets, out=right, mode="clip"), out=same)  # f(a)*f(b)
-        ok &= same.all(axis=1)
-    return rows, ok
-
-
-def _structure_slabs(t, B):
-    """The witness walk over (x, y, z): bad[i, z] set where
-    beta_{beta_y(x*y)} beta_y and beta_{beta_x(y)} beta_x differ at z, for
-    (x, y) = (x[i], y[i]); B[y] is the image row of beta_y."""
-    n = len(B)
-    flat, tflat = B.ravel(), t.ravel()
-
-    # the products go into walk's buffers, as in the kernels' sweeps
-    def rule(x, y, offsets, left, right):
-        xy = x * n + y
-        B.take(y, axis=0, out=offsets, mode="clip")
-        offsets += (flat.take(y * n + tflat.take(xy)) * n)[:, None]  # (beta_y(x*y), beta_y(z))
-        flat.take(offsets, out=left, mode="clip")
-        B.take(x, axis=0, out=offsets, mode="clip")
-        offsets += (flat.take(xy) * n)[:, None]                      # (beta_x(y), beta_x(z))
-        return left != flat.take(offsets, out=right, mode="clip")
-
-    return walk(n, n, rule, 3)
+    fits = np.array([isinstance(m, Permutation) and m.n == n for m in maps], dtype=bool)
+    rows = np.array([m.images if f else range(n) for m, f in zip(maps, fits)], dtype=np.int64).reshape(len(maps), n)
+    ids, distinct = _columns(rows.T)
+    ok = fits & automorphism_mask(distinct, q.table, q._generators()[1]).take(ids)
+    return rows, ids, distinct, ok
 
 
 def _require_permutation(name, m):
@@ -134,15 +103,14 @@ def validate_structure(q: FiniteQuandle, betas) -> AxiomReport:
         raise MalformedInput(f"need {q.n} automorphisms, got {len(betas)}")
     for y, b in enumerate(betas):
         _require_permutation(f"beta[{y}]", b)
-    B, ok = _aut_stack(q, betas)
+    B, ids, distinct, ok = _image_rows(q, betas)
     if not ok.all():
         return AxiomReport.from_violations(("beta-not-automorphism", (y,)) for y in np.flatnonzero(~ok).tolist())
-    bad = []
-    hit = first_violation(_structure_slabs(q.table, B))
-    if hit:
-        bad.append(("structure-1", hit[:2]))
     ar = np.arange(q.n)
-    diag = B[ar, ar]
+    # at (x, y): beta_{beta_y(x*y)} beta_y == beta_{beta_x(y)} beta_x
+    hit = first_disagreement(ids, distinct, B.ravel().take(q.table + ar * q.n), ar, B, ar[:, None])
+    bad = [("structure-1", hit)] if hit else []
+    diag = B.ravel()[::q.n + 1]  # beta_y(y)
     if len(set(diag.tolist())) != q.n:
         _, first, inverse = np.unique(diag, return_index=True, return_inverse=True)
         y = int(np.argmax(first[inverse] != ar))  # the first y repeating an earlier value

@@ -54,6 +54,11 @@ class TestUnionQuandle:
         with pytest.raises(DomainError, match="condition 1"):
             union_quandle(r3, r3, None, tuple(threecycle for _ in range(3)))
 
+    def test_empty_family_is_a_length_error(self):
+        # an empty family stacks as a (0, n) array of rows
+        with pytest.raises(DomainError, match="must have length"):
+            union_quandle(trivial_quandle(2), trivial_quandle(3), ())
+
 
 class TestUnionBiquandleGeneral:
     def test_constant_maps_match_constant_builder(self):

@@ -163,6 +163,25 @@ CORPUS = {
     "deep/uq-1": lambda: union_quandle(Q["CS3"], T3, fam("T3", (0,) * 6), fam("CS3", (0, 0, 1))),
     "deep/uq-2": lambda: union_quandle(T3, Q["CS3"], fam("CS3", (1, 0, 0)), fam("T3", (5,) * 6)),
     "deep/vs-both": lambda: validate_structure(Q["CS3"], fam("CS3", (0, 0, 3, 3, 0, 0))),
+    # automorphism families whose first failure comes after valid members,
+    # among repeated maps
+    "late/uq-sigma-not-aut": lambda: union_quandle(R3, R4, fam("R4", (1, 1)) + (SWAP4,)),
+    "late/uq-tau-not-aut": lambda: union_quandle(R4, R3, None, fam("R4", (3,)) + (SWAP4,) + fam("R4", (3,))),
+    "late/ubg-psi-not-aut": lambda: union_biquandle_general(R4, R3, ident(3, 4), fam("R4", (2,)) + (SWAP4, SWAP4)),
+    "late/prod-phi-not-aut": lambda: product_biquandle(R3, R4, ident(4, 2) + (SWAP4,), ident(3, 4), 2),
+    "late/uq-sigma-not-permutation": lambda: union_quandle(R3, T3, (cycle(3), cycle(3), (0, 1, 2))),
+    "late/prod-phi-not-permutation": lambda: product_biquandle(T2, T3, (cycle(3), [0, 1, 2]), ident(2, 3), 1),
+    "late/prod-psi-wrong-degree": lambda: product_biquandle(T2, T3, ident(3, 2), ident(2, 2) + ident(3, 1), 2),
+    "late/ubg-phi-wrong-degree": lambda: union_biquandle_general(R3, R4, ident(4, 2) + ident(3, 1), ident(3, 4)),
+    "late/vs-not-permutation": lambda: validate_structure(T3, ident(3, 2) + ((0, 1, 2),)),
+    "late/vs-wrong-degree": lambda: validate_structure(R3, (cycle(3), Permutation.identity(4), cycle(3))),
+    "late/vs-wrong-degree-repeated": lambda: validate_structure(R4, (Permutation.identity(4), Permutation.identity(3), SWAP4, Permutation.identity(3))),
+    "late/vs-not-aut-repeated": lambda: validate_structure(R4, (Permutation.identity(4), SWAP4) * 2),
+    # first witnesses on families with repeated maps
+    "repeat/phi-conj-hom": lambda: product_biquandle(Q["CS3"], R4, fam("R4", (5, 3, 3, 5, 3, 3)), fam("CS3", (0,) * 4), 1),
+    "repeat/sigma-conj-hom": lambda: union_quandle(Q["CS3"], R4, fam("R4", (5, 3, 3, 5, 3, 3))),
+    "repeat/case-1": lambda: product_biquandle(T3, T3, fam("T3", (5, 0, 5)), fam("T3", (3, 3, 3)), 1),
+    "repeat/case-2": lambda: product_biquandle(T3, T3, fam("T3", (3, 3, 3)), fam("T3", (5, 0, 5)), 2),
 }
 # No family of automorphisms over T2, T3, R3, R4, R3 u T1 or conj(S3)
 # satisfies structure-1 but not structure-2, so structure-2 is pinned only
@@ -183,6 +202,18 @@ PINNED = {
     'deep/uq-1': 'DomainError: union condition 1 fails at (x=1, y=2, z=2)',
     'deep/uq-2': 'DomainError: union condition 2 fails at (x=1, y=2, z=2)',
     'deep/vs-both': "report False (('structure-1', (1, 5)), ('structure-2', (2, 5)))",
+    'late/prod-phi-not-aut': 'DomainError: phi[2] is not an automorphism of the target quandle',
+    'late/prod-phi-not-permutation': 'DomainError: phi[1] is not an automorphism of the target quandle',
+    'late/prod-psi-wrong-degree': 'DomainError: psi[2] is not an automorphism of the target quandle',
+    'late/ubg-phi-wrong-degree': 'DomainError: phi[2] is not an automorphism of the target quandle',
+    'late/ubg-psi-not-aut': 'DomainError: psi[1] is not an automorphism of the target quandle',
+    'late/uq-sigma-not-aut': 'DomainError: sigma[2] is not an automorphism of the target quandle',
+    'late/uq-sigma-not-permutation': 'DomainError: sigma[2] is not an automorphism of the target quandle',
+    'late/uq-tau-not-aut': 'DomainError: tau[1] is not an automorphism of the target quandle',
+    'late/vs-not-aut-repeated': "report False (('beta-not-automorphism', (1,)), ('beta-not-automorphism', (3,)))",
+    'late/vs-not-permutation': 'MalformedInput: beta[2] is not a Permutation: (0, 1, 2)',
+    'late/vs-wrong-degree': "report False (('beta-not-automorphism', (1,)),)",
+    'late/vs-wrong-degree-repeated': "report False (('beta-not-automorphism', (1,)), ('beta-not-automorphism', (2,)), ('beta-not-automorphism', (3,)))",
     'prod/case-1': 'biquandle 74d40c5d3f4f2d59',
     'prod/case-1-condition': 'DomainError: case 1 condition fails at (x=0, y=1)',
     'prod/case-1-constant': 'DomainError: case 1 needs a constant psi',
@@ -199,6 +230,10 @@ PINNED = {
     'prod/psi-wrong-degree': 'DomainError: psi[0] is not an automorphism of the target quandle',
     'prod/semidirect-not-hom': 'DomainError: psi is not a quandle homomorphism into the conjugation quandle: witness (x=0, y=1)',
     'prod/semidirect-r3-t2': 'biquandle 2304c562955808ba',
+    'repeat/case-1': 'DomainError: case 1 condition fails at (x=0, y=2)',
+    'repeat/case-2': 'DomainError: case 2 condition fails at (a=0, b=2)',
+    'repeat/phi-conj-hom': 'DomainError: phi is not a quandle homomorphism into the conjugation quandle: witness (x=3, y=1)',
+    'repeat/sigma-conj-hom': 'DomainError: sigma is not a quandle homomorphism into the conjugation quandle: witness (x=3, y=1)',
     'ubg/involutory-r3': 'True',
     'ubg/involutory-t2': 'True',
     'ubg/involutory-t3': 'False',

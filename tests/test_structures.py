@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from biquandles import _kernels
+from biquandles import _kernels, combinators
 from biquandles.combinators import holomorph_biquandle
 from biquandles.core import FiniteQuandle, Permutation, associated_quandle, biquandle_of_quandle
 from biquandles.errors import DomainError, MalformedInput
@@ -15,8 +15,7 @@ from biquandles.group_constructions import (
 )
 from biquandles.structures import (
     BiquandleStructure,
-    _aut_stack,
-    _structure_slabs,
+    _image_rows,
     biquandle_from_structure,
     constant_structure,
     inverse_inner_structure,
@@ -175,23 +174,86 @@ def perturbed_structures():
     return out
 
 
-class TestStructureWalk:
-    """The buffered structure rule and automorphism check against plain
-    loops, with blocks of several rows, of one row and of part of a row."""
+def perms(B):
+    return [Permutation(tuple(r)) for r in B.tolist()]
+
+
+class TestStructureCheck:
+    """The structure-1 quadruple compare and the automorphism mask against
+    plain loops, with blocks of several rows, of one row and of part of a
+    row."""
 
     @pytest.mark.parametrize("block", [1 << 15, 40, 3])
-    def test_first_and_all_witnesses(self, monkeypatch, block):
+    def test_first_witness(self, monkeypatch, block):
         monkeypatch.setattr(_kernels, "_BLOCK", block)
         broken = 0
         for t, B in perturbed_structures():
             want = structure_oracle(t, B)
-            assert _kernels.all_violations(_structure_slabs(t, B)) == want
-            assert _kernels.first_violation(_structure_slabs(t, B)) == (want[0] if want else None)
+            first = want[0][:2] if want else None
+            # the kernel on every family, automorphisms or not
+            ar = np.arange(len(B))
+            under = B[ar, t]  # under[x, y] = B[y, t[x, y]]
+            assert _kernels.first_disagreement(*_kernels._columns(B.T), under, ar, B, ar[:, None]) == first
+            # the report: every non-automorphism, or else the first witness
+            aut = aut_oracle(t, B)
+            report = validate_structure(FiniteQuandle(t), perms(B)).violations
+            if all(aut):
+                assert [w for axiom, w in report if axiom == "structure-1"] == ([first] if want else [])
+            else:
+                assert report == tuple(("beta-not-automorphism", (y,)) for y, ok in enumerate(aut) if not ok)
             broken += bool(want)
         assert broken > 20
 
-    def test_automorphism_mask(self):
+    @pytest.mark.parametrize("block", [1 << 15, 40, 3])
+    def test_automorphism_mask(self, monkeypatch, block):
+        monkeypatch.setattr(_kernels, "_BLOCK", block)
         for t, B in perturbed_structures():
-            q = FiniteQuandle(t)
-            rows, ok = _aut_stack(q, [Permutation(tuple(r)) for r in B.tolist()])
-            assert np.array_equal(rows, B) and ok.tolist() == aut_oracle(t, B)
+            rows, ids, distinct, ok = _image_rows(FiniteQuandle(t), perms(B))
+            assert np.array_equal(rows, B) and np.array_equal(distinct[ids], B)
+            assert ok.tolist() == aut_oracle(t, B)
+
+
+def counted_compares(monkeypatch):
+    """The number of quadruples _kernels._composites_differ compares, as a
+    list of block sizes; any walk of the sweeps fails."""
+    checked = []
+    compare = _kernels._composites_differ
+
+    def counted(maps, quads):
+        checked.append(len(quads[0]))
+        return compare(maps, quads)
+
+    def walk(*args, **kwargs):
+        raise AssertionError("a valid input reached the witness walk")
+
+    monkeypatch.setattr(_kernels, "_composites_differ", counted)
+    monkeypatch.setattr(_kernels, "walk", walk)
+    monkeypatch.setattr(combinators, "walk", walk)
+    return checked
+
+
+class TestStructureWork:
+    """A valid structure costs one compare per distinct quadruple of betas
+    and no sweep: the work is bounded by the number of distinct maps, not
+    by n^3."""
+
+    def test_hol7_compares_each_distinct_quadruple_once(self, monkeypatch):
+        b = holomorph_biquandle(dihedral_quandle(7))
+        assert len(_kernels._columns(b.over)[1]) == 42
+        checked = counted_compares(monkeypatch)
+        structure_of_biquandle(b)
+        # 42 distinct betas; 1,764 quadruples against 86,436 pairs (x, y)
+        assert sum(checked) == 1_764
+
+    def test_hol7_builds_without_a_walk(self, monkeypatch):
+        counted_compares(monkeypatch)
+        holomorph_biquandle(dihedral_quandle(7))
+
+    def test_hol11_structure(self, monkeypatch):
+        # n = 1,210 and 110 distinct betas: 12,100 quadruples, where the
+        # n^3 sweep this replaced took about 50 s
+        b = holomorph_biquandle(dihedral_quandle(11))
+        checked = counted_compares(monkeypatch)
+        s = structure_of_biquandle(b)
+        assert sum(checked) == 110 ** 2
+        assert biquandle_from_structure(s) == b
