@@ -53,15 +53,15 @@ The sweeps, r2_holds and exchange_holds read a product x op y of an
 n x n table t as one gather on its flat view, t.ravel().take(x * n + y).
 So every table entry must lie in [0, n): an out-of-range entry does not
 raise here, as 2-D indexing would, but lands on another cell of the
-table.  The callers in core guarantee the range before any check:
-check_quandle and check_biquandle test it explicitly, and ybe_witness,
-which check_ybe calls on a FiniteBiquandle and on a raw pair alike,
-requires every column of both tables to pass core._bad_columns, which
-refuses out-of-range entries too.  _bad_columns sorts each column as the
-smallest signed dtype that holds -1..n, so it clips the entries to
-[-1, n] before the cast: an entry outside that range, on a table nobody
-range-checked, stays out of range instead of wrapping onto a valid value.
-Tables are int64 (as_table's dtype) and may be in any memory order.
+table.  The callers in core guarantee the range before any check, by
+two reductions, t.min() >= 0 and t.max() < n (core._in_range), and build
+the n x n mask of out-of-range cells only to list entry-range witnesses:
+check_quandle and check_biquandle report them, and ybe_witness, which
+check_ybe calls on a FiniteBiquandle and on a raw pair alike, raises
+DomainError.  Only then does core._bad_columns sort the columns in a
+dtype narrower than int64, so no entry is clipped and none can wrap onto
+a valid value.  Tables are int64 (as_table's dtype), read in place, and
+may be in any memory order.
 
 The R2, exchange and braid rules write their products into block-sized
 buffers that walk allocates once per walk, and gather into them with

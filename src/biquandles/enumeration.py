@@ -105,8 +105,10 @@ def enumerate_trivial_structures(n, cap=DEFAULT_ENUM_CAP):
     if n > cap:
         raise DomainError(f"n={n} exceeds enumeration cap {cap} (|S_n|^n search space)")
     base = trivial_quandle(n)
+    # trivial_structure_tuples has proved each tuple a structure of
+    # permutations, so neither is checked again
     return [
-        BiquandleStructure(base, tuple(Permutation(p) for p in tup))
+        BiquandleStructure._proven(base, tuple(Permutation._proven(p) for p in tup))
         for tup in trivial_structure_tuples(n)
     ]
 

@@ -12,7 +12,7 @@ import itertools
 import numpy as np
 
 from ._search import table_bijections
-from .core import Permutation, PermutationGroup, as_table, product_table, read_json_tables
+from .core import Permutation, PermutationGroup, _in_range, _keep, as_table, product_table, read_json_tables
 from .errors import DomainError, MalformedInput
 
 DEFAULT_ORDER_CAP = 64
@@ -26,7 +26,7 @@ class FiniteGroup:
     def __init__(self, mul, name=None):
         t = as_table(mul, "mul")
         n = t.shape[0]
-        if t.min() < 0 or t.max() >= n:
+        if not _in_range(t):
             raise MalformedInput("mul entries out of range")
         # two-sided identity
         e = None
@@ -47,7 +47,7 @@ class FiniteGroup:
             inv[a] = hits[0]
         inv.setflags(write=False)
         self.n = n
-        self.mul = t
+        self.mul = _keep(t)
         self.e = e
         self.inv = inv
         self.name = name or f"group{n}"

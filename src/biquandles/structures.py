@@ -45,6 +45,16 @@ class BiquandleStructure:
         if not report.passed:
             raise DomainError(f"not a biquandle structure: {report.violations[0]}")
 
+    @classmethod
+    def _proven(cls, base, betas):
+        """The structure of a family its caller has proved to be one (every
+        beta an automorphism, both structure conditions), without
+        validate_structure."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "base", base)
+        object.__setattr__(s, "betas", betas)
+        return s
+
     def beta_arrays(self):
         return np.stack([b.array() for b in self.betas])
 
@@ -140,7 +150,10 @@ def biquandle_from_structure(s: BiquandleStructure) -> FiniteBiquandle:
 
 
 def structure_of_biquandle(b: FiniteBiquandle) -> BiquandleStructure:
-    """Recover the structure over the associated quandle: beta_y = over column y."""
+    """Recover the structure over the associated quandle: beta_y = over column y.
+
+    b2 has proved every over column a bijection, so the betas skip
+    Permutation's sort; the structure is still validated."""
     q = associated_quandle(b)
-    betas = tuple(Permutation(tuple(r)) for r in b.over.T.tolist())
+    betas = tuple(Permutation._proven(tuple(r)) for r in b.over.T.tolist())
     return BiquandleStructure(q, betas)

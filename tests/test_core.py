@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from biquandles.core import (
     ybe_witness,
 )
 from biquandles.errors import AxiomError, DomainError, MalformedInput
-from biquandles.groups import cyclic_group, symmetric_group
+from biquandles.groups import FiniteGroup, cyclic_group, symmetric_group
 from biquandles.group_constructions import (
     alexander_biquandle,
     conj_quandle,
@@ -481,6 +482,17 @@ class TestPermutationGroup:
         assert by_perms.rows.shape == (1, 0) and by_perms.generators == ()
         assert by_rows == by_perms and hash(by_rows) == hash(by_perms)
 
+    def test_from_elements_rows_match_np_unique(self):
+        # sorted and deduplicated as np.unique(rows, axis=0) would
+        rng = np.random.default_rng(12)
+        for n, gens in ((7, [cycle(7), Permutation((1, 0, 2, 3, 4, 5, 6))]), (4, [cycle(4)]), (1, [])):
+            rows = np.array(PermutationGroup.generate(n, gens).rows)
+            block = np.concatenate([rows, rows[rng.integers(len(rows), size=len(rows) // 2)]])
+            rng.shuffle(block)
+            g = PermutationGroup.from_elements(n, block)
+            assert np.array_equal(g.rows, np.unique(block, axis=0)) and g.rows.flags.c_contiguous
+            assert g == PermutationGroup.from_elements(n, rows)
+
     def test_generate_of_degree_0(self):
         # S_0 is the one empty permutation, with or without a generator
         s0 = PermutationGroup.from_elements(0, [Permutation(())])
@@ -519,3 +531,184 @@ class TestPermutationGroup:
     def test_product_table_of_degree_0(self):
         comp, inv = product_table(np.zeros((1, 0), dtype=np.int64))
         assert comp.tolist() == [[0]] and inv.tolist() == [0]
+
+
+# ---------------------------------------------------------------------------
+# tables read in place
+
+
+R301 = dihedral_quandle(301)
+
+
+def with_bad_columns(t, columns, seed):
+    """A copy of t with one entry of each of the given columns moved to
+    another value in [0, n), so exactly those columns stop being
+    permutations."""
+    rng = random.Random(seed)
+    n = t.shape[0]
+    out = np.array(t)
+    for j in columns:
+        i = rng.randrange(n)
+        out[i, j] = (out[i, j] + rng.randrange(1, n)) % n
+    return out
+
+
+def column_oracle(t):
+    """The columns of t that are not permutations, by the int64 sort."""
+    return np.flatnonzero((np.sort(t, axis=0) != np.arange(len(t))[:, None]).any(axis=0)).tolist()
+
+
+def block_spots(n, block):
+    """Sets of columns, ascending, whose first member sits in the first,
+    a middle or the last block of max(1, block // n) columns, some with a
+    later bad column in another block."""
+    step = max(1, block // n)
+    blocks = -(-n // step)
+    middle = step * (blocks // 2)
+    spots = [{0}, {middle}, {n - 1}, {middle, n - 1}, {1, n - 2}, {min(middle + step, n) - 1, n - 1}]
+    return [sorted(s) for s in spots]
+
+
+class CountingTable(np.ndarray):
+    """An int64 table that records each column block read from it."""
+
+    reads = None
+
+    def __getitem__(self, key):
+        if self.reads is not None:
+            self.reads.append(key)
+        return super().__getitem__(key)
+
+
+class TestTablesInPlace:
+    def test_as_table_reads_an_int64_array_in_place(self):
+        a = np.array(R3_TABLE, dtype=np.int64)
+        for given in (a, np.asfortranarray(a), a.T):
+            t = core.as_table(given)
+            assert np.shares_memory(t, given) and not t.flags.writeable
+            assert given.flags.writeable  # the caller's flag is untouched
+        frozen = a.copy()
+        frozen.setflags(write=False)
+        assert np.shares_memory(core.as_table(frozen), frozen)
+        for given in (a.astype(np.int32), R3_TABLE, tuple(map(tuple, R3_TABLE))):
+            t = core.as_table(given)
+            assert t.dtype == np.int64 and not t.flags.writeable
+            assert not np.shares_memory(t, np.asarray(given))
+            assert t.base is None  # converted once, so a constructor keeps it
+
+    def test_kept_tables_are_private_read_only_copies(self):
+        b = wada_biquandle(cyclic_group(4))
+        g = symmetric_group(3)
+        cases = (
+            (FiniteQuandle, [R3_TABLE], lambda q: [q.table, q.tinv]),
+            (FiniteQuandle._proven, [R3_TABLE], lambda q: [q.table, q.tinv]),
+            (FiniteBiquandle, [b.under, b.over], lambda x: [x.under, x.over, x.under_inv, x.over_inv]),
+            (FiniteGroup, [g.mul], lambda x: [x.mul, x.inv]),
+        )
+        for build, tables, held in cases:
+            for dtype in (np.int64, np.int32):
+                given = [np.array(t, dtype=dtype) for t in tables]
+                obj = build(*given)
+                before = [np.array(h) for h in held(obj)]
+                for t in given:
+                    assert not any(np.shares_memory(h, t) for h in held(obj))
+                    t[...] = 0
+                for h, was in zip(held(obj), before):
+                    assert np.array_equal(h, was) and not h.flags.writeable
+
+    def test_checks_copy_no_table(self, monkeypatch):
+        # every table a check reads is the caller's memory, and a rejected
+        # table is never kept
+        seen = []
+        coerce = core.as_table
+
+        def spied(obj, what="table"):
+            t = coerce(obj, what)
+            seen.append(np.shares_memory(t, obj))
+            return t
+
+        kept = []
+        keep = core._keep
+        b = wada_biquandle(cyclic_group(5))
+        bad = with_bad_columns(R301.table, [7], 1)
+        monkeypatch.setattr(core, "as_table", spied)
+        monkeypatch.setattr(core, "_keep", lambda t: kept.append(t) or keep(t))
+        check_quandle(bad)
+        check_quandle(bad, all_witnesses=True)
+        check_biquandle(b.under, b.over)
+        assert check_ybe(b) and check_ybe((b.under, b.over))
+        with pytest.raises(AxiomError):
+            FiniteQuandle(bad)
+        with pytest.raises(AxiomError):
+            FiniteBiquandle(with_bad_columns(b.under, [3], 2), b.over)
+        assert seen and all(seen) and kept == []
+
+    def test_column_rejection_allocates_no_table(self):
+        b = alexander_biquandle(211, 3, 2)
+        u = with_bad_columns(b.under, [100], 3)
+        tracemalloc.start()
+        try:
+            report = check_biquandle(u, b.over)
+            with pytest.raises(DomainError):
+                ybe_witness(u, b.over)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.violations == (("b2-under-columns", (100,)),)
+        assert peak < u.nbytes // 2
+
+    @pytest.mark.parametrize("block, n", [(1 << 15, 301), (40, 13), (3, 7)])
+    def test_first_column_witness_is_the_first_listed(self, monkeypatch, block, n):
+        monkeypatch.setattr(core._kernels, "_BLOCK", block)
+        q = dihedral_quandle(n).table
+        b = alexander_biquandle(211 if n == 301 else n, 3, 2)
+        for seed, columns in enumerate(block_spots(q.shape[0], block)):
+            t = with_bad_columns(q, columns, seed)
+            assert column_oracle(t) == columns
+            first = dict(check_quandle(t).violations)["r1"]
+            listed = [w for axiom, w in check_quandle(t, all_witnesses=True).violations if axiom == "r1"]
+            assert first == listed[0] and listed == [(c,) for c in columns]
+        for seed, columns in enumerate(block_spots(b.n, block)):
+            for side, axiom in enumerate(("b2-under-columns", "b2-over-columns")):
+                tables = [b.under, b.over]
+                tables[side] = with_bad_columns(tables[side], columns, seed)
+                assert column_oracle(tables[side]) == columns
+                first = check_biquandle(*tables).violations
+                listed = [w for a, w in check_biquandle(*tables, all_witnesses=True).violations if a == axiom]
+                assert first[-1] == (axiom, listed[0]) and listed == [(c,) for c in columns]
+                with pytest.raises(DomainError, match="a column is not a permutation"):
+                    ybe_witness(*tables)
+        assert ybe_witness(b.under, b.over) is None
+
+    @pytest.mark.parametrize("block", [1 << 15, 40, 3])
+    def test_a_first_witness_reads_no_block_after_its_own(self, monkeypatch, block):
+        monkeypatch.setattr(core._kernels, "_BLOCK", block)
+        n = 31
+        step = max(1, block // n)
+        for column in (0, n // 2, n - 1):
+            t = with_bad_columns(dihedral_quandle(n).table, [column, n - 1], column).view(CountingTable)
+            t.reads = []
+            assert next(core._bad_columns(t)) == column
+            assert len(t.reads) == column // step + 1
+            t.reads = []
+            assert list(core._bad_columns(t)) == sorted({column, n - 1})
+            assert len(t.reads) == -(-n // step)
+
+    @pytest.mark.parametrize("value", [-1, "n", 1 << 62])
+    def test_out_of_range_entries_keep_their_reports(self, value):
+        rng = random.Random(7)
+        for base in (R301.table, dihedral_quandle(5).table):
+            n = base.shape[0]
+            v = n if value == "n" else value
+            t = np.array(base)
+            cells = sorted({(rng.randrange(n), rng.randrange(n)) for _ in range(3)} | {(n - 1, n - 1)})
+            for cell in cells:
+                t[cell] = v
+            want = tuple(("entry-range", c) for c in cells)
+            assert check_quandle(t).violations == want[:1]
+            assert check_quandle(t, all_witnesses=True).violations == want
+            assert check_biquandle(t, base).violations == want[:1]
+            assert check_biquandle(base, t, all_witnesses=True).violations == want
+            for pair in ((t, base), (base, t)):
+                with pytest.raises(DomainError, match="pair map undefined: a column is not a permutation"):
+                    ybe_witness(*pair)

@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from biquandles import _search
+from biquandles import _search, structures
 from biquandles.core import FiniteBiquandle, FiniteQuandle, Permutation, check_quandle, is_connected
 from biquandles.enumeration import (
     _symmetric_group,
@@ -183,6 +183,18 @@ class TestTrivialStructures:
         orbs = relabeling_orbits(structures)
         assert sum(len(o) for o in orbs) == len(structures)
         assert sorted(len(o) for o in orbs) == [1, 2, 3, 3, 3]
+
+    def test_n4_validates_no_structure_again(self, monkeypatch):
+        # trivial_structure_tuples has proved every tuple (its output is
+        # pinned in TestOutputPins); each of the 168 is a valid structure
+        calls = []
+        validate = structures.validate_structure
+        monkeypatch.setattr(structures, "validate_structure", lambda q, betas: calls.append(q.n) or validate(q, betas))
+        got = enumerate_trivial_structures(4)
+        assert calls == []
+        assert [tuple(b.images for b in s.betas) for s in got] == trivial_structure_tuples(4)
+        assert all(validate(s.base, s.betas).passed for s in got)
+        assert all(s == BiquandleStructure(s.base, s.betas) for s in got)
 
     def test_closed_under_relabeling_n4(self):
         structures = enumerate_trivial_structures(4)

@@ -22,6 +22,7 @@ from biquandles import _kernels as K
 from biquandles.combinators import holomorph_biquandle, union_quandle
 from biquandles.core import (
     _bad_columns,
+    _in_range,
     _invert_columns,
     associated_quandle,
     check_biquandle,
@@ -30,9 +31,16 @@ from biquandles.core import (
     ybe_witness,
 )
 from biquandles.enumeration import enumerate_quandles, enumerate_trivial_structures
+from biquandles.errors import DomainError
 from biquandles.group_constructions import alexander_biquandle, dihedral_quandle, trivial_quandle, wada_biquandle
 from biquandles.groups import cyclic_group, symmetric_group
 from biquandles.structures import biquandle_from_structure
+
+
+def columns_biject(t):
+    """Whether every column of t, whose entries lie in [0, n), is a
+    permutation."""
+    return next(_bad_columns(t), None) is None
 
 
 def random_tables(rng, n):
@@ -718,7 +726,7 @@ class TestFlatOffsetsAtMidSize:
     def test_ybe_witness(self):
         # the pair map needs bijective over columns, so entry corruptions
         # are left to the under table
-        pairs = [(u, o) for u, o in mid_size_pairs(22) if not _bad_columns(o).any()]
+        pairs = [(u, o) for u, o in mid_size_pairs(22) if columns_biject(o)]
         witnesses = []
         for u, o in pairs:
             oinv = _invert_columns(o)
@@ -1310,7 +1318,7 @@ class TestWitnessWalk:
             assert K.all_violations(K.exchange_slabs(u, o))[0] == (x, y, z, code)
             seen["exchange"] += 1
         for u, o in pairs:
-            if _bad_columns(o).any():
+            if not columns_biject(o):
                 continue
             monkeypatch.setattr(K, "_BLOCK", default)
             oinv = _invert_columns(o)
@@ -1347,7 +1355,7 @@ class TestWitnessWalk:
             every = K.all_violations(K.exchange_slabs(u, o))
             assert got == ((every[0][3], *every[0][:3]) if every else None)
             deep += got is not None and got[1] > 0
-            if not _bad_columns(o).any():
+            if columns_biject(o):
                 oinv = _invert_columns(o)
                 lengths.clear()
                 got = K.ybe_violation(u, o, oinv)
@@ -1389,7 +1397,9 @@ class TestWitnessWalk:
 
 
 class TestBadColumnsNarrowKeys:
-    """_bad_columns sorts narrow keys; the int64 sort is its oracle."""
+    """_bad_columns sorts narrow keys; the int64 sort is its oracle.  An
+    entry outside [0, n) never reaches the narrow sort: the range test
+    refuses it first, so it cannot wrap onto a valid value."""
 
     @pytest.mark.parametrize("n", [1, 127, 128, 255, 256])
     def test_against_the_int64_sort(self, n):
@@ -1417,6 +1427,13 @@ class TestBadColumnsNarrowKeys:
         for t in tables:
             assert t.dtype == np.int64
             want = (np.sort(t, axis=0) != np.arange(n)[:, None]).any(axis=0)
-            assert np.array_equal(_bad_columns(t), want)
-            assert _bad_columns(np.asfortranarray(t)).tolist() == want.tolist()
-        assert not _bad_columns(base).any() and all(_bad_columns(t).any() for t in tables[1:])
+            if not ((t >= 0) & (t < n)).all():
+                assert not _in_range(t) and want.any()
+                assert check_quandle(t).violations[0][0] == "entry-range"
+                with pytest.raises(DomainError):
+                    ybe_witness(base, t)
+                continue
+            assert _in_range(t)
+            assert list(_bad_columns(t)) == np.flatnonzero(want).tolist()
+            assert list(_bad_columns(np.asfortranarray(t))) == np.flatnonzero(want).tolist()
+        assert columns_biject(base) and all(not _in_range(t) or not columns_biject(t) for t in tables[1:])

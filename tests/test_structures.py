@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from biquandles import _kernels, combinators
+from biquandles import _kernels, combinators, structures
 from biquandles.combinators import holomorph_biquandle
 from biquandles.core import FiniteQuandle, Permutation, associated_quandle, biquandle_of_quandle
 from biquandles.errors import DomainError, MalformedInput
@@ -257,3 +257,38 @@ class TestStructureWork:
         s = structure_of_biquandle(b)
         assert sum(checked) == 110 ** 2
         assert biquandle_from_structure(s) == b
+
+
+def counted_validations(monkeypatch):
+    """The list that each validate_structure call appends its base size to."""
+    calls = []
+    validate = structures.validate_structure
+
+    def counted(q, betas):
+        calls.append(q.n)
+        return validate(q, betas)
+
+    monkeypatch.setattr(structures, "validate_structure", counted)
+    return calls
+
+
+class TestProvenConstructions:
+    """The proven paths skip a re-check their caller has made; the public
+    constructors keep validating."""
+
+    def test_public_constructors_validate(self, monkeypatch):
+        calls = counted_validations(monkeypatch)
+        b = alexander_biquandle(7, 3, 2)
+        s = structure_of_biquandle(b)
+        BiquandleStructure(s.base, s.betas)
+        assert calls == [7, 7]
+        with pytest.raises(DomainError):
+            BiquandleStructure(s.base, (Permutation((1, 0, 2, 3, 4, 5, 6)),) + s.betas[1:])
+        assert calls == [7, 7, 7]
+
+    def test_recovered_betas_are_the_over_columns(self):
+        for b in corpus_biquandles():
+            s = structure_of_biquandle(b)
+            assert [beta.images for beta in s.betas] == [tuple(c) for c in b.over.T.tolist()]
+            assert all(beta == Permutation(beta.images) for beta in s.betas)
+            assert biquandle_from_structure(s) == b
