@@ -266,8 +266,10 @@ class Permutation:
         return self.images[x]
 
     def __mul__(self, other):
-        """Composition: (p * q)(x) = p(q(x))."""
-        return Permutation(tuple(self.images[i] for i in other.images))
+        """Composition of permutations of one degree: (p * q)(x) = p(q(x))."""
+        if self.n != other.n:
+            raise MalformedInput(f"permutation degree mismatch: {self.n} and {other.n}")
+        return Permutation._proven(tuple(self.images[i] for i in other.images))
 
     def inverse(self):
         inv = [0] * self.n
@@ -450,7 +452,8 @@ class PermutationGroup:
         return p in self.elements
 
     def __iter__(self):
-        return (Permutation(tuple(r)) for r in self.rows.tolist())
+        # both constructors prove every row a permutation
+        return (Permutation._proven(tuple(r)) for r in self.rows.tolist())
 
     def same_elements(self, other):
         return self.degree == other.degree and np.array_equal(self.rows, other.rows)
@@ -780,9 +783,10 @@ def ybe_witness(under, over):
 
 def check_ybe(b) -> bool:
     """True when the braid relation holds on all triples; b is a
-    FiniteBiquandle or an (under, over) pair."""
+    FiniteBiquandle (whose columns its constructor proved bijective, so
+    only ybe_witness's exchange check runs) or an (under, over) pair."""
     if isinstance(b, FiniteBiquandle):
-        b = (b.under, b.over)
+        return bool(_kernels.exchange_holds(b.under, b.over))
     try:
         under, over = b
     except (TypeError, ValueError):

@@ -24,8 +24,7 @@ from ._search import table_bijections
 from .core import FiniteBiquandle, FiniteQuandle, Permutation, product_table
 from .errors import DomainError
 from .group_constructions import trivial_quandle
-from .structures import BiquandleStructure
-from .verbal import invert, reduce_word
+from .structures import BiquandleStructure, validate_structure
 
 DEFAULT_ENUM_CAP = 5
 
@@ -141,98 +140,22 @@ def relabeling_orbits(structures):
     return orbit_list
 
 
-# ---------------------------------------------------------------------------
-# truncated free-quandle model for lifting structures off the trivial quandle
-
-
-def _canonical(i, w):
-    """Normal form of (generator, conjugator word): strip leading i-syllable."""
-    w = tuple(w)
-    while w and w[0][0] == i:
-        w = w[1:]
-    return (i, w)
-
-
-def _free_quandle_op(a, b):
-    """[(i, u)] * [(j, v)] = [(i, u v^{-1} x_j v)]."""
-    i, u = a
-    j, v = b
-    w = reduce_word(u + invert(v) + ((j, 1),) + v)
-    return _canonical(i, w)
-
-
-def _apply_letter_perm(perm, a):
-    i, w = a
-    return _canonical(perm[i], tuple((perm[l], e) for l, e in w))
-
-
-def _truncated_elements(n, length, exp_bound):
-    """Canonical pairs (i, w) with at most `length` syllables, exponents
-    bounded by exp_bound, and w not starting with letter i."""
-    out = []
-    exps = [e for e in range(-exp_bound, exp_bound + 1) if e != 0]
-
-    def words(prefix, prev, remaining, first_banned):
-        yield tuple(prefix)
-        if remaining == 0:
-            return
-        for let in range(n):
-            if let == prev or (not prefix and let == first_banned):
-                continue
-            for e in exps:
-                prefix.append((let, e))
-                yield from words(prefix, let, remaining - 1, first_banned)
-                prefix.pop()
-
-    for i in range(n):
-        for w in words([], None, length, i):
-            out.append((i, w))
-    return out
-
-
 def lift_structure_to_free_base_check(structure: BiquandleStructure, length=3, exp_bound=None) -> bool:
-    """Finite verification that a structure on the trivial quandle induces a
-    structure on the free-quandle term model.
+    """Whether a structure on the trivial quandle T_n induces a structure on
+    the free-quandle term model, decided exactly.
 
-    The generator permutations act on canonical pairs (generator, conjugator
-    word); both structure conditions are checked exactly on the set of
-    elements with at most `length` syllables and exponents bounded by
-    exp_bound (default: length).  The composite maps in condition 1 depend
-    only on the generators of their subscripts, so checking one pair of
-    representatives per generator pair covers every element pair; condition
-    2 is injectivity of y -> alpha_y(y), which preserves each truncation
-    stratum.  This is a truncation heuristic, not a proof for the full
-    model.
+    beta_y acts on a pair (i, w), w a reduced word not starting with i, by
+    renaming letters with p = beta_y: (i, w) -> (p(i), p(w)), again such a
+    pair.  Two such actions agree iff they agree on the generators (i, ()),
+    so condition 1 on the model is b_{b_j(i)} b_j == b_{b_i(j)} b_i and
+    condition 2 is that i -> b_i(i) is injective: the structure conditions
+    on T_n.  The verdict is the same at every truncation of the model, so
+    `length` and `exp_bound` do not change it.
     """
     base = structure.base
-    n = base.n
-    if not (base.table == np.arange(n)[:, None]).all():
+    if not (base.table == np.arange(base.n)[:, None]).all():
         raise DomainError("base must be the trivial quandle")
-    if exp_bound is None:
-        exp_bound = length
-    betas = [tuple(b.images) for b in structure.betas]
-    elements = _truncated_elements(n, length, exp_bound)
-    # condition 1 on representatives of each generator pair
-    for i in range(n):
-        x = (i, ())
-        for j in range(n):
-            y = (j, ())
-            xy = _free_quandle_op(x, y)
-            lhs_outer = betas[_apply_letter_perm(betas[j], xy)[0]]
-            rhs_outer = betas[_apply_letter_perm(betas[i], y)[0]]
-            for z in elements:
-                lz = _apply_letter_perm(lhs_outer, _apply_letter_perm(betas[j], z))
-                rz = _apply_letter_perm(rhs_outer, _apply_letter_perm(betas[i], z))
-                if lz != rz:
-                    return False
-    # condition 2: diagonal injectivity on the truncated set
-    diag = {}
-    for a in elements:
-        img = _apply_letter_perm(betas[a[0]], a)
-        if img in diag:
-            return False
-        diag[img] = a
-    return True
+    return validate_structure(base, structure.betas).passed
 
 
 # ---------------------------------------------------------------------------

@@ -405,6 +405,12 @@ class TestPermutations:
             assert (p * q)(0) == p(q(0))
             assert (p * p.inverse()).is_identity()
 
+    def test_compose_rejects_a_degree_mismatch(self):
+        p, q = Permutation((1, 0, 2)), Permutation((0, 1))
+        for a, b in ((p, q), (q, p)):
+            with pytest.raises(MalformedInput, match="permutation degree mismatch"):
+                a * b
+
     def test_cycle_notation(self):
         assert Permutation((1, 0, 2)).cycle_notation() == "(0 1)"
         assert Permutation((0, 1)).cycle_notation() == "()"

@@ -27,6 +27,7 @@ from biquandles.group_constructions import (
     wada_biquandle,
 )
 from biquandles.structures import BiquandleStructure, validate_structure
+from biquandles.verbal import invert, reduce_word
 from helpers import mult_auto
 
 
@@ -58,6 +59,84 @@ def oracle_quandle_count(n):
         if check_quandle(np.array(combo, dtype=np.int64).T).passed:
             cnt += 1
     return cnt
+
+
+def _canonical(i, w):
+    """Normal form of (generator, conjugator word): strip leading i-syllable."""
+    w = tuple(w)
+    while w and w[0][0] == i:
+        w = w[1:]
+    return (i, w)
+
+
+def _free_quandle_op(a, b):
+    """[(i, u)] * [(j, v)] = [(i, u v^{-1} x_j v)]."""
+    i, u = a
+    j, v = b
+    w = reduce_word(u + invert(v) + ((j, 1),) + v)
+    return _canonical(i, w)
+
+
+def _apply_letter_perm(perm, a):
+    i, w = a
+    return _canonical(perm[i], tuple((perm[l], e) for l, e in w))
+
+
+def _truncated_elements(n, length, exp_bound):
+    """Canonical pairs (i, w) with at most `length` syllables, exponents
+    bounded by exp_bound, and w not starting with letter i."""
+    out = []
+    exps = [e for e in range(-exp_bound, exp_bound + 1) if e != 0]
+
+    def words(prefix, prev, remaining, first_banned):
+        yield tuple(prefix)
+        if remaining == 0:
+            return
+        for let in range(n):
+            if let == prev or (not prefix and let == first_banned):
+                continue
+            for e in exps:
+                prefix.append((let, e))
+                yield from words(prefix, let, remaining - 1, first_banned)
+                prefix.pop()
+
+    for i in range(n):
+        for w in words([], None, length, i):
+            out.append((i, w))
+    return out
+
+
+def oracle_free_base_lift(structure, length, exp_bound=None):
+    """Both structure conditions checked on the free-quandle word model,
+    truncated to words of at most `length` syllables with exponents bounded
+    by exp_bound (default: length): the reference for
+    lift_structure_to_free_base_check."""
+    n = structure.base.n
+    if exp_bound is None:
+        exp_bound = length
+    betas = [tuple(b.images) for b in structure.betas]
+    elements = _truncated_elements(n, length, exp_bound)
+    # condition 1 on representatives of each generator pair
+    for i in range(n):
+        x = (i, ())
+        for j in range(n):
+            y = (j, ())
+            xy = _free_quandle_op(x, y)
+            lhs_outer = betas[_apply_letter_perm(betas[j], xy)[0]]
+            rhs_outer = betas[_apply_letter_perm(betas[i], y)[0]]
+            for z in elements:
+                lz = _apply_letter_perm(lhs_outer, _apply_letter_perm(betas[j], z))
+                rz = _apply_letter_perm(rhs_outer, _apply_letter_perm(betas[i], z))
+                if lz != rz:
+                    return False
+    # condition 2: diagonal injectivity on the truncated set
+    diag = {}
+    for a in elements:
+        img = _apply_letter_perm(betas[a[0]], a)
+        if img in diag:
+            return False
+        diag[img] = a
+    return True
 
 
 def classify(quandles):
@@ -226,6 +305,20 @@ class TestFreeBaseLift:
         s = BiquandleStructure(dihedral_quandle(3), tuple(Permutation.identity(3) for _ in range(3)))
         with pytest.raises(DomainError):
             lift_structure_to_free_base_check(s)
+
+    def test_matches_word_model_on_every_n3_family(self):
+        # every family of three permutations, structure or not: the verdict
+        # is the word model's at each truncation, and validate_structure's
+        base = trivial_quandle(3)
+        families = itertools.product([Permutation(p) for p in itertools.permutations(range(3))], repeat=3)
+        verdicts = []
+        for betas in families:
+            s = BiquandleStructure._proven(base, betas)
+            want = validate_structure(base, betas).passed
+            for length in (0, 1, 2):
+                assert oracle_free_base_lift(s, length) == lift_structure_to_free_base_check(s, length) == want
+            verdicts.append(want)
+        assert (len(verdicts), sum(verdicts)) == (216, 12)
 
 
 class TestQuandleEnumeration:
