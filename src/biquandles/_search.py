@@ -1,9 +1,11 @@
 """Backtracking engine for bijections preserving families of operation tables.
 
-Serves automorphism groups of groups, quandles and biquandles (tables vs
-themselves), isomorphism testing (tables vs other tables), and lift
-searches.  Partial maps are extended along a generating sequence, depth
-first with an explicit stack.  Every search node holds a closed partial
+One entry point per question: first_bijection finds the least bijection
+from one compiled side onto other tables (an isomorphism's witness), and
+table_bijections(tables, colours) lists one table stack's self-bijections
+(automorphism groups; covering lifts, with a colouring (cA, cB)).  Partial
+maps are extended along a generating sequence, depth first with an
+explicit stack.  Every search node holds a closed partial
 map, and assigns the first element it leaves free.  That element, and the
 rounds in which the closure of a -> b reaches each new element, depend
 on the A side alone: the node at depth i holds the closure of the base
@@ -32,7 +34,7 @@ a -> b): an image in the orbit of a gets a found map composed with an
 element of H, and an image in the orbit of one whose search failed has
 none (orbit pruning, McKay 1981).  The group is the set of products of one
 member per level, formed by numpy gathers and sorted once, and a list
-between two different sides is that group composed with the witness.  So
+whose two colourings differ is that group composed with the witness.  So
 the search work grows with the number of orbits met, not with the product
 of the level sizes: the 5,040 automorphisms of the trivial quandle of
 order 7 take 27 closures, and the plan fixes the base, not 13,699.
@@ -240,67 +242,56 @@ def _classes(inv_a, inv_b):
     return [classes[key] for key in inv_a]
 
 
-def table_bijections(tables_a, tables_b, limit=None, colours=None, invariants=None, plan=None):
-    """All bijections f with f(T[a,b]) = T'[f(a), f(b)] for every table pair.
+def first_bijection(plan, tables_b, candidates, colours=None):
+    """The least bijection f from the A side of plan (its
+    _kernels.closure_plan) onto tables_b, a (k, n, n) int64 stack, with
+    f(T[a,b]) = T'[f(a), f(b)] for every table pair and, when colours =
+    (cA, cB) is given, cB[f(a)] == cA[a]; None when there is none.
 
-    tables_a, tables_b: equal-length lists of equal-size square int arrays
-    whose columns are permutations (group, quandle and biquandle tables).
-    The invariants that prune candidates assume this; on other tables a
-    bijection may be missed.
-    colours: None, or integer labellings (cA, cB) of the two carriers; then
-    only bijections with cB[f(a)] == cA[a] are returned (a covering lift is
-    coloured by (phi o p, p)).  The colour joins each element's invariant,
-    and a node whose closure breaks a colour is dropped.
-    invariants: None, or (invA, invB), the lists _invariants gives for
-    tables_a and tables_b, used instead of computing them again (a caller
-    that keeps them per object passes them).
-    plan: None, or the _kernels.closure_plan of tables_a stacked, used
-    instead of building it again (a caller that keeps it per object passes
-    it).
-    Returns the maps as one (k, n) array of image rows, sorted
-    lexicographically and (0, n) when there is none; limit=k keeps the
-    first k (limit=1 is a plain existence/witness search, which lists
-    nothing).
-    Raises DomainError when the full list would exceed MAX_LISTED maps.
+    candidates[a] lists the B elements a may take, ascending (_classes).
+    The caller has already matched the two invariant multisets, so the
+    sides have one order and no class is empty."""
+    k, n = tables_b.shape[:2]
+    img = np.full(n, -1, dtype=np.int64)
+    return _first_leaf(plan, tables_b.reshape(k, n * n), candidates, colours, img, img.copy(), 0)
 
-    The full list is t o G: G the automorphisms of the A side (preserving
-    cA), as products of a transversal chain, and t the least bijection, the
-    witness; t is the identity, and is not searched for, when the two sides
-    and their colourings are equal.
+
+def table_bijections(tables, colours=None):
+    """All bijections f of the carrier with f(T[a,b]) = T[f(a), f(b)] for
+    every table T, as one (k, n) array of image rows, sorted
+    lexicographically ((0, n) when there is none).
+
+    tables: equal-size square int arrays whose columns are permutations
+    (group, quandle and biquandle tables); the invariants that prune
+    candidates assume this, and on other tables a bijection may be missed.
+    colours: None, or integer labellings (cA, cB) of the carrier; then only
+    f with cB[f(a)] == cA[a] are listed (a covering lift is coloured by
+    (phi o p, p)).  The colour joins each element's invariant, and a node
+    whose closure breaks a colour is dropped.
+    Raises DomainError when the list would exceed MAX_LISTED maps.
+
+    The list is t o G: G the automorphisms keeping cA, as products of a
+    transversal chain, and t the witness (first_bijection) taking cA to cB,
+    searched for only when the colourings differ.
     """
-    tA = np.stack([np.asarray(t, dtype=np.int64) for t in tables_a])
-    tB = np.stack([np.asarray(t, dtype=np.int64) for t in tables_b])
-    k, n = tA.shape[:2]
+    t = np.stack([np.asarray(x, dtype=np.int64) for x in tables])
+    k, n = t.shape[:2]
     none = np.empty((0, n), dtype=np.int64)
-    if tA.shape != tB.shape:
-        return none
-    same = np.array_equal(tA, tB)
-    if invariants is None:
-        invA = _invariants(tA)
-        invB = invA if same else _invariants(tB)
-    else:
-        invA, invB = invariants
+    inv = _invariants(t)
+    cA = cB = witness = None
     if colours is not None:
         cA, cB = (np.asarray(c, dtype=np.int64) for c in colours)
-        same = same and np.array_equal(cA, cB)
-        invB = list(zip(invB, cB.tolist()))
-        invA = list(zip(invA, cA.tolist()))
-        colours = (cA, cB)
-    if Counter(invA) != Counter(invB):
-        return none
-    if plan is None:
-        plan = _kernels.closure_plan(tA)
-    if limit == 1 or not same:
-        img = np.full(n, -1, dtype=np.int64)
-        witness = _first_leaf(plan, tB.reshape(k, n * n), _classes(invA, invB), colours, img, img.copy(), 0)
+        inv, invB = list(zip(inv, cA.tolist())), list(zip(inv, cB.tolist()))
+        if Counter(inv) != Counter(invB):
+            return none
+    plan = _kernels.closure_plan(t)
+    if cA is not None and not np.array_equal(cA, cB):
+        witness = first_bijection(plan, t, _classes(inv, invB), (cA, cB))
         if witness is None:
             return none
-        if limit == 1:
-            return witness[None, :]
     group = np.arange(n, dtype=np.int64)[None, :]
-    tA = tA.reshape(k, n * n)
-    for level in reversed(_transversals(plan, tA, _classes(invA, invA), None if colours is None else cA)):
+    for level in reversed(_transversals(plan, t.reshape(k, n * n), _classes(inv, inv), cA)):
         group = level[:, group].reshape(-1, n)  # t o g for t in level, g below
-    if not same:
+    if witness is not None:
         group = witness[group]
-    return group[np.lexsort(group.T[::-1])][:limit]
+    return group[np.lexsort(group.T[::-1])]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._search import preserves_tables, table_bijections
-from .combinators import semidirect_biquandle, union_biquandle_constant, union_quandle
+from .combinators import _check_cross_maps, _identity_maps, semidirect_biquandle, union_biquandle_constant, union_quandle
 from .core import (
     FiniteBiquandle,
     FiniteQuandle,
@@ -42,13 +42,12 @@ from .structures import biquandle_from_structure, constant_structure
 
 def quandle_aut(q: FiniteQuandle) -> PermutationGroup:
     """All table-preserving bijections, by pruned backtracking."""
-    return PermutationGroup.from_elements(q.n, table_bijections([q.table], [q.table]))
+    return PermutationGroup.from_elements(q.n, table_bijections([q.table]))
 
 
 def biquandle_aut(b: FiniteBiquandle) -> PermutationGroup:
     """All bijections preserving both tables."""
-    tables = [b.under, b.over]
-    return PermutationGroup.from_elements(b.n, table_bijections(tables, tables))
+    return PermutationGroup.from_elements(b.n, table_bijections([b.under, b.over]))
 
 
 def find_quandle_isomorphism(q1: FiniteQuandle, q2: FiniteQuandle):
@@ -194,10 +193,12 @@ def verify_union_biquandle_aut(q1, q2, f1: Permutation, f2: Permutation):
 
 
 def aut_psi_pairs(q1: FiniteQuandle, q2: FiniteQuandle, psi):
-    """Pairs (a, b) in Aut(Q1) x Aut(Q2) with psi_{b(f)} = a psi_f a^{-1}."""
+    """Pairs (a, b) in Aut(Q1) x Aut(Q2) with psi_{b(f)} = a psi_f a^{-1}.
+
+    psi is checked as semidirect_biquandle checks it, with the same error."""
+    P = _check_cross_maps(q1, q2, _identity_maps(q1.n, q2.n), psi)[1]  # P[f] = psi_f
     aut2 = quandle_aut(q2)
     a2 = list(aut2)
-    P = np.array([p.images for p in psi], dtype=np.int64).reshape(-1, q1.n)
     Pb = P[aut2.rows]  # Pb[j, f] = psi_{b_j(f)}
     out = []
     for a in quandle_aut(q1):
@@ -273,9 +274,9 @@ def verify_sequence_cardinality(q1: FiniteQuandle, q2: FiniteQuandle, psi) -> bo
     """|C|^k * |Aut_psi| == |C| * |H|; when every automorphism of Q2 fixes
     the first orbit, additionally |H| == |C|^{k-1} * |Aut_psi|."""
     psi = tuple(psi)
+    autpsi = aut_psi_pairs(q1, q2, psi)
     cent = _psi_inn_centralizer(q1, psi)
     k = len(orbits(q2))
-    autpsi = aut_psi_pairs(q1, q2, psi)
     h = product_H_subgroup(q1, q2, psi)
     ok = len(cent) ** k * len(autpsi) == len(cent) * h.order
     first = set(orbits(q2)[0])

@@ -42,6 +42,18 @@ def _check_conj_hom(q_source: FiniteQuandle, maps, name):
         raise DomainError(f"{name} is not a quandle homomorphism into the conjugation quandle: witness (x={hit[0]}, y={hit[1]})")
 
 
+def _check_cross_maps(q1: FiniteQuandle, q2: FiniteQuandle, phi, psi):
+    """phi: Q1 -> Aut(Q2) and psi: Q2 -> Aut(Q1) as image rows, checked as
+    maps into the conjugation quandles; raises at the first failure."""
+    phi = _check_aut_valued(q2, phi, "phi")
+    psi = _check_aut_valued(q1, psi, "psi")
+    if len(phi) != q1.n or len(psi) != q2.n:
+        raise DomainError("phi must have length |Q1| and psi length |Q2|")
+    _check_conj_hom(q1, phi, "phi")
+    _check_conj_hom(q2, psi, "psi")
+    return phi, psi
+
+
 def _identity_maps(n_source, n_target):
     return (Permutation.identity(n_target),) * n_source
 
@@ -92,12 +104,7 @@ def union_biquandle_general(q1: FiniteQuandle, q2: FiniteQuandle, phi, psi) -> B
     phi_{x1} = phi_{psi_{x2}(x1)} and psi_{x2} = psi_{phi_{x1}(x2)}.
     """
     n1, n2 = q1.n, q2.n
-    phi = _check_aut_valued(q2, phi, "phi")
-    psi = _check_aut_valued(q1, psi, "psi")
-    if len(phi) != n1 or len(psi) != n2:
-        raise DomainError("phi must have length |Q1| and psi length |Q2|")
-    _check_conj_hom(q1, phi, "phi")
-    _check_conj_hom(q2, psi, "psi")
+    phi, psi = _check_cross_maps(q1, q2, phi, psi)
     # both conditions on the [x1, x2] grid, maps compared by row id
     phi_id, psi_id = (_columns(h.T)[0] for h in (phi, psi))
     bad_phi = phi_id[:, None] != phi_id[psi.T]
@@ -154,12 +161,7 @@ def product_biquandle(q1: FiniteQuandle, q2: FiniteQuandle, phi, psi, case) -> F
     case 2 requires phi constant {g} with psi_{g(a *2 b)} = psi_{g(b)} psi_a psi_b^{-1}.
     """
     n1, n2 = q1.n, q2.n
-    phi = _check_aut_valued(q2, phi, "phi")
-    psi = _check_aut_valued(q1, psi, "psi")
-    if len(phi) != n1 or len(psi) != n2:
-        raise DomainError("phi must have length |Q1| and psi length |Q2|")
-    _check_conj_hom(q1, phi, "phi")
-    _check_conj_hom(q2, psi, "psi")
+    phi, psi = _check_cross_maps(q1, q2, phi, psi)
     if case not in (1, 2):
         raise DomainError("case must be 1 or 2")
     # the two cases are mirror images: (Q, maps, constant family, names)

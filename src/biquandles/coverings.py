@@ -63,7 +63,7 @@ def image_quandle_SQ(q: FiniteQuandle):
 
 def _lifts(p, qt: FiniteQuandle, phi):
     """The automorphisms g of the covering with p(g(x)) = phi(p(x)), sorted."""
-    maps = table_bijections([qt.table], [qt.table], colours=(phi[p], p))
+    maps = table_bijections([qt.table], colours=(phi[p], p))
     return [Permutation.from_array(m) for m in maps]
 
 

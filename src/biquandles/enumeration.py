@@ -20,7 +20,7 @@ import itertools
 
 import numpy as np
 
-from ._search import table_bijections
+from ._search import _classes, first_bijection
 from .core import FiniteBiquandle, FiniteQuandle, Permutation, product_table
 from .errors import DomainError
 from .group_constructions import trivial_quandle
@@ -244,16 +244,13 @@ def are_isomorphic(a, b):
     built at its first search, so classifying against a few
     representatives builds one plan per representative.  The witness is
     the least table-preserving bijection."""
-    if isinstance(a, FiniteQuandle) and isinstance(b, FiniteQuandle):
-        tables_a, tables_b = [a.table], [b.table]
-    elif isinstance(a, FiniteBiquandle) and isinstance(b, FiniteBiquandle):
-        tables_a, tables_b = [a.under, a.over], [b.under, b.over]
-    else:
+    if not any(isinstance(a, kind) and isinstance(b, kind) for kind in (FiniteQuandle, FiniteBiquandle)):
         raise DomainError("arguments must be two quandles or two biquandles")
     if a.n != b.n:
         return None
     (inv_a, count_a), (inv_b, count_b) = a.invariants(), b.invariants()
     if count_a != count_b:
         return None
-    maps = table_bijections(tables_a, tables_b, limit=1, invariants=(inv_a, inv_b), plan=a._closure_plan())
-    return Permutation.from_array(maps[0]) if len(maps) else None
+    tables_b = b.table[None] if isinstance(b, FiniteQuandle) else np.stack([b.under, b.over])
+    f = first_bijection(a._closure_plan(), tables_b, _classes(inv_a, inv_b))
+    return None if f is None else Permutation.from_array(f)

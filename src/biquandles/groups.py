@@ -224,7 +224,7 @@ def small_groups(max_order=8):
 def automorphism_group(g: FiniteGroup):
     """All automorphisms, sorted by image tuple so list indices are
     deterministic."""
-    return [Permutation.from_array(m) for m in table_bijections([g.mul], [g.mul])]
+    return [Permutation.from_array(m) for m in table_bijections([g.mul])]
 
 
 def center(g: FiniteGroup):

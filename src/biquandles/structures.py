@@ -29,6 +29,7 @@ from .core import (
     Permutation,
     as_table,
     associated_quandle,
+    from_json_text,
 )
 from .errors import DomainError, MalformedInput
 
@@ -75,11 +76,7 @@ class BiquandleStructure:
 
     @staticmethod
     def from_json(s):
-        try:
-            d = json.loads(s)
-        except json.JSONDecodeError as e:
-            raise MalformedInput(f"bad JSON: {e}") from None
-        return BiquandleStructure.from_dict(d)
+        return from_json_text(s, BiquandleStructure.from_dict)
 
 
 def _image_rows(q: FiniteQuandle, maps):
@@ -152,8 +149,12 @@ def biquandle_from_structure(s: BiquandleStructure) -> FiniteBiquandle:
 def structure_of_biquandle(b: FiniteBiquandle) -> BiquandleStructure:
     """Recover the structure over the associated quandle: beta_y = over column y.
 
-    b2 has proved every over column a bijection, so the betas skip
-    Permutation's sort; the structure is still validated."""
+    b's axioms prove it a structure, so validate_structure is not run: by b2
+    each over column is a bijection, by (3b) an automorphism of the
+    associated quandle, and (3c) is structure-1 (_kernels.exchange_holds;
+    beta_y(x*y) = x u y, beta_x(y) = y o x).  Structure-2: y o y = z o z
+    for y != z would give S(y, y) = S(z, z) for the pair map S, by b1,
+    against b2."""
     q = associated_quandle(b)
     betas = tuple(Permutation._proven(tuple(r)) for r in b.over.T.tolist())
-    return BiquandleStructure(q, betas)
+    return BiquandleStructure._proven(q, betas)

@@ -1,10 +1,24 @@
 """Shared constructions for the test suite."""
 
+import math
+
 import numpy as np
 
-from biquandles.core import FiniteQuandle, Permutation
-from biquandles.group_constructions import dihedral_quandle
-from biquandles.groups import automorphism_group
+from biquandles.core import FiniteQuandle, Permutation, biquandle_of_quandle
+from biquandles.group_constructions import (
+    alexander_biquandle,
+    alexander_quandle,
+    conj_quandle,
+    core_quandle,
+    dihedral_quandle,
+    exponent,
+    gen_alexander_biquandle,
+    gen_dihedral_biquandle,
+    takasaki,
+    trivial_quandle,
+    wada_biquandle,
+)
+from biquandles.groups import automorphism_group, commute, is_central_automorphism, small_groups
 
 
 def mult_auto(g, m):
@@ -49,3 +63,33 @@ def mulclose(gens, degree):
 def cycle(n):
     """The full cycle i -> i+1 on n points."""
     return Permutation(tuple((i + 1) % n for i in range(n)))
+
+
+def constructed_biquandles_over_groups(max_order):
+    """Every biquandle constructor over every group of order <= max_order
+    and all admissible parameters, plus the embedded quandle families."""
+    out = []
+    for g in small_groups(max_order):
+        auts = automorphism_group(g)
+        out.append(wada_biquandle(g))
+        for phi in auts:
+            if is_central_automorphism(g, phi):
+                out.append(gen_dihedral_biquandle(g, phi))
+        for phi in auts:
+            for psi in auts:
+                if commute(phi, psi):
+                    out.append(gen_alexander_biquandle(g, phi, psi))
+        for k in range(exponent(g)):
+            out.append(biquandle_of_quandle(conj_quandle(g, k)))
+        out.append(biquandle_of_quandle(core_quandle(g)))
+        if g.is_abelian():
+            out.append(biquandle_of_quandle(takasaki(g)))
+        for phi in auts:
+            out.append(biquandle_of_quandle(alexander_quandle(g, phi)))
+    for n in range(1, max_order + 1):
+        out.append(biquandle_of_quandle(trivial_quandle(n)))
+        units = [s for s in range(1, n + 1) if math.gcd(s, n) == 1]
+        for s in units:
+            for t in units:
+                out.append(alexander_biquandle(n, s, t))
+    return out

@@ -36,24 +36,17 @@ from biquandles.coverings import (
 from biquandles.enumeration import enumerate_quandles, enumerate_trivial_structures
 from biquandles.groups import (
     automorphism_group,
-    commute,
     cyclic_group,
-    is_central_automorphism,
     is_fixed_point_free,
     small_groups,
 )
 from biquandles.group_constructions import (
-    alexander_biquandle,
     alexander_quandle,
     conj_quandle,
     core_quandle,
     dihedral_quandle,
-    exponent,
     gen_alexander_biquandle,
-    gen_dihedral_biquandle,
-    takasaki,
     trivial_quandle,
-    wada_biquandle,
 )
 from biquandles.links import (
     builtin_diagrams,
@@ -76,7 +69,7 @@ from biquandles.verbal import (
     enumerate_verbal_quandle_words,
     shape_word,
 )
-from helpers import cycle, mult_auto, projection_quandle
+from helpers import constructed_biquandles_over_groups, cycle, mult_auto, projection_quandle
 
 
 def report(name, started, budget=None):
@@ -84,36 +77,6 @@ def report(name, started, budget=None):
     if budget is not None:
         assert elapsed < budget, f"{name} exceeded its {budget}s budget ({elapsed:.1f}s)"
     print(f"ACCEPTANCE {name}: PASS ({elapsed:.2f}s)")
-
-
-def constructed_biquandles_over_groups(max_order):
-    """Every biquandle constructor over every group of order <= max_order
-    and all admissible parameters, plus the embedded quandle families."""
-    out = []
-    for g in small_groups(max_order):
-        auts = automorphism_group(g)
-        out.append(wada_biquandle(g))
-        for phi in auts:
-            if is_central_automorphism(g, phi):
-                out.append(gen_dihedral_biquandle(g, phi))
-        for phi in auts:
-            for psi in auts:
-                if commute(phi, psi):
-                    out.append(gen_alexander_biquandle(g, phi, psi))
-        for k in range(exponent(g)):
-            out.append(biquandle_of_quandle(conj_quandle(g, k)))
-        out.append(biquandle_of_quandle(core_quandle(g)))
-        if g.is_abelian():
-            out.append(biquandle_of_quandle(takasaki(g)))
-        for phi in auts:
-            out.append(biquandle_of_quandle(alexander_quandle(g, phi)))
-    for n in range(1, max_order + 1):
-        out.append(biquandle_of_quandle(trivial_quandle(n)))
-        units = [s for s in range(1, n + 1) if math.gcd(s, n) == 1]
-        for s in units:
-            for t in units:
-                out.append(alexander_biquandle(n, s, t))
-    return out
 
 
 def test_criterion_01_verbal_classification():

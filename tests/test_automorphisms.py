@@ -317,6 +317,16 @@ class TestProductTheorems:
         cent = centralizer(quandle_aut(r3), s)
         assert len(pairs) == cent.order * 2
 
+    @pytest.mark.parametrize("psi", [(Permutation.identity(3),), (Permutation.identity(3),) * 3])
+    def test_inadmissible_psi_raises_as_the_semidirect_biquandle_does(self, psi):
+        r3, t2 = dihedral_quandle(3), trivial_quandle(2)
+        with pytest.raises(DomainError) as built:
+            semidirect_biquandle(r3, t2, psi)
+        for f in (aut_psi_pairs, aut_psi_subgroup, verify_sequence_cardinality):
+            with pytest.raises(DomainError) as err:
+                f(r3, t2, psi)
+            assert err.value.args == built.value.args
+
     def test_H_for_t2_t2(self):
         t2 = trivial_quandle(2)
         h = product_H_subgroup(t2, t2, ident_maps(2, 2))

@@ -14,10 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biquandles import _kernels, _search, enumeration, links
-from biquandles._search import table_bijections
+from biquandles._search import first_bijection, table_bijections
 from biquandles.automorphisms import biquandle_aut, quandle_aut
 from biquandles.combinators import holomorph_biquandle
-from biquandles.core import FiniteQuandle, orbits
+from biquandles.core import FiniteBiquandle, FiniteQuandle, orbits
 from biquandles.enumeration import are_isomorphic, enumerate_quandles
 from biquandles.errors import DomainError
 from biquandles.group_constructions import dihedral_quandle, trivial_quandle
@@ -115,16 +115,43 @@ def table_pairs(draw):
     return tables_a, tables_b, colours
 
 
+def witness(tables_a, tables_b, colours=None):
+    """first_bijection from tables_a onto tables_b, called as are_isomorphic
+    calls it: only once the invariant multisets, joined to the colours,
+    agree."""
+    a, b = (np.stack([np.asarray(t, dtype=np.int64) for t in ts]) for ts in (tables_a, tables_b))
+    inv_a, inv_b = _search._invariants(a), _search._invariants(b)
+    if colours is not None:
+        colours = tuple(np.asarray(c, dtype=np.int64) for c in colours)
+        inv_a, inv_b = list(zip(inv_a, colours[0].tolist())), list(zip(inv_b, colours[1].tolist()))
+    if Counter(inv_a) != Counter(inv_b):
+        return None
+    return first_bijection(_kernels.closure_plan(a), b, _search._classes(inv_a, inv_b), colours)
+
+
 class TestEngineOracle:
     @settings(max_examples=300)
     @given(table_pairs())
     def test_all_bijections_in_order_and_first_witness(self, pair):
+        # every map A -> B is the witness composed with an automorphism of
+        # A that keeps cA
         tables_a, tables_b, colours = pair
         expected = bijections_oracle(tables_a, tables_b, colours)
-        got = table_bijections(tables_a, tables_b, colours=colours)
-        assert [f.tolist() for f in got] == expected
-        got = table_bijections(tables_a, tables_b, limit=1, colours=colours)
-        assert [f.tolist() for f in got] == expected[:1]
+        f = witness(tables_a, tables_b, colours)
+        assert ([] if f is None else [f.tolist()]) == expected[:1]
+        if f is not None:
+            cA = None if colours is None else (colours[0], colours[0])
+            got = f[table_bijections(tables_a, cA)]
+            assert [g.tolist() for g in got[np.lexsort(got.T[::-1])]] == expected
+
+    @settings(max_examples=150)
+    @given(table_pairs())
+    def test_coloured_self_bijections(self, pair):
+        # with cA != cB the listing is a covering lift's: the witness
+        # composed with the automorphisms keeping cA
+        tables_a, _, colours = pair
+        got = table_bijections(tables_a, colours)
+        assert [f.tolist() for f in got] == bijections_oracle(tables_a, tables_a, colours)
 
 
 class TestSearchDepth:
@@ -133,8 +160,7 @@ class TestSearchDepth:
         # no image forced, so a recursive search would nest n frames deep
         n = 1100
         t = np.broadcast_to(np.arange(n)[:, None], (n, n))
-        (f,) = table_bijections([t], [t], limit=1)
-        assert f.tolist() == list(range(n))
+        assert witness([t], [t]).tolist() == list(range(n))
 
 
 def counter(monkeypatch, module, name):
@@ -142,9 +168,9 @@ def counter(monkeypatch, module, name):
     calls = []
     f = getattr(module, name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(1)
-        return f(*args)
+        return f(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
     return calls
@@ -201,35 +227,49 @@ class TestWork:
         assert len(searches) == 61
         assert len(plans) == 1
 
+    @pytest.mark.parametrize("p, calls, pin", [(5, 63, "b4af5ec3f8876db5"), (7, 128, "325d8606c7437d47")])
+    def test_witness_against_a_relabelled_holomorph(self, closures, p, calls, pin):
+        # are_isomorphic's witness search, the least bijection, pinned with
+        # its work
+        b = holomorph_biquandle(dihedral_quandle(p))
+        s = np.random.default_rng(p).permutation(b.n)
+        c = FiniteBiquandle(relabel(b.under, s), relabel(b.over, s))
+        closures.clear()
+        f = are_isomorphic(b, c).array()
+        assert len(closures) == calls
+        assert hashlib.sha256(f.tobytes()).hexdigest()[:16] == pin
+        assert np.array_equal(relabel(b.under, f), c.under) and np.array_equal(relabel(b.over, f), c.over)
+
     def test_classification_builds_one_plan_per_searched_representative(self, monkeypatch, plans):
         # are_isomorphic(r, q) searches with r's plan, kept by r
-        searched = set()
-        search = enumeration.table_bijections
+        searched = {}
+        search = enumeration.first_bijection
 
-        def recorded(tables_a, *args, **kwargs):
-            searched.add(id(tables_a[0]))
-            return search(tables_a, *args, **kwargs)
+        def recorded(plan, *args, **kwargs):
+            searched[id(plan)] = plan
+            return search(plan, *args, **kwargs)
 
-        monkeypatch.setattr(enumeration, "table_bijections", recorded)
+        monkeypatch.setattr(enumeration, "first_bijection", recorded)
         reps = []
         for q in enumerate_quandles(4):
             if all(are_isomorphic(r, q) is None for r in reps):
                 reps.append(q)
         assert len(reps) == 7
-        assert searched <= {id(r.table) for r in reps}
         assert 0 < len(plans) <= len(searched)
+        kept = [r._closure_plan() for r in reps]
+        assert all(any(plan is p for p in kept) for plan in searched.values())
 
 
 class TestListingCap:
     def test_order_above_the_cap_is_refused_before_listing(self, monkeypatch):
         t = trivial_quandle(7).table
         monkeypatch.setattr(_search, "MAX_LISTED", 5040)
-        assert len(table_bijections([t], [t])) == 5040
-        # a witness search lists nothing, so the cap does not apply
-        assert len(table_bijections([t], [t], limit=1)) == 1
+        assert len(table_bijections([t])) == 5040
         monkeypatch.setattr(_search, "MAX_LISTED", 5039)
         with pytest.raises(DomainError, match="can be listed"):
-            table_bijections([t], [t])
+            table_bijections([t])
+        # a witness search lists nothing, so the cap does not apply
+        assert witness([t], [t]).tolist() == list(range(7))
 
     def test_trivial_quandle_11(self, closures):
         # the levels fill deepest first, so the refusal comes once 10! of

@@ -3,7 +3,7 @@ import pytest
 
 from biquandles import _kernels, combinators, structures
 from biquandles.combinators import holomorph_biquandle
-from biquandles.core import FiniteQuandle, Permutation, associated_quandle, biquandle_of_quandle
+from biquandles.core import FiniteBiquandle, FiniteQuandle, Permutation, associated_quandle, biquandle_of_quandle, check_quandle
 from biquandles.errors import DomainError, MalformedInput
 from biquandles.groups import cyclic_group, symmetric_group
 from biquandles.group_constructions import (
@@ -22,6 +22,7 @@ from biquandles.structures import (
     structure_of_biquandle,
     validate_structure,
 )
+from helpers import constructed_biquandles_over_groups
 
 
 def corpus_biquandles():
@@ -127,11 +128,36 @@ class TestRoundTrips:
         s = structure_of_biquandle(biquandle_of_quandle(dihedral_quandle(5)))
         assert all(b.is_identity() for b in s.betas)
 
+    def test_proven_quandle_and_structure_pass_the_checks(self):
+        # associated_quandle and structure_of_biquandle skip the checks
+        # that b's axioms prove; the checks stay their oracle
+        corpus = constructed_biquandles_over_groups(8) + corpus_biquandles()
+        corpus += [holomorph_biquandle(q) for q in (trivial_quandle(2), dihedral_quandle(3), dihedral_quandle(5))]
+        for b in corpus:
+            s = structure_of_biquandle(b)
+            assert check_quandle(associated_quandle(b).table).passed
+            assert validate_structure(s.base, s.betas).passed
+
 
 class TestJson:
     def test_roundtrip(self):
         s = structure_of_biquandle(wada_biquandle(cyclic_group(3)))
         assert BiquandleStructure.from_json(s.to_json()).betas == s.betas
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("nope", "bad JSON: Expecting value: line 1 column 1 (char 0)"),
+            ("", "bad JSON: Expecting value: line 1 column 1 (char 0)"),
+            ('{"n": 1,}', "bad JSON: Expecting property name enclosed in double quotes: line 1 column 9 (char 8)"),
+        ],
+        ids=["word", "empty", "trailing-comma"],
+    )
+    def test_every_loader_reports_bad_json_alike(self, text, message):
+        for cls in (FiniteQuandle, FiniteBiquandle, BiquandleStructure):
+            with pytest.raises(MalformedInput) as err:
+                cls.from_json(text)
+            assert err.value.args == (message,)
 
 
 def structure_oracle(t, B):
@@ -241,7 +267,9 @@ class TestStructureWork:
         b = holomorph_biquandle(dihedral_quandle(7))
         assert len(_kernels._columns(b.over)[1]) == 42
         checked = counted_compares(monkeypatch)
-        structure_of_biquandle(b)
+        s = structure_of_biquandle(b)
+        assert checked == []  # b's axioms prove the structure
+        assert validate_structure(s.base, s.betas).passed
         # 42 distinct betas; 1,764 quadruples against 86,436 pairs (x, y)
         assert sum(checked) == 1_764
 
@@ -255,6 +283,8 @@ class TestStructureWork:
         b = holomorph_biquandle(dihedral_quandle(11))
         checked = counted_compares(monkeypatch)
         s = structure_of_biquandle(b)
+        assert checked == []  # b's axioms prove the structure
+        assert validate_structure(s.base, s.betas).passed
         assert sum(checked) == 110 ** 2
         assert biquandle_from_structure(s) == b
 
@@ -280,11 +310,12 @@ class TestProvenConstructions:
         calls = counted_validations(monkeypatch)
         b = alexander_biquandle(7, 3, 2)
         s = structure_of_biquandle(b)
+        assert calls == []  # b's axioms prove the structure
         BiquandleStructure(s.base, s.betas)
-        assert calls == [7, 7]
+        assert calls == [7]
         with pytest.raises(DomainError):
             BiquandleStructure(s.base, (Permutation((1, 0, 2, 3, 4, 5, 6)),) + s.betas[1:])
-        assert calls == [7, 7, 7]
+        assert calls == [7, 7]
 
     def test_recovered_betas_are_the_over_columns(self):
         for b in corpus_biquandles():
