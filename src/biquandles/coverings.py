@@ -17,8 +17,8 @@ import itertools
 import numpy as np
 
 from ._search import table_bijections
-from .automorphisms import biquandle_aut, normalizes
-from .core import FiniteQuandle, Permutation
+from .automorphisms import _normalizes, biquandle_aut
+from .core import FiniteQuandle, Permutation, unique_rows
 from .errors import DomainError
 from .structures import BiquandleStructure, biquandle_from_structure
 
@@ -62,9 +62,9 @@ def image_quandle_SQ(q: FiniteQuandle):
 
 
 def _lifts(p, qt: FiniteQuandle, phi):
-    """The automorphisms g of the covering with p(g(x)) = phi(p(x)), sorted."""
-    maps = table_bijections([qt.table], colours=(phi[p], p))
-    return [Permutation.from_array(m) for m in maps]
+    """The automorphisms g of the covering with p(g(x)) = phi(p(x)), as
+    sorted image rows."""
+    return table_bijections([qt.table], colours=(phi[p], p))
 
 
 def lift_structure_search(p, qt: FiniteQuandle, q: FiniteQuandle, a: BiquandleStructure):
@@ -78,7 +78,7 @@ def lift_structure_search(p, qt: FiniteQuandle, q: FiniteQuandle, a: BiquandleSt
     if a.base != q:
         raise DomainError("structure must live on the covering's base")
     # candidates per base element y: the lifts of beta_y through p
-    cand = [_lifts(p, qt, b.array()) for b in a.betas]
+    cand = [[Permutation.from_array(g) for g in _lifts(p, qt, b.array())] for b in a.betas]
     for chosen in itertools.product(*cand):
         try:
             return BiquandleStructure(qt, tuple(chosen[y] for y in p.tolist()))
@@ -107,7 +107,7 @@ def verify_lift_normalizer(p, lifted: BiquandleStructure, base: BiquandleStructu
     p = np.asarray(p, dtype=np.int64)
     aut_b = biquandle_aut(biquandle_from_structure(base))
     lifts = [_lifts(p, lifted.base, phi) for phi in aut_b.rows]
-    if not all(lifts):
+    if not all(len(gs) for gs in lifts):
         return None
-    fam = set(lifted.betas)
-    return all(any(normalizes(g, fam) for g in gs) for gs in lifts)
+    fam = unique_rows(lifted.beta_arrays())
+    return all(any(_normalizes(g, fam) for g in gs) for gs in lifts)

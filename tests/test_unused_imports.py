@@ -1,5 +1,6 @@
 """Every name a library module imports, and every private name it defines
-at module level, is referenced in that module.
+at module level, is referenced in that module; and no library module
+calls np.unique by rows.
 
 ``__init__.py`` is exempt: its imports are the package's re-exports.
 """
@@ -70,3 +71,29 @@ def test_no_unused_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_private_names(path):
     assert unused_private_names(path.read_text()) == []
+
+
+def unique_row_calls(source):
+    """Lines calling np.unique (or numpy.unique) with an axis argument:
+    sorted distinct rows have one path, core.unique_rows."""
+    tree = ast.parse(source)
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "unique"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id in ("np", "numpy")
+        and any(kw.arg == "axis" for kw in node.keywords)
+    )
+
+
+def test_scanner_flags_np_unique_by_rows():
+    src = "import numpy as np\nnp.unique(a)\nnp.unique(a, axis=0)\nnp.unique(a, return_index=True)\nnumpy.unique(b, axis=1)\n"
+    assert unique_row_calls(src) == [3, 5]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_np_unique_by_rows(path):
+    assert unique_row_calls(path.read_text()) == []
