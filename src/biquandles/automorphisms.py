@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._search import MAX_LISTED, preserves_tables, table_bijections
-from .combinators import _check_cross_maps, _identity_maps, semidirect_biquandle, union_biquandle_constant, union_quandle
+from .combinators import _check_cross_maps, _holomorph, _identity_maps, semidirect_biquandle, union_biquandle_constant, union_quandle
 from .core import (
     FiniteBiquandle,
     FiniteQuandle,
@@ -26,13 +26,12 @@ from .core import (
     is_connected,
     is_faithful,
     orbits,
-    product_table,
     row_keys,
     unique_rows,
 )
 from .enumeration import are_isomorphic
 from .errors import DomainError
-from .groups import FiniteGroup, GroupAutomorphism, fixed_points
+from .groups import FiniteGroup, GroupAutomorphism, commute, fixed_points
 from .group_constructions import gen_alexander_biquandle, gen_dihedral_biquandle, takasaki
 from .structures import biquandle_from_structure, constant_structure
 
@@ -110,9 +109,9 @@ def verify_gen_alexander_aut(g: FiniteGroup, phi: GroupAutomorphism, psi: GroupA
     a in the centralizer, which are distinct since a(e) = e."""
     if not g.is_abelian():
         raise DomainError("need an abelian group")
-    pair = np.array([phi.images, psi.images], dtype=np.int64)
-    if not len(_commuting(pair[:1], pair[1:])):
+    if not commute(phi, psi):
         raise DomainError("phi and psi must commute")
+    pair = np.array([phi.images, psi.images], dtype=np.int64)
     if np.flatnonzero(pair[0] == pair[1]).tolist() != [g.e]:  # the fixed points of psi^{-1} phi
         raise DomainError("psi^{-1} phi must be fixed-point free")
     b = gen_alexander_biquandle(g, phi, psi)
@@ -278,16 +277,12 @@ def verify_sequence_cardinality(q1: FiniteQuandle, q2: FiniteQuandle, psi) -> bo
 
 def verify_holomorph_aut(q: FiniteQuandle) -> bool:
     """Brute-force Aut(Hol(Q)) equals {(x,f) -> (a(x), a f a^{-1})}."""
-    from .combinators import holomorph_biquandle
-
     if not (is_faithful(q) and is_connected(q)):
         raise DomainError("need a faithful connected quandle")
-    hol = holomorph_biquandle(q)
-    aut = quandle_aut(q)
-    comp, inv = product_table(aut.rows)
-    conj = comp[comp, inv[:, None]]  # conj[j, i]: the index of f_j f_i f_j^{-1}
-    # predicted[j, x, i]: the index of (a(x), a f_i a^{-1}) for a = f_j
-    predicted = aut.rows[:, :, None] * aut.order + conj[:, None, :]
+    hol, aut, p = _holomorph(q)
+    # predicted[j, x, i]: the index of (a(x), a f_i a^{-1}) for a = f_j,
+    # where p.table[i, j] is the index of f_j f_i f_j^{-1}
+    predicted = aut.rows[:, :, None] * aut.order + p.table.T[:, None, :]
     return _same(biquandle_aut(hol), predicted.reshape(aut.order, hol.n))
 
 

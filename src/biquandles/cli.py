@@ -28,15 +28,21 @@ from .errors import DomainError, MalformedInput
 from .structures import BiquandleStructure
 
 
-def _read_json(path):
-    """The JSON object in a file; anything else is malformed input."""
+def _read_text(path):
+    """The UTF-8 text of a file; an unreadable file is malformed input."""
     try:
         with open(path, encoding="utf-8") as fh:
-            d = json.load(fh)
+            return fh.read()
     except OSError as e:
         raise MalformedInput(f"cannot read {path}: {e}") from None
     except UnicodeDecodeError as e:
         raise MalformedInput(f"{path}: not UTF-8 text: {e}") from None
+
+
+def _read_json(path):
+    """The JSON object in a file; anything else is malformed input."""
+    try:
+        d = json.loads(_read_text(path))
     except json.JSONDecodeError as e:
         raise MalformedInput(f"{path}: bad JSON: {e}") from None
     if not isinstance(d, dict):
@@ -255,13 +261,7 @@ def cmd_color(args):
     picked = [x for x in (args.structure, args.quandle, args.biquandle) if x]
     if len(picked) != 1:
         raise MalformedInput("give exactly one of --structure, --quandle, --biquandle")
-    try:
-        with open(args.diagram, encoding="utf-8") as fh:
-            diagram = links.parse_diagram(fh.read())
-    except OSError as e:
-        raise MalformedInput(f"cannot read {args.diagram}: {e}") from None
-    except UnicodeDecodeError as e:
-        raise MalformedInput(f"{args.diagram}: not UTF-8 text: {e}") from None
+    diagram = links.parse_diagram(_read_text(args.diagram))
     if args.quandle:
         count = links.coloring_count_quandle(diagram, _load_quandle(args.quandle))
     elif args.biquandle:

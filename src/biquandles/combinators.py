@@ -42,15 +42,17 @@ def _check_conj_hom(q_source: FiniteQuandle, maps, name):
         raise DomainError(f"{name} is not a quandle homomorphism into the conjugation quandle: witness (x={hit[0]}, y={hit[1]})")
 
 
-def _check_cross_maps(q1: FiniteQuandle, q2: FiniteQuandle, phi, psi):
+def _check_cross_maps(q1: FiniteQuandle, q2: FiniteQuandle, phi, psi, names=("phi", "psi")):
     """phi: Q1 -> Aut(Q2) and psi: Q2 -> Aut(Q1) as image rows, checked as
-    maps into the conjugation quandles; raises at the first failure."""
-    phi = _check_aut_valued(q2, phi, "phi")
-    psi = _check_aut_valued(q1, psi, "psi")
+    maps into the conjugation quandles; raises at the first failure, naming
+    the maps by names."""
+    a, b = names
+    phi = _check_aut_valued(q2, phi, a)
+    psi = _check_aut_valued(q1, psi, b)
     if len(phi) != q1.n or len(psi) != q2.n:
-        raise DomainError("phi must have length |Q1| and psi length |Q2|")
-    _check_conj_hom(q1, phi, "phi")
-    _check_conj_hom(q2, psi, "psi")
+        raise DomainError(f"{a} must have length |Q1| and {b} length |Q2|")
+    _check_conj_hom(q1, phi, a)
+    _check_conj_hom(q2, psi, b)
     return phi, psi
 
 
@@ -80,12 +82,9 @@ def union_quandle(q1: FiniteQuandle, q2: FiniteQuandle, sigma=None, tau=None) ->
     witness triple is reported on failure.
     """
     n1, n2 = q1.n, q2.n
-    sigma = np.tile(np.arange(n2), (n1, 1)) if sigma is None else _check_aut_valued(q2, sigma, "sigma")
-    tau = np.tile(np.arange(n1), (n2, 1)) if tau is None else _check_aut_valued(q1, tau, "tau")
-    if len(sigma) != n1 or len(tau) != n2:
-        raise DomainError("sigma must have length |Q1| and tau length |Q2|")
-    _check_conj_hom(q1, sigma, "sigma")
-    _check_conj_hom(q2, tau, "tau")
+    sigma = _identity_maps(n1, n2) if sigma is None else sigma
+    tau = _identity_maps(n2, n1) if tau is None else tau
+    sigma, tau = _check_cross_maps(q1, q2, sigma, tau, ("sigma", "tau"))
     # condition 1: tau(z)(x) *1 y == tau(sigma(y)(z))(x *1 y),  x,y in Q1, z in Q2
     # condition 2: sigma(z)(x) *2 y == sigma(tau(y)(z))(x *2 y),  x,y in Q2, z in Q1
     for k, args in enumerate(((q1.table, tau, sigma), (q2.table, sigma, tau)), 1):
@@ -208,6 +207,15 @@ def conj_quandle_of_permgroup(perms) -> tuple[FiniteQuandle, list]:
     return FiniteQuandle(np.array(found, dtype=np.int64).reshape(n, n)), ordered
 
 
+def _holomorph(q: FiniteQuandle):
+    """(Hol(Q), Aut(Q), the conjugation quandle of Aut(Q)), each built once."""
+    from .automorphisms import quandle_aut
+
+    aut = quandle_aut(q)
+    p, ordered = conj_quandle_of_permgroup(aut)
+    return semidirect_biquandle(q, p, tuple(ordered)), aut, p
+
+
 def holomorph_biquandle(q: FiniteQuandle) -> FiniteBiquandle:
     """Biquandle on Q x Aut(Q) with
         (x,f) u (y,g) = (g(x*y), f)
@@ -216,8 +224,4 @@ def holomorph_biquandle(q: FiniteQuandle) -> FiniteBiquandle:
     The automorphism factor is ordered by image tuple, so (x, f_i) sits at
     index x*|Aut(Q)| + i.
     """
-    from .automorphisms import quandle_aut
-
-    aut = quandle_aut(q)
-    p, ordered = conj_quandle_of_permgroup(aut)
-    return semidirect_biquandle(q, p, tuple(ordered))
+    return _holomorph(q)[0]

@@ -704,8 +704,7 @@ def is_connected(q: FiniteQuandle) -> bool:
 
 
 def is_faithful(q: FiniteQuandle) -> bool:
-    cols = {q.table[:, x].tobytes() for x in range(q.n)}
-    return len(cols) == q.n
+    return len(_kernels._columns(q.table)[1]) == q.n
 
 
 def is_involutory_quandle(q: FiniteQuandle) -> bool:

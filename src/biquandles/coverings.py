@@ -16,6 +16,7 @@ import itertools
 
 import numpy as np
 
+from ._kernels import _columns
 from ._search import table_bijections
 from .automorphisms import _normalizes, biquandle_aut
 from .core import FiniteQuandle, Permutation, unique_rows
@@ -33,13 +34,9 @@ def is_quandle_covering(p, qt: FiniteQuandle, q: FiniteQuandle) -> bool:
         return False
     if not np.array_equal(p[qt.table], q.table[np.ix_(p, p)]):
         return False
-    cols = {}
-    for x in range(qt.n):
-        key = int(p[x])
-        col = qt.table[:, x].tobytes()
-        if cols.setdefault(key, col) != col:
-            return False
-    return True
+    # p is onto, so the q.n fibres make q.n distinct (p(x), column class)
+    # pairs exactly when each fibre has one class
+    return len(np.unique(p * qt.n + _columns(qt.table)[0])) == q.n
 
 
 def image_quandle_SQ(q: FiniteQuandle):
@@ -49,15 +46,10 @@ def image_quandle_SQ(q: FiniteQuandle):
     Returns (image quandle, p) with p[x] the class of x's translation;
     p is always a covering of the result.
     """
-    classes = {}
-    p = np.empty(q.n, dtype=np.int64)
-    reps = []
-    for x in range(q.n):
-        key = q.table[:, x].tobytes()
-        if key not in classes:
-            classes[key] = len(reps)
-            reps.append(x)
-        p[x] = classes[key]
+    ids = _columns(q.table)[0]
+    # classes renumbered by first occurrence: reps[k] is the first x of class k
+    reps = np.sort(np.unique(ids, return_index=True)[1])
+    p = np.argsort(ids[reps])[ids]
     return FiniteQuandle(p[q.table[np.ix_(reps, reps)]]), p
 
 

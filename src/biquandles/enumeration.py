@@ -16,26 +16,16 @@ the test suite as an independent oracle.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from ._search import _classes, first_bijection
-from .core import FiniteBiquandle, FiniteQuandle, Permutation, product_table
+from .core import FiniteBiquandle, FiniteQuandle, Permutation, row_keys
 from .errors import DomainError
 from .group_constructions import trivial_quandle
+from .groups import _permutation_rows, _symmetric_group
 from .structures import BiquandleStructure, validate_structure
 
 DEFAULT_ENUM_CAP = 5
-
-
-def _symmetric_group(n):
-    """The permutations of range(n) as tuples in lexicographic order, with
-    index tables: comp[p][q] and inv[p] are the indices of p o q and of
-    p^-1."""
-    perms = sorted(itertools.permutations(range(n)))
-    comp, inv = product_table(np.array(perms, dtype=np.int64).reshape(len(perms), n))
-    return perms, comp.tolist(), inv.tolist()
 
 
 def trivial_structure_tuples(n):
@@ -115,27 +105,29 @@ def enumerate_trivial_structures(n, cap=DEFAULT_ENUM_CAP):
 def relabeling_orbits(structures):
     """Group structures by simultaneous conjugation: relabeling by s sends
     the family (b_y) to (s b_{s^{-1}(y)} s^{-1}).  Returns orbits as lists
-    of indices into the input, each sorted, ordered by first member."""
+    of indices into the input, each sorted, ordered by first member.  A
+    family is relabeled by all of S_n in one gather on its image rows."""
     if not structures:
         return []
     n = structures[0].base.n
-    key = {tuple(b.images for b in s.betas): i for i, s in enumerate(structures)}
-    perms = [Permutation(p) for p in itertools.permutations(range(n))]
-    seen = set()
+    fams = np.array([[b.images for b in s.betas] for s in structures], dtype=np.int64).reshape(len(structures), n * n)
+    key = dict(zip(row_keys(fams), range(len(fams))))
+    perms = _permutation_rows(n)
+    inv = np.argsort(perms, axis=1)
+    # relabeled[s, y, x] = s(b_{s^-1(y)}(s^-1(x))), read from flat offsets
+    at = np.arange(len(perms))[:, None, None] * n
+    pick = inv[:, :, None] * n + inv[:, None, :]
+    seen = np.zeros(len(fams), dtype=bool)
     orbit_list = []
-    for i, s in enumerate(structures):
-        if i in seen:
+    for i, fam in enumerate(fams):
+        if seen[i]:
             continue
-        orb = set()
-        for g in perms:
-            ginv = g.inverse()
-            relabeled = tuple((g * s.betas[ginv(y)] * ginv).images for y in range(n))
-            j = key.get(relabeled)
-            if j is None:
-                raise DomainError("structure set is not closed under relabeling")
-            orb.add(j)
-        orb = sorted(orb)
-        seen.update(orb)
+        relabeled = perms.ravel().take(at + fam.take(pick)).reshape(len(perms), n * n)
+        found = [key.get(k) for k in row_keys(relabeled)]
+        if None in found:
+            raise DomainError("structure set is not closed under relabeling")
+        orb = sorted(set(found))
+        seen[orb] = True
         orbit_list.append(orb)
     return orbit_list
 

@@ -8,6 +8,7 @@ by default since every consumer is exhaustive.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -114,12 +115,26 @@ def cyclic_group(n, cap=DEFAULT_ORDER_CAP) -> FiniteGroup:
     return FiniteGroup((a[:, None] + a[None, :]) % n, name=f"Z{n}")
 
 
+def _permutation_rows(n):
+    """The one listing of S_n: its n! image rows in lexicographic order."""
+    return np.array(list(itertools.permutations(range(n))), dtype=np.int64).reshape(math.factorial(n), n)
+
+
+def _symmetric_group(n):
+    """The permutations of range(n) as tuples in lexicographic order, with
+    index tables: comp[p][q] and inv[p] are the indices of p o q and of
+    p^-1."""
+    rows = _permutation_rows(n)
+    comp, inv = product_table(rows)
+    return list(map(tuple, rows.tolist())), comp.tolist(), inv.tolist()
+
+
 def symmetric_group(k, cap=DEFAULT_ORDER_CAP) -> FiniteGroup:
     if k < 1 or k > 5:
         raise DomainError("symmetric groups supported for 1 <= k <= 5")
-    rows = np.array(sorted(itertools.permutations(range(k))), dtype=np.int64)
-    _check_cap(len(rows), cap)
-    return FiniteGroup(product_table(rows)[0], name=f"S{k}")
+    perms, comp, _ = _symmetric_group(k)
+    _check_cap(len(perms), cap)
+    return FiniteGroup(comp, name=f"S{k}")
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup, cap=DEFAULT_ORDER_CAP) -> FiniteGroup:
@@ -248,9 +263,3 @@ def is_fixed_point_free(g: FiniteGroup, phi: GroupAutomorphism) -> bool:
 
 def commute(phi: GroupAutomorphism, psi: GroupAutomorphism) -> bool:
     return phi * psi == psi * phi
-
-
-def centralizer_of_set(autos, subset):
-    """Members of an explicit automorphism list commuting with a subset."""
-    subset = list(subset)
-    return [a for a in autos if all(a * s == s * a for s in subset)]

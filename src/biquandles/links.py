@@ -142,10 +142,7 @@ def parse_diagram(text) -> VirtualLinkDiagram:
                 raise ValueError(f"unknown record {kind!r}")
         except ValueError as e:
             raise MalformedInput(f"line {ln}: {e}") from None
-    try:
-        return VirtualLinkDiagram(crossings, closures)
-    except MalformedInput as e:
-        raise MalformedInput(str(e)) from None
+    return VirtualLinkDiagram(crossings, closures)
 
 
 def _orbits(nxt):

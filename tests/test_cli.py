@@ -287,6 +287,24 @@ class TestColor:
         assert code == 2
 
 
+class TestUnreadableFiles:
+    # the stderr bytes the separate readers of color and check gave
+    ERRORS = {
+        "missing.txt": "error: cannot read missing.txt: [Errno 2] No such file or directory: 'missing.txt'\n",
+        "adir": "error: cannot read adir: [Errno 21] Is a directory: 'adir'\n",
+        "latin1.txt": "error: latin1.txt: not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n",
+    }
+
+    @pytest.mark.parametrize("name", sorted(ERRORS))
+    def test_color_and_check_exit_2(self, capsys, tmp_path, monkeypatch, name):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "adir").mkdir()
+        (tmp_path / "latin1.txt").write_bytes(b"\xff= a a\n")
+        (tmp_path / "r3.json").write_text(dihedral_quandle(3).to_json())
+        for argv in (("color", "--diagram", name, "--quandle", "r3.json"), ("check", name)):
+            assert run(capsys, *argv) == (2, "", self.ERRORS[name])
+
+
 class TestVerbalYbeIsoCoverEnumerate:
     def test_verbal_classify_pair(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "verbal", "classify", "--u", "y^-2 x", "--v", "y^-1 x^-1 y^1")

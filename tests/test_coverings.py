@@ -1,10 +1,12 @@
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
 
 from biquandles.automorphisms import biquandle_aut, quandle_aut
-from biquandles.core import Permutation, associated_quandle
+from biquandles.combinators import holomorph_biquandle
+from biquandles.core import Permutation, associated_quandle, is_faithful
 from biquandles.coverings import (
     image_quandle_SQ,
     is_quandle_covering,
@@ -25,6 +27,23 @@ from biquandles.structures import (
 from helpers import projection_quandle
 
 PROJ = np.array([0, 0, 1, 1, 2, 2])
+
+
+class TestColumnClassPins:
+    def test_pinned(self):
+        # pinned to the per-column byte-key loops that numbered the columns
+        # before _kernels._columns did: the faithfulness verdict, the image
+        # quandle and p in first-occurrence order, and two covering verdicts
+        qs = [q for n in range(1, 6) for q in enumerate_quandles(n)]
+        qs += [associated_quandle(holomorph_biquandle(dihedral_quandle(p))) for p in (3, 5)]
+        t1 = trivial_quandle(1)
+        out = []
+        for q in qs:
+            img, p = image_quandle_SQ(q)
+            to_point = is_quandle_covering(np.zeros(q.n, dtype=np.int64), q, t1)
+            out.append((is_faithful(q), img.table.tolist(), p.tolist(), p.dtype.str, is_quandle_covering(p, q, img), to_point))
+        assert len(out) == 1 + 1 + 5 + 36 + 404 + 2
+        assert hashlib.sha256(repr(out).encode()).hexdigest() == "28c4487374aa9cd7f78c2278295cd6f126c03322b4543817caf8b7cdc2d95a53"
 
 
 class TestCoveringPredicate:

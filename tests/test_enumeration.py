@@ -26,7 +26,7 @@ from biquandles.group_constructions import (
     trivial_quandle,
     wada_biquandle,
 )
-from biquandles.structures import BiquandleStructure, validate_structure
+from biquandles.structures import BiquandleStructure, constant_structure, validate_structure
 from biquandles.verbal import invert, reduce_word
 from helpers import mult_auto
 
@@ -290,6 +290,33 @@ class TestTrivialStructures:
     def test_cap(self):
         with pytest.raises(DomainError):
             enumerate_trivial_structures(6)
+
+
+class TestRelabelingOrbits:
+    def test_orbits_pinned(self):
+        # pinned to the orbits that relabeling through n! Permutation
+        # products gave
+        got = [relabeling_orbits(enumerate_trivial_structures(n)) for n in range(1, 6)]
+        assert [len(o) for o in got] == [1, 2, 5, 23, 88]
+        assert hashlib.sha256(repr(got).encode()).hexdigest() == (
+            "d760bf962ef47322b1f32f210abe6a833097c5c1304235421912fe81e7017615"
+        )
+
+    def test_not_closed_under_relabeling(self):
+        structures = enumerate_trivial_structures(3)
+        drop = next(o for o in relabeling_orbits(structures) if len(o) > 1)[0]
+        with pytest.raises(DomainError, match="^structure set is not closed under relabeling$"):
+            relabeling_orbits(structures[:drop] + structures[drop + 1 :])
+
+    def test_transpositions_of_t7_form_one_orbit(self):
+        # 5,040 relabelings per family; an integer key of a family, base 7!
+        # over its 7 permutation indices (5040^7 > 2^63) or base 7 over its
+        # 49 images, would overflow int64
+        t7 = trivial_quandle(7)
+        swaps = [Permutation(tuple(b if x == a else a if x == b else x for x in range(7))) for a in range(7) for b in range(a + 1, 7)]
+        structures = [constant_structure(t7, f) for f in swaps]
+        assert len(structures) == 21
+        assert relabeling_orbits(structures) == [list(range(21))]
 
 
 class TestFreeBaseLift:

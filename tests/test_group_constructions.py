@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from biquandles.core import (
+    Permutation,
     associated_quandle,
     biquandle_of_quandle,
     check_biquandle,
@@ -10,7 +11,7 @@ from biquandles.core import (
     is_connected,
     is_faithful,
 )
-from biquandles.errors import DomainError
+from biquandles.errors import DomainError, MalformedInput
 from biquandles.groups import (
     GroupAutomorphism,
     automorphism_group,
@@ -186,3 +187,29 @@ class TestParameterSweep:
             assert check_ybe(wada_biquandle(g))
             b = biquandle_of_quandle(core_quandle(g))
             assert check_ybe(b)
+
+
+class TestWrongDegreeMaps:
+    """A map whose degree is not |G| is refused with the text
+    alexander_quandle gives, not a numpy error."""
+
+    def test_gen_dihedral(self):
+        for images in [(1, 0, 2), tuple(range(7))]:
+            with pytest.raises(DomainError, match="^phi is not an automorphism$"):
+                gen_dihedral_biquandle(cyclic_group(5), Permutation(images))
+
+    @pytest.mark.parametrize("degree", [3, 7])
+    def test_gen_alexander(self, degree):
+        f = Permutation(tuple(range(degree)))
+        with pytest.raises(DomainError, match="^phi is not an automorphism$"):
+            gen_alexander_biquandle(cyclic_group(5), f, f)
+
+    def test_alexander_quandle_gives_the_same_text(self):
+        with pytest.raises(DomainError, match="^phi is not an automorphism$"):
+            alexander_quandle(cyclic_group(5), Permutation((1, 0, 2)))
+
+    def test_mixed_degrees_keep_the_commute_error(self):
+        z5 = cyclic_group(5)
+        phi = automorphism_group(z5)[1]
+        with pytest.raises(MalformedInput, match="^permutation degree mismatch: 5 and 3$"):
+            gen_alexander_biquandle(z5, phi, Permutation((0, 2, 1)))

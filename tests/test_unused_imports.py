@@ -1,6 +1,6 @@
 """Every name a library module imports, and every private name it defines
-at module level, is referenced in that module; and no library module
-calls np.unique by rows.
+at module level, is referenced in that module; no library module calls
+np.unique by rows; and S_n is listed by one function.
 
 ``__init__.py`` is exempt: its imports are the package's re-exports.
 """
@@ -97,3 +97,50 @@ def test_scanner_flags_np_unique_by_rows():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_np_unique_by_rows(path):
     assert unique_row_calls(path.read_text()) == []
+
+
+def permutation_calls(source):
+    """(line, enclosing function) of each call of itertools.permutations,
+    as an attribute or by a name imported from itertools; a call outside
+    any function is in "<module>"."""
+    tree = ast.parse(source)
+    names = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "itertools"
+        for alias in node.names
+        if alias.name == "permutations"
+    }
+
+    def calls(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from calls(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                by_attribute = isinstance(f, ast.Attribute) and f.attr == "permutations" and getattr(f.value, "id", None) == "itertools"
+                if by_attribute or (isinstance(f, ast.Name) and f.id in names):
+                    yield child.lineno, where
+            yield from calls(child, where)
+
+    return sorted(calls(tree, "<module>"))
+
+
+def test_scanner_flags_permutation_calls():
+    src = (
+        "import itertools\n"
+        "from itertools import permutations as perms, product\n"
+        "itertools.permutations(range(2))\n"
+        "def f(n):\n"
+        "    def g():\n"
+        "        return perms(range(n))\n"
+        "    return list(itertools.permutations(range(n))), product([1])\n"
+        "x.permutations(3)\n"
+    )
+    assert permutation_calls(src) == [(3, "<module>"), (6, "g"), (7, "f")]
+
+
+def test_one_symmetric_group_listing():
+    found = [(path.name, where) for path in MODULES for _, where in permutation_calls(path.read_text())]
+    assert found == [("groups.py", "_permutation_rows")]

@@ -16,7 +16,7 @@ from biquandles import automorphisms
 from biquandles.combinators import union_quandle
 from biquandles.core import Permutation, PermutationGroup, biquandle_of_quandle, is_connected, unique_rows
 from biquandles.enumeration import enumerate_quandles
-from biquandles.errors import DomainError
+from biquandles.errors import DomainError, MalformedInput
 from biquandles.group_constructions import alexander_biquandle, dihedral_quandle, trivial_quandle, wada_biquandle
 from biquandles.groups import automorphism_group, cyclic_group, direct_product
 from biquandles.structures import biquandle_from_structure, constant_structure, inverse_inner_structure
@@ -205,7 +205,7 @@ Z5 = cyclic_group(5)
         ("product_H_subgroup", (R5, R5, (ID5,) * 5), 2),
         ("verify_product_aut_theorem", (R5, R5, (ID5,) * 5), 3),
         ("verify_sequence_cardinality", (R5, R5, (ID5,) * 5), 2),
-        ("verify_holomorph_aut", (R5,), 3),
+        ("verify_holomorph_aut", (R5,), 2),
         ("verify_structure_normalizer", (biquandle_of_quandle(R5),), 2),
         ("verify_structure_normalizer_printed", (biquandle_of_quandle(R5),), 1),
     ],
@@ -222,6 +222,16 @@ def test_gen_alexander_lists_two_groups(monkeypatch):
     calls = counted(monkeypatch)
     assert automorphisms.verify_gen_alexander_aut(Z5, phi, psi)
     assert len(calls) == 2
+
+
+def test_gen_alexander_wrong_degree_maps_raise_library_errors():
+    phi = automorphism_group(Z5)[1]
+    with pytest.raises(MalformedInput, match="^permutation degree mismatch: 5 and 3$"):
+        automorphisms.verify_gen_alexander_aut(Z5, phi, Permutation((0, 2, 1)))
+    # equal wrong degrees pass the commute and fixed-point tests, then the
+    # constructor refuses them
+    with pytest.raises(DomainError, match="^phi is not an automorphism$"):
+        automorphisms.verify_gen_alexander_aut(Z5, Permutation((0, 2, 1)), Permutation((0, 1, 2)))
 
 
 def test_unique_rows_is_np_unique():

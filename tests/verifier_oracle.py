@@ -21,10 +21,16 @@ from biquandles.combinators import (
 )
 from biquandles.core import Permutation, PermutationGroup, associated_quandle, is_connected, is_faithful, orbits
 from biquandles.errors import DomainError
-from biquandles.groups import automorphism_group, centralizer_of_set, commute, fixed_points, is_fixed_point_free
+from biquandles.groups import automorphism_group, commute, fixed_points, is_fixed_point_free
 from biquandles.group_constructions import gen_alexander_biquandle, gen_dihedral_biquandle, takasaki
 from biquandles.structures import biquandle_from_structure, constant_structure
 from biquandles._search import preserves_tables
+
+
+def centralizer_of_set(autos, subset):
+    """Members of an explicit automorphism list commuting with a subset."""
+    subset = list(subset)
+    return [a for a in autos if all(a * s == s * a for s in subset)]
 
 
 def centralizer(g, f):
