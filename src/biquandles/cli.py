@@ -25,7 +25,7 @@ from .core import (
     read_json_tables,
 )
 from .errors import DomainError, MalformedInput
-from .structures import BiquandleStructure
+from .structures import BiquandleStructure, biquandle_from_structure
 
 
 def _read_text(path):
@@ -269,8 +269,6 @@ def cmd_color(args):
     else:
         obj = _load_auto(args.structure)
         if isinstance(obj, BiquandleStructure):
-            from .structures import biquandle_from_structure
-
             obj = biquandle_from_structure(obj)
         if isinstance(obj, FiniteQuandle):
             count = links.coloring_count_quandle(diagram, obj)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._search import _classes, first_bijection
-from .core import FiniteBiquandle, FiniteQuandle, Permutation, row_keys
+from .core import FiniteBiquandle, FiniteQuandle, Permutation, is_connected, row_keys
 from .errors import DomainError
 from .group_constructions import trivial_quandle
 from .groups import _permutation_rows, _symmetric_group
@@ -219,8 +219,6 @@ def enumerate_quandles(n, cap=DEFAULT_ENUM_CAP):
 
 
 def count_connected(n, cap=DEFAULT_ENUM_CAP) -> int:
-    from .core import is_connected
-
     return sum(1 for q in enumerate_quandles(n, cap) if is_connected(q))
 
 

@@ -70,7 +70,7 @@ def wada_biquandle(g: FiniteGroup) -> FiniteBiquandle:
 
 def gen_dihedral_biquandle(g: FiniteGroup, phi: GroupAutomorphism) -> FiniteBiquandle:
     """x u y = phi(y) x^{-1} y,  x o y = phi(x); needs phi central."""
-    if phi.n != g.n:
+    if not preserves_tables(phi.images, [g.mul]):
         raise DomainError("phi is not an automorphism")
     if not is_central_automorphism(g, phi):
         raise DomainError("phi must be a central automorphism")
@@ -85,8 +85,9 @@ def gen_alexander_biquandle(g: FiniteGroup, phi: GroupAutomorphism, psi: GroupAu
     """x u y = phi(x y^{-1}) psi(y),  x o y = psi(x); needs phi psi = psi phi."""
     if not commute(phi, psi):
         raise DomainError("phi and psi must commute")
-    if phi.n != g.n:  # commute refused unequal degrees, so psi has this one too
-        raise DomainError("phi is not an automorphism")
+    for name, f in (("phi", phi), ("psi", psi)):
+        if not preserves_tables(f.images, [g.mul]):
+            raise DomainError(f"{name} is not an automorphism")
     n = g.n
     ph = np.array(phi.images, dtype=np.int64)
     ps = np.array(psi.images, dtype=np.int64)

@@ -22,15 +22,16 @@ to the familiar quandle rule under_out = under_in * over_in.
 
 Counting compiles the diagram to integers: each class of arcs joined by
 virtual crossings and splices is one color variable, and each classical
-crossing one (u_in, o_in, u_out, o_out) tuple of variables.  A branching
-order is fixed once per count, fail-first as in bucket elimination: the
-next variable to branch on is one that completes a forcing pair of some
-crossing with a variable already known, so a closed 2-braid branches on
-two variables whatever its arcs are called.  A depth-first search branches
-in that order and forces the crossings to a fixpoint at every node; the
-colors live in one int list, and a trail of assignments is cut back on
-backtrack, so no node copies the coloring.  A count whose n^(branch
-variables) leaves exceed MAX_COLOR_NODES is refused before it starts.
+crossing one (u_in, o_in, u_out, o_out) tuple of variables.  A plan is
+fixed once per count.  It branches fail-first, as in bucket elimination:
+the next variable to branch on completes a forcing pair of some crossing
+with a variable already known, so a closed 2-braid branches on two
+variables whatever its arcs are called.  Which variables are known after
+i branches depends only on the diagram, so the plan records the crossings
+each branch fires and a depth-first search replays them at every node;
+the colors live in one int list that no backtrack has to undo.  A count
+whose n^(branch variables) leaves exceed MAX_COLOR_NODES is refused before
+it starts.
 
 Text format, one element per line (# starts a comment):
     X + a b c d     classical, sign, in_under in_over out_under out_over
@@ -52,7 +53,7 @@ from .core import FiniteBiquandle, FiniteQuandle
 from .errors import DomainError, MalformedInput
 
 # the most leaves a coloring search may have, n ** (branch variables): at
-# about a microsecond a fixpoint call, 10**8 leaves are minutes of search
+# about a microsecond a node, 10**8 leaves are minutes of search
 MAX_COLOR_NODES = 10**8
 
 
@@ -181,18 +182,21 @@ def _relations(diagram):
     return watch
 
 
-def _branch_order(watch):
-    """The variables a coloring search branches on, in order: each next one
-    is a free variable that completes a forcing pair (u_in, o_in),
+def _plan(watch):
+    """(order, steps): the variables a coloring search branches on, and per
+    branch the crossings it fires, in firing order.  Each next branch
+    variable is a free variable that completes a forcing pair (u_in, o_in),
     (u_out, o_out) or (u_in, o_out) of some crossing together with a known
-    variable, the one found last; else the lowest free variable that
-    completes a forcing pair alone, sitting at both of its ends, as at a
-    kink; else the lowest free variable.  Marking a variable known then
-    marks all four variables of every crossing with a known forcing pair,
-    as the fixpoint colors them, so the variables forced after the first i
-    branches are the same at every node of depth i."""
+    variable, the one found last; else the lowest free variable at both
+    ends of a forcing pair, as at a kink; else the lowest free variable.
+    A crossing fires at the first scan that finds one of its forcing pairs
+    known, as the step (mode, a, b, c, d, new): mode is the index of that
+    pair, and new the (position, variable) pairs it colors first, whose
+    crossings are scanned in turn."""
     known = [False] * len(watch)
+    fired = set()
     order = []
+    steps = []
     # variables found to complete a forcing pair, on top of those that
     # complete one alone, lowest first
     pending = sorted(
@@ -208,34 +212,44 @@ def _branch_order(watch):
             while low < len(watch) and known[low]:
                 low += 1
             if low == len(watch):
-                return order
+                return order, steps
             v = low
         order.append(v)
         known[v] = True
+        fires = []
         queue = [v]
         for var in queue:
-            for a, b, c, d in watch[var]:
-                pairs = ((a, b), (c, d), (a, d))
-                if any(known[x] and known[y] for x, y in pairs):
-                    for x in (a, b, c, d):
-                        if not known[x]:
-                            known[x] = True
-                            queue.append(x)
-                else:
+            for rel in watch[var]:
+                if rel in fired:
+                    continue
+                pairs = ((rel[0], rel[1]), (rel[2], rel[3]), (rel[0], rel[3]))
+                mode = next((m for m, (x, y) in enumerate(pairs) if known[x] and known[y]), None)
+                if mode is None:
                     for x, y in pairs:
                         if known[x] != known[y]:
                             pending.append(y if known[x] else x)
+                    continue
+                fired.add(rel)
+                new = []
+                for p, x in enumerate(rel):
+                    if not known[x]:
+                        known[x] = True
+                        new.append((p, x))
+                        queue.append(x)
+                fires.append((mode, *rel, tuple(new)))
+        steps.append(fires)
 
 
 def _count(diagram, n, under, over, under_inv, over_inv) -> int:
-    """Colorings of the diagram by the n x n operation tables, on an explicit
-    stack so deep diagrams do not hit the recursion limit.  A node of depth i
-    branches on the i-th variable of `_branch_order`, the first free one in
-    that order.  The trail's tail is the fixpoint's worklist: only relations
-    of newly colored variables are re-read.  Raises DomainError when the
-    search could have more than MAX_COLOR_NODES leaves."""
+    """Colorings of the diagram by the n x n operation tables, by a DFS on
+    an explicit stack.  A node of depth i colors order[i] and replays
+    steps[i]: since o_out = o_in o^{-1} u_in and u_out = u_in u o_out,
+    (u_in, o_in) gives o_out, (u_out, o_out) gives u_in, and (u_in, o_out)
+    the rest.  A node reads only variables colored at its depth or above,
+    so nothing is undone on backtrack.  Raises DomainError when the search
+    could have more than MAX_COLOR_NODES leaves."""
     watch = _relations(diagram)
-    order = _branch_order(watch)
+    order, steps = _plan(watch)
     depth = len(order)
     if n**depth > MAX_COLOR_NODES:
         raise DomainError(
@@ -243,50 +257,35 @@ def _count(diagram, n, under, over, under_inv, over_inv) -> int:
             f"up to {n}^{depth} leaves, more than the {MAX_COLOR_NODES} allowed"
         )
     u, o, ui, oi = (t.tolist() for t in (under, over, under_inv, over_inv))
-    color = [-1] * len(watch)
-    trail = []
-
-    def fixpoint(v, value):
-        """Color v and force the crossings; False on a contradiction.  Since
-        o_out = o_in o^{-1} u_in and u_out = u_in u o_out, (u_in, o_in) gives
-        o_out, (u_out, o_out) gives u_in, and (u_in, o_out) the rest."""
-        color[v] = value
-        trail.append(v)
-        i = len(trail) - 1
-        while i < len(trail):
-            for a, b, c, d in watch[trail[i]]:
-                x, y, z, w = color[a], color[b], color[c], color[d]
-                if x >= 0 and y >= 0:
-                    w = oi[y][x]
-                elif z >= 0 and w >= 0:
-                    x = ui[z][w]
-                elif x < 0 or w < 0:
-                    continue
-                for var, val in ((a, x), (b, o[w][x]), (c, u[x][w]), (d, w)):
-                    old = color[var]
-                    if old < 0:
-                        color[var] = val
-                        trail.append(var)
-                    elif old != val:
-                        return False
-            i += 1
-        return True
-
+    color = [0] * len(watch)
     total = 0
-    stack = [[0, 0, 0]]  # per open node: depth, trail length, next value
-    while stack:
-        node = stack[-1]
-        i, mark, value = node
-        for w in trail[mark:]:
-            color[w] = -1
-        del trail[mark:]
+    tried = [0] * (depth + 1)  # per open node: the next value to try
+    i = 0
+    while i >= 0:
+        value = tried[i]
         if i == depth or value == n:  # a node with no free variable is a coloring
             total += i == depth
-            stack.pop()
+            tried[i] = 0
+            i -= 1
+            continue
+        tried[i] = value + 1
+        color[order[i]] = value
+        for mode, a, b, c, d, new in steps[i]:
+            if mode == 0:
+                x = color[a]
+                w = oi[color[b]][x]
+            elif mode == 1:
+                w = color[d]
+                x = ui[color[c]][w]
+            else:
+                x, w = color[a], color[d]
+            out = (x, o[w][x], u[x][w], w)
+            for p, var in new:
+                color[var] = out[p]
+            if (color[a], color[b], color[c], color[d]) != out:
+                break
         else:
-            node[2] = value + 1
-            if fixpoint(order[i], value):
-                stack.append([i + 1, len(trail), 0])
+            i += 1
     return total
 
 
@@ -308,7 +307,7 @@ def _check_full(diagram, b: FiniteBiquandle, color) -> bool:
 
 
 def coloring_count_biquandle(diagram: VirtualLinkDiagram, b: FiniteBiquandle) -> int:
-    """Number of proper arc colorings, by DFS with constraint propagation."""
+    """Number of proper arc colorings, by DFS replaying a compiled plan."""
     return _count(diagram, b.n, b.under, b.over, b.under_inv, b.over_inv)
 
 

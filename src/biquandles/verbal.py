@@ -12,6 +12,8 @@ from __future__ import annotations
 import itertools
 import re
 
+import numpy as np
+
 from .core import FiniteQuandle, FiniteBiquandle
 from .errors import DomainError, MalformedInput
 from .groups import FiniteGroup
@@ -246,52 +248,47 @@ def classify_verbal_biquandle(u: FreeWord, v: FreeWord):
     return None
 
 
-def enumerate_verbal_biracks(bound: int):
-    """All accepted pairs u = y^a x^e y^b, v = y^c x^m y^d with exponents in
-    [-bound, bound], sorted for a deterministic listing."""
+def _shape_words(bound: int):
+    """The words y^a x^e y^b with |a|, |b| <= bound and e = +-1, sorted."""
     if bound < 0:
         raise DomainError("bound must be >= 0")
     rng = range(-bound, bound + 1)
-    words = sorted(
-        {shape_word(a, e, b) for a in rng for b in rng for e in (1, -1)}
-    )
-    out = []
-    for u, v in itertools.product(words, repeat=2):
-        if is_verbal_birack(u, v):
-            out.append((u, v))
-    out.sort()
-    return out
+    return sorted({shape_word(a, e, b) for a in rng for b in rng for e in (1, -1)})
+
+
+def enumerate_verbal_biracks(bound: int):
+    """All accepted pairs u = y^a x^e y^b, v = y^c x^m y^d with exponents in
+    [-bound, bound], sorted for a deterministic listing."""
+    words = _shape_words(bound)
+    return [(u, v) for u, v in itertools.product(words, repeat=2) if is_verbal_birack(u, v)]
 
 
 def enumerate_verbal_quandle_words(bound: int):
     """All accepted words y^a x^e y^b with |a|, |b| <= bound, sorted."""
-    if bound < 0:
-        raise DomainError("bound must be >= 0")
-    rng = range(-bound, bound + 1)
-    words = sorted({shape_word(a, e, b) for a in rng for b in rng for e in (1, -1)})
-    return [w for w in words if is_verbal_quandle_word(w)]
+    return [w for w in _shape_words(bound) if is_verbal_quandle_word(w)]
+
+
+def _word_table(w: FreeWord, g: FiniteGroup):
+    """The n x n table of w(x, y) over all pairs of elements: each syllable
+    is one gather mul[out, power], a negative exponent taking powers of
+    g.inv."""
+    out = np.full((g.n, g.n), g.e, dtype=np.int64)
+    for let, exp in w:
+        if let not in ("x", "y"):
+            raise DomainError(f"letter {let!r} has no assignment")
+        base = np.arange(g.n) if exp > 0 else g.inv
+        power = base
+        for _ in range(abs(exp) - 1):
+            power = g.mul[power, base]
+        out = g.mul[out, power[:, None] if let == "x" else power]
+    return out
 
 
 def verbal_quandle_table(w: FreeWord, g: FiniteGroup) -> FiniteQuandle:
     """Instantiate x*y = w(x, y) on a concrete group."""
-    import numpy as np
-
-    t = np.empty((g.n, g.n), dtype=np.int64)
-    for a in range(g.n):
-        for b in range(g.n):
-            t[a, b] = evaluate_word(w, g, {"x": a, "y": b})
-    return FiniteQuandle(t)
+    return FiniteQuandle(_word_table(w, g))
 
 
 def verbal_biquandle_tables(u: FreeWord, v: FreeWord, g: FiniteGroup) -> FiniteBiquandle:
     """Instantiate x o y = u(x,y), x u y = v(x,y) on a concrete group."""
-    import numpy as np
-
-    under = np.empty((g.n, g.n), dtype=np.int64)
-    over = np.empty((g.n, g.n), dtype=np.int64)
-    for a in range(g.n):
-        for b in range(g.n):
-            asg = {"x": a, "y": b}
-            under[a, b] = evaluate_word(v, g, asg)
-            over[a, b] = evaluate_word(u, g, asg)
-    return FiniteBiquandle(under, over)
+    return FiniteBiquandle(_word_table(v, g), _word_table(u, g))

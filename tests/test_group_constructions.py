@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -213,3 +215,38 @@ class TestWrongDegreeMaps:
         phi = automorphism_group(z5)[1]
         with pytest.raises(MalformedInput, match="^permutation degree mismatch: 5 and 3$"):
             gen_alexander_biquandle(z5, phi, Permutation((0, 2, 1)))
+
+
+class TestNonAutomorphisms:
+    """phi and psi are checked as automorphisms of G before any table is
+    built: a bijection of the right degree that is not one is refused by
+    name, whether or not the tables it gives happen to be biquandles."""
+
+    def test_accepted_maps_of_z5_are_its_automorphisms(self):
+        # x -> x + 1 among them: it is central on an abelian group, and its
+        # gen-dihedral tables were accepted as a biquandle
+        z5 = cyclic_group(5)
+        aut = {f.images for f in automorphism_group(z5)}
+        identity = Permutation.identity(5)
+        for images in itertools.permutations(range(5)):
+            f = Permutation(images)
+            builds = [
+                ("phi", lambda: gen_dihedral_biquandle(z5, f)),
+                ("phi", lambda: gen_alexander_biquandle(z5, f, identity)),
+                ("psi", lambda: gen_alexander_biquandle(z5, identity, f)),
+            ]
+            for name, build in builds:
+                if images in aut:
+                    build()
+                else:
+                    with pytest.raises(DomainError, match=f"^{name} is not an automorphism$"):
+                        build()
+
+    def test_non_automorphism_of_s3(self):
+        s3 = symmetric_group(3)
+        swap = list(range(6))
+        swap[1], swap[2] = swap[2], swap[1]
+        f = Permutation(tuple(swap))
+        assert f.images not in {a.images for a in automorphism_group(s3)}
+        with pytest.raises(DomainError, match="^phi is not an automorphism$"):
+            gen_dihedral_biquandle(s3, f)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 import tracemalloc
@@ -108,8 +110,8 @@ class TestQuandleCounts:
         assert coloring_count_quandle(unlink(1100), trivial_quandle(1)) == 1
 
     def test_deep_search_memory_is_linear(self):
-        # one color list and one trail for the whole search: a search that
-        # copied the coloring at every level would hold 3000^2 / 2 entries
+        # one color list for the whole search: a search that copied the
+        # coloring at every level would hold 3000^2 / 2 entries
         tracemalloc.start()
         try:
             assert coloring_count_quandle(unlink(3000), trivial_quandle(1)) == 1
@@ -176,7 +178,7 @@ def shuffled(d, seed):
 
 
 def branch_count(diagram):
-    return len(links._branch_order(links._relations(diagram)))
+    return len(links._plan(links._relations(diagram))[0])
 
 
 class TestBranchOrder:
@@ -195,11 +197,11 @@ class TestBranchOrder:
             assert branch_count(shuffled(d, seed)) == 2
 
     def test_orders_are_pinned(self):
-        orders = {name: links._branch_order(links._relations(d)) for name, d in builtin_diagrams().items()}
+        orders = {name: links._plan(links._relations(d))[0] for name, d in builtin_diagrams().items()}
         assert orders["hopf"] == [0, 3] and orders["trefoil"] == [0, 3]
         assert orders["virtual_hopf"] == [0, 1]
         for k in range(2, 7):
-            assert links._branch_order(links._relations(parse_diagram(torus(k)))) == [0, k]
+            assert links._plan(links._relations(parse_diagram(torus(k))))[0] == [0, k]
 
     @pytest.mark.parametrize(
         "b",
@@ -209,7 +211,7 @@ class TestBranchOrder:
         # The negative kink's crossing has one variable at both ends of its
         # forcing pair (u_in, o_out): branching on it colors the whole
         # diagram, so the search has n leaves, not n^2.
-        assert links._branch_order(links._relations(kinked_unknot("-"))) == [1]
+        assert links._plan(links._relations(kinked_unknot("-")))[0] == [1]
         for sign in "+-":
             d = kinked_unknot(sign)
             assert branch_count(d) == 1
@@ -330,6 +332,85 @@ class TestRandomDiagramOracle:
         d, b = case
         perm = data.draw(st.permutations(range(d.arc_count)))
         assert coloring_count_biquandle(renamed(d, perm), b) == coloring_count_biquandle(d, b) == coloring_count_bruteforce(d, b)
+
+
+
+class TestPlan:
+    """Which variables are known after i branches depends only on the
+    diagram, so every node of depth i replays the same steps and the search
+    keeps no trail."""
+
+    @settings(max_examples=200)
+    @given(wired_diagrams(16))
+    def test_steps_color_each_variable_once_before_it_is_read(self, diagram):
+        watch = links._relations(diagram)
+        order, steps = links._plan(watch)
+        assert len(steps) == len(order)
+        # every distinct relation fires in exactly one step
+        fired = [tuple(step[1:5]) for fires in steps for step in fires]
+        assert sorted(fired) == sorted({rel for rels in watch for rel in rels})
+        colored = set()
+        for v, fires in zip(order, steps):
+            assert v not in colored
+            colored.add(v)
+            for mode, *rel, new in fires:
+                pairs = [(rel[0], rel[1]), (rel[2], rel[3]), (rel[0], rel[3])]
+                # the step reads the first pair an earlier branch or step colored
+                assert [x in colored and y in colored for x, y in pairs].index(True) == mode
+                assert all(rel[p] == x for p, x in new)
+                assert [x for _, x in new] == list(dict.fromkeys(x for x in rel if x not in colored))
+                colored.update(x for _, x in new)
+        assert colored == set(range(len(watch)))
+
+
+def seeded_diagram(seed, arcs):
+    """A wired diagram as `wired_diagrams` draws one, from a seeded
+    generator, so that its count can be pinned."""
+    rng = random.Random(seed)
+    classical = rng.randint(0, arcs // 2)
+    virtual = rng.randint(0, arcs // 2 - classical)
+    splices = rng.randint(0, arcs - 2 * classical - 2 * virtual)
+    m = 2 * classical + 2 * virtual + splices
+    ins = [f"a{i}" for i in rng.sample(range(m), m)]
+    outs = [f"a{i}" for i in rng.sample(range(m), m)]
+    lines = []
+    for j in range(0, 2 * classical, 2):
+        lines.append(f"X {rng.choice('+-')} {ins[j]} {ins[j + 1]} {outs[j]} {outs[j + 1]}")
+    for j in range(2 * classical, 2 * classical + 2 * virtual, 2):
+        lines.append(f"V {ins[j]} {ins[j + 1]} {outs[j]} {outs[j + 1]}")
+    for j in range(2 * classical + 2 * virtual, m):
+        lines.append(f"= {ins[j]} {outs[j]}")
+    rng.shuffle(lines)
+    return parse_diagram("\n".join(lines))
+
+
+def test_counts_past_brute_force_are_pinned(monkeypatch):
+    """Counts on diagrams and (bi)quandles too large for the brute-force
+    oracle, hashed; a refused count (past a cap of 20,000 leaves) is None."""
+    monkeypatch.setattr(links, "MAX_COLOR_NODES", 20_000)
+
+    def count_or_refusal(d, b):
+        try:
+            return coloring_count_biquandle(d, b)
+        except DomainError:
+            return None
+
+    counts = []
+    for b in [
+        alexander_biquandle(31, 3, 2),
+        holomorph_biquandle(dihedral_quandle(3)),
+        holomorph_biquandle(dihedral_quandle(5)),
+        wada_biquandle(symmetric_group(3)),
+    ]:
+        counts += [coloring_count_biquandle(d, b) for d in builtin_diagrams().values()]
+    counts += [coloring_count_quandle(parse_diagram(torus(k)), dihedral_quandle(n)) for k in range(2, 10) for n in range(3, 32)]
+    seeded = [seeded_diagram(seed, 16) for seed in range(60)]
+    for b in [alexander_biquandle(7, 3, 2), wada_biquandle(symmetric_group(3)), holomorph_biquandle(dihedral_quandle(3))]:
+        counts += [count_or_refusal(d, b) for d in seeded]
+    assert counts[:7] == [31, 961, 31, 31, 31, 31, 1]  # Alexander(31, 3, 2)
+    assert sum(c is None for c in counts) == 70
+    digest = hashlib.sha256(json.dumps(counts).encode()).hexdigest()
+    assert digest == "63b176609104023c7dcba50c48c05c4afda81238b8fef44f603eeccab809a201"
 
 
 # lines of the diagram format, as records on a few arcs or as token soup

@@ -1,6 +1,7 @@
 """Every name a library module imports, and every private name it defines
 at module level, is referenced in that module; no library module calls
-np.unique by rows; and S_n is listed by one function.
+np.unique by rows; S_n is listed by one function; and every import sits at
+module level but the one that breaks an import cycle.
 
 ``__init__.py`` is exempt: its imports are the package's re-exports.
 """
@@ -144,3 +145,44 @@ def test_scanner_flags_permutation_calls():
 def test_one_symmetric_group_listing():
     found = [(path.name, where) for path in MODULES for _, where in permutation_calls(path.read_text())]
     assert found == [("groups.py", "_permutation_rows")]
+
+
+def local_imports(source):
+    """(line, enclosing function) of each import statement inside a
+    function."""
+    tree = ast.parse(source)
+
+    def imports(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from imports(child, child.name)
+                continue
+            if isinstance(child, (ast.Import, ast.ImportFrom)) and where is not None:
+                yield child.lineno, where
+            yield from imports(child, where)
+
+    return sorted(imports(tree, None))
+
+
+def test_scanner_flags_local_imports():
+    src = (
+        "import json\n"
+        "def f():\n"
+        "    import numpy as np\n"
+        "    def g():\n"
+        "        from .core import x\n"
+        "    return np\n"
+        "class K:\n"
+        "    def m(self):\n"
+        "        if True:\n"
+        "            import os\n"
+    )
+    assert local_imports(src) == [(3, "f"), (5, "g"), (10, "m")]
+
+
+def test_imports_at_module_level():
+    # combinators._holomorph imports automorphisms inside the function:
+    # automorphisms imports combinators, so a module-level import would be
+    # a cycle
+    found = [(path.name, where) for path in MODULES for _, where in local_imports(path.read_text())]
+    assert found == [("combinators.py", "_holomorph")]

@@ -1,11 +1,12 @@
 import random
 
+import numpy as np
 import pytest
 
 from biquandles.core import check_biquandle, check_quandle, check_ybe
-from biquandles.errors import MalformedInput
+from biquandles.errors import DomainError, MalformedInput
 from biquandles.group_constructions import conj_quandle, core_quandle, wada_biquandle
-from biquandles.groups import cyclic_group, small_groups, symmetric_group
+from biquandles.groups import cyclic_group, direct_product, quaternion_group, small_groups, symmetric_group
 from biquandles.verbal import (
     EXTRA_VERBAL_BIQUANDLES,
     X,
@@ -209,3 +210,34 @@ class TestSymbolicImpliesConcrete:
         for g in small_groups(6):
             for w in enumerate_verbal_quandle_words(2):
                 assert check_quandle(verbal_quandle_table(w, g).table).passed
+
+
+def cellwise(w, g):
+    """w(x, y) on every pair of elements, one evaluate_word call a cell."""
+    return np.array([[evaluate_word(w, g, {"x": x, "y": y}) for y in range(g.n)] for x in range(g.n)])
+
+
+class TestTablesByGathers:
+    """The tables are built by one gather per syllable; they equal the word
+    evaluated cell by cell."""
+
+    GROUPS = [symmetric_group(3), quaternion_group(), direct_product(cyclic_group(2), cyclic_group(6))]
+
+    @pytest.mark.parametrize("g", GROUPS, ids=lambda g: g.name)
+    def test_quandle_tables(self, g):
+        for w in enumerate_verbal_quandle_words(2):
+            assert np.array_equal(verbal_quandle_table(w, g).table, cellwise(w, g)), format_word(w)
+
+    @pytest.mark.parametrize("g", GROUPS, ids=lambda g: g.name)
+    def test_biquandle_tables(self, g):
+        cells = {w: cellwise(w, g) for pair in enumerate_verbal_biracks(2) for w in pair}
+        for u, v in enumerate_verbal_biracks(2):
+            b = verbal_biquandle_tables(u, v, g)
+            assert np.array_equal(b.over, cells[u]) and np.array_equal(b.under, cells[v]), (format_word(u), format_word(v))
+
+    def test_letter_without_a_value(self):
+        z3 = cyclic_group(3)
+        with pytest.raises(DomainError, match="^letter 'z' has no assignment$"):
+            verbal_quandle_table(parse_word("y z^-1 x"), z3)
+        with pytest.raises(DomainError, match="^letter 'z' has no assignment$"):
+            verbal_biquandle_tables(X, parse_word("z"), z3)
