@@ -507,6 +507,29 @@ def ybe_violation(u, o, oinv):
 # B-indices (-1 unassigned), pre is its partial inverse.
 
 
+class Layer(NamedTuple):
+    """One round of a closure: the pairs of its domain dom with a factor in
+    the frontier new, as the |new| x |cols| grid of x in new against y in
+    cols = dom ++ old, where old = dom without new.  The grid cell (x, y)
+    is the pair (x, y) for y in dom and the pair (y, x) for y in old, so
+    its flat offset in an n x n table is x * cl + y * cc, with the weights
+    (cl, cc) = (n, 1) over dom and (1, n) over old.
+
+    products: the A products of the grid's pairs in every table, table by
+    table, each grid in C order; first: the positions in products that
+    first reach an element outside dom; fresh: those elements, ascending.
+    new and the dom and old parts of cols are ascending.
+    """
+
+    new: np.ndarray
+    cols: np.ndarray
+    cl: np.ndarray
+    cc: np.ndarray
+    products: np.ndarray
+    first: np.ndarray
+    fresh: np.ndarray
+
+
 class ClosurePlan(NamedTuple):
     """The A side of every closure a search of tables tA makes.
 
@@ -515,28 +538,13 @@ class ClosurePlan(NamedTuple):
     fixed_at: per element, the level i at which the closure of a_0 .. a_i
     first holds it.
     levels: per base point a_i, the rounds of the closure of the earlier
-    base points plus a_i, each a layer (new, dom, old, products, first,
-    fresh): the frontier new (a_i, then the elements the round before
-    reached), the domain dom it joined, old = dom without new, the A
-    products of the pairs (new, dom) and (old, new) of every table (as
-    _pairs orders them, table by table), the positions first in products
-    that first reach an element outside dom, and those elements fresh.
-    All but products and first are ascending.
+    base points plus a_i, each a Layer whose frontier new is a_i, then the
+    elements the round before reached.
     """
 
     base: list
     fixed_at: np.ndarray
     levels: list
-
-
-def _pairs(new, dom, old, n):
-    """Flat offsets x * n + y of the pairs (new, dom), then (old, new), in C
-    order: every ordered pair of dom with a factor in new, once."""
-    m = len(new) * len(dom)
-    out = np.empty(m + len(old) * len(new), dtype=np.int64)
-    np.add((new * n)[:, None], dom, out=out[:m].reshape(len(new), len(dom)))
-    np.add((old * n)[:, None], new, out=out[m:].reshape(len(old), len(new)))
-    return out
 
 
 def closure_plan(tA):
@@ -548,10 +556,15 @@ def closure_plan(tA):
     a_0 .. a_(i-1) by a_i -> b meets the rounds of levels[i], whatever b
     and the B side are, up to the round where it fails.  Each ordered pair
     of elements is in one layer of one level, so the products of a plan
-    add up to k n^2 entries, one table stack.
+    add up to k n^2 entries, one table stack.  The weights cl and cc of a
+    layer are the slice [n - |dom|, n + |old|) of two length-2n vectors
+    built once per plan, n n times then 1 n times and the reverse: views,
+    which hold no entries of their own.
     """
     k, n, _ = tA.shape
     flat = tA.reshape(k, n * n)
+    wl = np.repeat(np.array([n, 1], dtype=np.int64), n)
+    wc = np.repeat(np.array([1, n], dtype=np.int64), n)
     mapped = np.zeros(n, dtype=bool)
     fixed_at = np.full(n, n, dtype=np.int64)
     base, levels = [], []
@@ -562,11 +575,13 @@ def closure_plan(tA):
         layers = []
         while new.size:
             dom = np.flatnonzero(mapped)
-            products = flat.take(_pairs(new, dom, old, n), axis=1).ravel()
+            span = slice(n - dom.size, n + old.size)
+            cols, cl, cc = np.concatenate([dom, old]), wl[span], wc[span]
+            products = flat.take((new[:, None] * cl + cols * cc).ravel(), axis=1).ravel()
             reach = np.flatnonzero(~mapped[products])
             fresh, first = np.unique(products.take(reach), return_index=True)
             first = reach.take(first)
-            layers.append((new, dom, old, products, first, fresh))
+            layers.append(Layer(new, cols, cl, cc, products, first, fresh))
             mapped[fresh] = True
             old, new = dom, fresh
         fixed_at[mapped & (fixed_at == n)] = len(base)
@@ -581,17 +596,19 @@ def closure_extend(layers, tB, img, pre):
     img is the closure of the base points before a_i plus a_i -> b, and
     layers is levels[i] of the A side's ClosurePlan; tB is the B stack as
     one (k, n * n) array.  Each layer gathers only the B products of its
-    pairs, tB.take(_pairs(img[new], img[dom], img[old])), in the order of
-    the layer's A products.  The images of the fresh elements are the B
-    products at first, which must be unused and distinct, and then every
-    product of the layer must map onto its B product.
+    grid, at the offsets img[new] * cl + img[cols] * cc, which lists them
+    in the order of the layer's A products.  The images of the fresh
+    elements are the B products at first, which must be unused and
+    distinct, and then every product of the layer must map onto its B
+    product.
 
     Returns True at the closure, False (img/pre then undefined) on
     conflict.
     """
-    n = img.size
-    for new, dom, old, products, first, fresh in layers:
-        images = tB.take(_pairs(img.take(new), img.take(dom), img.take(old), n), axis=1).ravel()
+    for new, cols, cl, cc, products, first, fresh in layers:
+        off = img.take(new)[:, None] * cl
+        off += img.take(cols) * cc
+        images = tB.take(off.ravel(), axis=1).ravel()
         if fresh.size:
             to = images.take(first)
             # a fresh element may not land on an image already used

@@ -11,13 +11,15 @@ rounds in which the closure of a -> b reaches each new element, depend
 on the A side alone: the node at depth i holds the closure of the base
 points a_0 .. a_(i-1), as in a Sims base (Sims 1970), whatever their
 images.  So _kernels.closure_plan compiles the A side once per search:
-the base, and per base point the layers of its closure, each with its A
-products and the positions that first reach a new element; every pair of
-elements is in one layer, so a plan holds k n^2 products for k tables, one
-table stack.  A node replays its level (_kernels.closure_extend): per
-layer it gathers the B products of the same pairs, assigns the new
-elements and checks that the map stays a bijection and agrees with every
-product, with no A-side gather, mask or search for the next free element.
+the base, and per base point the layers of its closure, each the grid of
+its frontier against its domain with its A products and the positions that
+first reach a new element; every pair of elements is in one layer, so a
+plan holds k n^2 products for k tables, one table stack.  A node replays
+its level (_kernels.closure_extend): per layer it maps the grid's two
+index vectors through the partial map, gathers the B products of the same
+pairs as one weighted grid of offsets, assigns the new elements and checks
+that the map stays a bijection and agrees with every product, with no
+A-side gather, mask or search for the next free element.
 Candidates are pruned by per-element invariants (column cycle types and
 orbit size), which relabeling preserves for tables whose columns are
 permutations.

@@ -509,25 +509,35 @@ def read_json_tables(d, kind, build):
     return build(*tables)
 
 
-def _memo(obj, tables, slot, build):
-    """Entry slot of obj._inv_memo, built by build() on first use: [tables,
-    their _search._invariants, those as a sorted tuple, their closure plan,
-    a quandle table's _kernels._generators], kept with the table objects it
-    came from and started over only if obj ever holds other ones.  The
-    tables are read-only copies, so the memo cannot go stale while they
-    stay."""
+def _memo_of(obj, tables):
+    """obj._inv_memo: [tables, their _search._invariants, those as a sorted
+    tuple, their closure plan, a quandle table's _kernels._generators],
+    each entry None until first used, kept with the table objects it came
+    from and started over only if obj ever holds other ones.  The tables
+    are read-only copies, so the memo cannot go stale while they stay."""
     memo = obj._inv_memo
     if memo is None or not all(map(operator.is_, memo[0], tables)):
         memo = obj._inv_memo = [tables, None, None, None, None]
+    return memo
+
+
+def _memo(obj, tables, slot, build):
+    """Entry slot of obj's memo (_memo_of), built by build() on first use."""
+    memo = _memo_of(obj, tables)
     if memo[slot] is None:
         memo[slot] = build()
     return memo[slot]
 
 
 def _memo_invariants(obj, tables):
-    """The invariants of tables and their multiset, from obj's memo."""
-    inv = _memo(obj, tables, 1, lambda: _search._invariants(np.stack(tables)))
-    return inv, _memo(obj, tables, 2, lambda: tuple(sorted(inv)))
+    """The invariants of tables and their multiset, from obj's memo: one
+    staleness check, so that are_isomorphic rejects a pair of warm objects
+    whose multisets differ at the cost of two memo reads."""
+    memo = _memo_of(obj, tables)
+    if memo[1] is None:
+        memo[1] = _search._invariants(np.stack(tables))
+        memo[2] = tuple(sorted(memo[1]))
+    return memo[1], memo[2]
 
 
 def _memo_plan(obj, tables):

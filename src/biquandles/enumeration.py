@@ -233,7 +233,10 @@ def are_isomorphic(a, b):
     built at its first search, so classifying against a few
     representatives builds one plan per representative.  The witness is
     the least table-preserving bijection."""
-    if not any(isinstance(a, kind) and isinstance(b, kind) for kind in (FiniteQuandle, FiniteBiquandle)):
+    if not (
+        (isinstance(a, FiniteQuandle) and isinstance(b, FiniteQuandle))
+        or (isinstance(a, FiniteBiquandle) and isinstance(b, FiniteBiquandle))
+    ):
         raise DomainError("arguments must be two quandles or two biquandles")
     if a.n != b.n:
         return None

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from ._search import table_bijections
+from ._search import preserves_tables, table_bijections
 from .core import Permutation, PermutationGroup, _in_range, _keep, as_table, product_table, read_json_tables
 from .errors import DomainError, MalformedInput
 
@@ -248,7 +248,10 @@ def center(g: FiniteGroup):
 
 
 def is_central_automorphism(g: FiniteGroup, phi: GroupAutomorphism) -> bool:
-    """x^{-1} phi(x) lies in the center for every x."""
+    """phi is an automorphism of g and x^{-1} phi(x) lies in the center for
+    every x; False for a map of another degree."""
+    if not preserves_tables(phi.images, [g.mul]):
+        return False
     z = set(center(g))
     return all(g.op(g.inverse(x), phi(x)) in z for x in range(g.n))
 

@@ -171,6 +171,18 @@ class TestCenterAndPredicates:
         s3 = symmetric_group(3)
         assert is_central_automorphism(s3, GroupAutomorphism.identity(6))
 
+    def test_non_automorphisms_are_not_central(self):
+        # on an abelian group x^{-1} phi(x) is central for every bijection
+        # phi, so only the automorphism test refuses x -> x + 1 on Z_5
+        z5 = cyclic_group(5)
+        aut = {f.images for f in automorphism_group(z5)}
+        for images in itertools.permutations(range(5)):
+            assert is_central_automorphism(z5, GroupAutomorphism(images)) == (images in aut)
+
+    @pytest.mark.parametrize("images", [(1, 0, 2), tuple(range(7))])
+    def test_wrong_degree_is_not_central(self, images):
+        assert not is_central_automorphism(cyclic_group(5), GroupAutomorphism(images))
+
     def test_inner_by_transposition_not_central(self):
         s3 = symmetric_group(3)
         t = next(x for x in range(s3.n) if s3.element_order(x) == 2)

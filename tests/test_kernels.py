@@ -355,12 +355,12 @@ def both_closures(tables, i, img, pre):
 class TestClosureInjectivity:
     def test_numpy_closure_rejects_forced_collision(self):
         plan = K.closure_plan(FORCED_COLLISION[0])
-        assert [layer[5].tolist() for layer in plan.levels[0]] == [[1], [2], [3], []]
+        assert [layer.fresh.tolist() for layer in plan.levels[0]] == [[1], [2], [3], []]
         img = np.array([0, -1, -1, -1], dtype=np.int64)
         assert both_closures(FORCED_COLLISION, 0, img, img.copy()) == [False, False]
 
     def test_closure_rejects_collision_hidden_from_its_batch(self):
-        assert K.closure_plan(HIDDEN_COLLISION[0]).levels[0][0][5].tolist() == [1, 2]
+        assert K.closure_plan(HIDDEN_COLLISION[0]).levels[0][0].fresh.tolist() == [1, 2]
         img = np.array([0, -1, -1], dtype=np.int64)
         assert both_closures(HIDDEN_COLLISION, 0, img, img.copy()) == [False, False]
 
@@ -468,7 +468,35 @@ class TestClosurePlan:
         assert (plan.base, plan.fixed_at.tolist()) == plan_oracle(tA)
         # each ordered pair is in one layer of one level
         k, n = tA.shape[:2]
-        assert sum(layer[3].size for layers in plan.levels for layer in layers) == k * n * n
+        assert sum(layer.products.size for layers in plan.levels for layer in layers) == k * n * n
+
+    @pytest.mark.parametrize("tables", corpus_stacks()[::2])
+    def test_layers_are_grids_covering_each_pair_once(self, tables):
+        """Each layer's grid x * cl + y * cc over new x cols holds the pair
+        (x, y) for y in dom and (y, x) for y in old, its products are tA's
+        products of those pairs, and the layers of the plan together hold
+        every ordered pair once."""
+        tA = tables[0]
+        k, n = tA.shape[:2]
+        plan = K.closure_plan(tA)
+        held = np.zeros(n, dtype=bool)  # the domain before each frontier
+        cover = np.zeros(n * n, dtype=np.int64)
+        for layers in plan.levels:
+            for layer in layers:
+                old = np.flatnonzero(held)
+                held[layer.new] = True
+                dom = np.flatnonzero(held)
+                assert np.array_equal(layer.cols, np.concatenate([dom, old]))
+                pairs = [
+                    pair
+                    for x in layer.new.tolist()
+                    for pair in [*((x, y) for y in dom.tolist()), *((y, x) for y in old.tolist())]
+                ]
+                off = (layer.new[:, None] * layer.cl + layer.cols * layer.cc).ravel()
+                assert [divmod(int(v), n) for v in off] == pairs
+                assert layer.products.tolist() == [int(t[p]) for t in tA for p in pairs]
+                cover += np.bincount(off, minlength=n * n)
+        assert cover.tolist() == [1] * (n * n)
 
     def test_holomorph_r7_plan_is_one_table_stack(self):
         b = holomorph_biquandle(dihedral_quandle(7))
@@ -480,7 +508,7 @@ class TestClosurePlan:
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert sum(layer[3].size for layers in plan.levels for layer in layers) == tA.size
+        assert sum(layer.products.size for layers in plan.levels for layer in layers) == tA.size
         # the products are the plan; the rest is a few index arrays
         assert held <= 1.05 * stack_bytes
         assert peak <= 1.25 * stack_bytes
