@@ -1,42 +1,52 @@
 """Backtracking engine for bijections preserving families of operation tables.
 
 One entry point per question: first_bijection finds the least bijection
-from one compiled side onto other tables (an isomorphism's witness), and
-table_bijections(tables, colours) lists one table stack's self-bijections
-(automorphism groups; covering lifts, with a colouring (cA, cB)).  Partial
-maps are extended along a generating sequence, depth first with an
-explicit stack.  Every search node holds a closed partial
-map, and assigns the first element it leaves free.  That element, and the
-rounds in which the closure of a -> b reaches each new element, depend
-on the A side alone: the node at depth i holds the closure of the base
-points a_0 .. a_(i-1), as in a Sims base (Sims 1970), whatever their
-images.  So _kernels.closure_plan compiles the A side once per search:
-the base, and per base point the layers of its closure, each the grid of
-its frontier against its domain with its A products and the positions that
-first reach a new element; every pair of elements is in one layer, so a
-plan holds k n^2 products for k tables, one table stack.  A node replays
-its level (_kernels.closure_extend): per layer it maps the grid's two
-index vectors through the partial map, gathers the B products of the same
-pairs as one weighted grid of offsets, assigns the new elements and checks
-that the map stays a bijection and agrees with every product, with no
-A-side gather, mask or search for the next free element.
+from the A side of a first-free plan onto other tables (an isomorphism's
+witness), and table_bijections(side, colours) lists one compiled table
+stack's self-bijections (automorphism groups; covering lifts, with a
+colouring (cA, cB)).  Partial maps are extended along a base, depth
+first with an explicit stack.  Every search node holds a closed partial
+map and assigns the next base point.  The base, and the rounds in which
+the closure of a -> b reaches each new element, depend on the A side
+alone: the node at depth i holds the closure of the base points a_0 ..
+a_(i-1), as in a Sims base (Sims 1970), whatever their images.  So
+_kernels.closure_plan compiles the A side once: the base, and per base
+point the layers of its closure, each the grid of its frontier against
+its domain with its A products and the positions that first reach a new
+element; every pair of elements is in one layer, so a plan holds k n^2
+products for k tables, one table stack.  A node replays its level
+(_kernels.closure_extend): per layer it maps the grid's two index
+vectors through the partial map, gathers the B products of the same
+pairs as one weighted grid of offsets, assigns the new elements and
+checks that the map stays a bijection and agrees with every product,
+with no A-side gather, mask or search for the next free element.
 Candidates are pruned by per-element invariants (column cycle types and
 orbit size), which relabeling preserves for tables whose columns are
 permutations.
 
+The two questions take two bases.  A witness search's base is 0, 1, 2, ...
+as far as the closures allow, each base point the first element the
+closure of the earlier ones leaves free, so its first leaf is the least
+bijection.  A listing's base is generating (compile_side): among the first
+free element of each invariant class, each base point is the one whose
+closure with the earlier ones is largest (Seress 2003, ch. 4; McKay and
+Piperno 2014).  On Hol(R_11) the closures of the first ten first-free
+base points hold only the points themselves, and the listing made 271,482
+closure calls; on the generating base it makes 405.  A listing is sorted
+afterwards, so its base does not show in its output.
+
 A search never runs past its first leaf.  A witness search stops there; a
 full list is built from the automorphism group of the A side held as a
-transversal chain (Sims 1970).  The base comes first, with no search: each
-base point a is the first element the closed identity prefix of the
-earlier ones leaves free.  The levels are then filled deepest first, one
-automorphism fixing the prefix for each image b of a.  The maps found so
+transversal chain (Sims 1970).  The base comes first, from the plan, with
+no search.  The levels are then filled deepest first, one automorphism
+fixing the prefix for each image b of a base point a.  The maps found so
 far, at this level and deeper, generate a group H that fixes the prefix,
 so only one image per H-orbit is searched for (the first leaf below
 a -> b): an image in the orbit of a gets a found map composed with an
 element of H, and an image in the orbit of one whose search failed has
 none (orbit pruning, McKay 1981).  The group is the set of products of one
 member per level, formed by numpy gathers and sorted once, and a list
-whose two colourings differ is that group composed with the witness.  So
+whose two colourings differ is that group composed with a witness.  So
 the search work grows with the number of orbits met, not with the product
 of the level sizes: the 5,040 automorphisms of the trivial quandle of
 order 7 take 27 closures, and the plan fixes the base, not 13,699.
@@ -46,6 +56,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -138,10 +149,12 @@ def _first_leaf(plan, tB, candidates, colours, img, pre, i, untried=None):
     takes one of untried (by default its candidates), in depth-first
     order, or None.
 
-    Every node assigns the next base point, the first element its closed
-    map leaves free, and tries its candidates in ascending order; since the
-    closure fixes every element before the next one assigned, the first
-    leaf is the least bijection below img in lexicographic order.
+    Every node assigns the next base point and tries its candidates in
+    ascending order.  On a first-free plan the base point is the first
+    element the closed map leaves free, so the closure fixes every element
+    before the next one assigned and the first leaf is the least bijection
+    below img in lexicographic order; on a generating plan it is some
+    bijection below img.
     """
     base, levels = plan.base, plan.levels
     # frames (img, pre, i, candidates of a_i not yet tried): img is the
@@ -191,9 +204,11 @@ def _transversals(plan, tA, candidates, colour):
     Every automorphism is t1 o t2 o ... o tk for exactly one choice of ti
     in level i, so the group's order is known before any product is formed.
 
-    The base is the plan's, found with no search: a_i is the first element
-    the closure of a_0 .. a_(i-1) leaves free, and plan.fixed_at holds the
-    level at which each element becomes fixed.  The levels are filled
+    The base is the plan's, found with no search: a_i is free in the
+    closure of a_0 .. a_(i-1), and on the generating plan of a Side it
+    generates the most with them, so few levels hold most of the
+    elements; plan.fixed_at holds the level at which each element becomes
+    fixed.  Any base gives the same group.  The levels are filled
     deepest first, so the maps found at deeper levels and so far at level i
     generate a group H that fixes the prefix of level i.  An image b of a_i
     is searched for (the first leaf below a_i -> b) only if it is neither
@@ -245,10 +260,11 @@ def _classes(inv_a, inv_b):
 
 
 def first_bijection(plan, tables_b, candidates, colours=None):
-    """The least bijection f from the A side of plan (its
-    _kernels.closure_plan) onto tables_b, a (k, n, n) int64 stack, with
-    f(T[a,b]) = T'[f(a), f(b)] for every table pair and, when colours =
-    (cA, cB) is given, cB[f(a)] == cA[a]; None when there is none.
+    """The first bijection f, in the plan's search order, from the A side
+    of plan (its _kernels.closure_plan) onto tables_b, a (k, n, n) int64
+    stack, with f(T[a,b]) = T'[f(a), f(b)] for every table pair and, when
+    colours = (cA, cB) is given, cB[f(a)] == cA[a]; None when there is
+    none.  On a first-free plan it is the least such bijection.
 
     candidates[a] lists the B elements a may take, ascending (_classes).
     The caller has already matched the two invariant multisets, so the
@@ -258,14 +274,40 @@ def first_bijection(plan, tables_b, candidates, colours=None):
     return _first_leaf(plan, tables_b.reshape(k, n * n), candidates, colours, img, img.copy(), 0)
 
 
-def table_bijections(tables, colours=None):
-    """All bijections f of the carrier with f(T[a,b]) = T[f(a), f(b)] for
-    every table T, as one (k, n) array of image rows, sorted
-    lexicographically ((0, n) when there is none).
+class Side(NamedTuple):
+    """One table stack compiled for listing its self-bijections.
 
-    tables: equal-size square int arrays whose columns are permutations
-    (group, quandle and biquandle tables); the invariants that prune
-    candidates assume this, and on other tables a bijection may be missed.
+    tables: the (k, n, n) int64 stack; invariants: _invariants of it;
+    plan: its generating closure plan (_kernels.closure_plan with the
+    invariant classes as cells).  compile_side builds one; FiniteQuandle,
+    FiniteBiquandle and FiniteGroup keep theirs in their memo, so a second
+    listing of one object computes neither again.
+    """
+
+    tables: np.ndarray
+    invariants: list
+    plan: _kernels.ClosurePlan
+
+
+def compile_side(tables, invariants=None):
+    """The Side of tables, a sequence of equal-size square int tables;
+    invariants: their _invariants when the caller already holds them."""
+    t = np.stack([np.asarray(x, dtype=np.int64) for x in tables])
+    inv = _invariants(t) if invariants is None else invariants
+    cells = {}
+    ids = np.array([cells.setdefault(key, len(cells)) for key in inv], dtype=np.int64)
+    return Side(t, inv, _kernels.closure_plan(t, ids))
+
+
+def table_bijections(side, colours=None):
+    """All bijections f of the carrier with f(T[a,b]) = T[f(a), f(b)] for
+    every table T of side (a Side, compile_side), as one (k, n) array of
+    image rows, sorted lexicographically ((0, n) when there is none).
+
+    The tables are equal-size square int arrays whose columns are
+    permutations (group, quandle and biquandle tables); the invariants
+    that prune candidates assume this, and on other tables a bijection may
+    be missed.
     colours: None, or integer labellings (cA, cB) of the carrier; then only
     f with cB[f(a)] == cA[a] are listed (a covering lift is coloured by
     (phi o p, p)).  The colour joins each element's invariant, and a node
@@ -273,20 +315,20 @@ def table_bijections(tables, colours=None):
     Raises DomainError when the list would exceed MAX_LISTED maps.
 
     The list is t o G: G the automorphisms keeping cA, as products of a
-    transversal chain, and t the witness (first_bijection) taking cA to cB,
-    searched for only when the colourings differ.
+    transversal chain, and t a bijection taking cA to cB (first_bijection
+    on the side's plan), searched for only when the colourings differ.
+    Both searches run on the generating plan, so t need not be the least
+    such bijection; t o G, sorted, does not depend on which one it is.
     """
-    t = np.stack([np.asarray(x, dtype=np.int64) for x in tables])
+    t, inv, plan = side
     k, n = t.shape[:2]
     none = np.empty((0, n), dtype=np.int64)
-    inv = _invariants(t)
     cA = cB = witness = None
     if colours is not None:
         cA, cB = (np.asarray(c, dtype=np.int64) for c in colours)
         inv, invB = list(zip(inv, cA.tolist())), list(zip(inv, cB.tolist()))
         if Counter(inv) != Counter(invB):
             return none
-    plan = _kernels.closure_plan(t)
     if cA is not None and not np.array_equal(cA, cB):
         witness = first_bijection(plan, t, _classes(inv, invB), (cA, cB))
         if witness is None:

@@ -38,12 +38,12 @@ from .structures import biquandle_from_structure, constant_structure
 
 def quandle_aut(q: FiniteQuandle) -> PermutationGroup:
     """All table-preserving bijections, by pruned backtracking."""
-    return PermutationGroup.from_elements(q.n, table_bijections([q.table]))
+    return PermutationGroup.from_elements(q.n, table_bijections(q._side()))
 
 
 def biquandle_aut(b: FiniteBiquandle) -> PermutationGroup:
     """All bijections preserving both tables."""
-    return PermutationGroup.from_elements(b.n, table_bijections([b.under, b.over]))
+    return PermutationGroup.from_elements(b.n, table_bijections(b._side()))
 
 
 def find_quandle_isomorphism(q1: FiniteQuandle, q2: FiniteQuandle):
@@ -116,7 +116,7 @@ def verify_gen_alexander_aut(g: FiniteGroup, phi: GroupAutomorphism, psi: GroupA
         raise DomainError("psi^{-1} phi must be fixed-point free")
     b = gen_alexander_biquandle(g, phi, psi)
     fix = np.array(fixed_points(g, psi), dtype=np.int64)
-    cent = _commuting(table_bijections([g.mul]), pair)
+    cent = _commuting(table_bijections(g._side()), pair)
     return _same(biquandle_aut(b), g.mul[fix[:, None, None], cent[None]].reshape(-1, g.n))
 
 

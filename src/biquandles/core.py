@@ -511,13 +511,15 @@ def read_json_tables(d, kind, build):
 
 def _memo_of(obj, tables):
     """obj._inv_memo: [tables, their _search._invariants, those as a sorted
-    tuple, their closure plan, a quandle table's _kernels._generators],
+    tuple, their first-free closure plan, a quandle table's
+    _kernels._generators, their _search.Side with the generating plan],
     each entry None until first used, kept with the table objects it came
     from and started over only if obj ever holds other ones.  The tables
-    are read-only copies, so the memo cannot go stale while they stay."""
+    are read-only copies, so the memo cannot go stale while they stay.
+    FiniteQuandle, FiniteBiquandle and FiniteGroup keep one."""
     memo = obj._inv_memo
     if memo is None or not all(map(operator.is_, memo[0], tables)):
-        memo = obj._inv_memo = [tables, None, None, None, None]
+        memo = obj._inv_memo = [tables, None, None, None, None, None]
     return memo
 
 
@@ -541,8 +543,16 @@ def _memo_invariants(obj, tables):
 
 
 def _memo_plan(obj, tables):
-    """The _kernels.closure_plan of tables stacked, from obj's memo."""
+    """The first-free _kernels.closure_plan of tables stacked, from obj's
+    memo: witness searches (are_isomorphic) run on it."""
     return _memo(obj, tables, 3, lambda: _kernels.closure_plan(np.stack(tables)))
+
+
+def _memo_side(obj, tables):
+    """The _search.Side of tables, with the generating plan, from obj's
+    memo, built on the memo's invariants: listings (table_bijections) run
+    on it.  The listing itself is never kept."""
+    return _memo(obj, tables, 5, lambda: _search.compile_side(tables, _memo_invariants(obj, tables)[0]))
 
 
 class FiniteQuandle:
@@ -580,8 +590,12 @@ class FiniteQuandle:
         return _memo_invariants(self, (self.table,))
 
     def _closure_plan(self):
-        """The search's closure plan of the table, built once."""
+        """The witness search's closure plan of the table, built once."""
         return _memo_plan(self, (self.table,))
+
+    def _side(self):
+        """The table compiled for automorphism listings, built once."""
+        return _memo_side(self, (self.table,))
 
     def _generators(self):
         """(firsts, seeds) of _kernels._generators on the table, built once."""
@@ -651,9 +665,14 @@ class FiniteBiquandle:
         return _memo_invariants(self, (self.under, self.over))
 
     def _closure_plan(self):
-        """The search's closure plan of the under and over tables, built
-        once."""
+        """The witness search's closure plan of the under and over tables,
+        built once."""
         return _memo_plan(self, (self.under, self.over))
+
+    def _side(self):
+        """The under and over tables compiled for automorphism listings,
+        built once."""
+        return _memo_side(self, (self.under, self.over))
 
     def alpha(self, y):
         return Permutation(tuple(int(v) for v in self.under[:, y]))

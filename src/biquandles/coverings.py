@@ -56,7 +56,7 @@ def image_quandle_SQ(q: FiniteQuandle):
 def _lifts(p, qt: FiniteQuandle, phi):
     """The automorphisms g of the covering with p(g(x)) = phi(p(x)), as
     sorted image rows."""
-    return table_bijections([qt.table], colours=(phi[p], p))
+    return table_bijections(qt._side(), colours=(phi[p], p))
 
 
 def lift_structure_search(p, qt: FiniteQuandle, q: FiniteQuandle, a: BiquandleStructure):

@@ -26,6 +26,22 @@ from .groups import _permutation_rows, _symmetric_group
 from .structures import BiquandleStructure, validate_structure
 
 DEFAULT_ENUM_CAP = 5
+# the largest n each enumeration runs at, whatever cap says: quandles of
+# order 6 (6,658 tables) take about 8 s and order 7 was never run; trivial
+# structures of order 5 (2,640) take about 2 s and order 6 was never run
+MAX_QUANDLE_ORDER = 6
+MAX_STRUCTURE_ORDER = 5
+
+
+def _check_size(n, cap, ceiling, detail=""):
+    """Refuse n below 1, above the fixed ceiling, or above cap, before any
+    search starts."""
+    if n < 1:
+        raise DomainError("need n >= 1")
+    if n > ceiling:
+        raise DomainError(f"n={n} exceeds the enumeration ceiling {ceiling}, which no cap raises")
+    if n > cap:
+        raise DomainError(f"n={n} exceeds enumeration cap {cap}{detail}")
 
 
 def trivial_structure_tuples(n):
@@ -88,11 +104,9 @@ def enumerate_trivial_structures(n, cap=DEFAULT_ENUM_CAP):
     deterministic lexicographic order.
 
     The search space is |S_n|^n tuples; n=4 takes milliseconds (168
-    structures), n=5 under two seconds (2640 structures)."""
-    if n < 1:
-        raise DomainError("need n >= 1")
-    if n > cap:
-        raise DomainError(f"n={n} exceeds enumeration cap {cap} (|S_n|^n search space)")
+    structures), n=5 under two seconds (2640 structures).  n above
+    MAX_STRUCTURE_ORDER is refused whatever cap says."""
+    _check_size(n, cap, MAX_STRUCTURE_ORDER, " (|S_n|^n search space)")
     base = trivial_quandle(n)
     # trivial_structure_tuples has proved each tuple a structure of
     # permutations, so neither is checked again
@@ -164,11 +178,9 @@ def enumerate_quandles(n, cap=DEFAULT_ENUM_CAP):
     all a at once that is S_c S_b == S_{b*c} S_c, two lookups in the
     composition table of the permutation indices.  Output is sorted by
     flattened table.  n = 5 (404 tables) searches in a few hundredths of a
-    second; n = 6 (6,658) takes seconds, so the cap stays 5."""
-    if n < 1:
-        raise DomainError("need n >= 1")
-    if n > cap:
-        raise DomainError(f"n={n} exceeds enumeration cap {cap}")
+    second; n = 6 (6,658) takes about 8 s, so the cap stays 5, and n
+    above MAX_QUANDLE_ORDER is refused whatever cap says."""
+    _check_size(n, cap, MAX_QUANDLE_ORDER)
     perms, comp, _ = _symmetric_group(n)
     cols = {b: [(p, i) for i, p in enumerate(perms) if p[b] == b] for b in range(n)}
     T = [None] * n  # column b as a tuple, None while unassigned

@@ -357,6 +357,12 @@ class TestVerbalYbeIsoCoverEnumerate:
         code, _, err = run(capsys, "enumerate", "quandles", "9")
         assert code == 1 and "cap" in err
 
+    @pytest.mark.parametrize("what, ceiling", [("quandles", 6), ("trivial-structures", 5)])
+    def test_raised_cap_stops_at_the_ceiling(self, capsys, what, ceiling):
+        code, out, err = run(capsys, "--cap-enum", "99", "enumerate", what, "7")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and f"ceiling {ceiling}" in err
+
     def test_cover_check_and_lift(self, capsys, tmp_path, r3_file):
         from helpers import projection_quandle
         from biquandles.structures import constant_structure

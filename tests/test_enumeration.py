@@ -6,6 +6,7 @@ import pytest
 
 from biquandles import _search, structures
 from biquandles.core import FiniteBiquandle, FiniteQuandle, Permutation, check_quandle, is_connected
+from biquandles import enumeration
 from biquandles.enumeration import (
     _symmetric_group,
     are_isomorphic,
@@ -290,6 +291,25 @@ class TestTrivialStructures:
     def test_cap(self):
         with pytest.raises(DomainError):
             enumerate_trivial_structures(6)
+
+
+class TestEnumerationCeiling:
+    """A raised cap does not raise the fixed ceilings: quandles past order
+    6 and trivial structures past order 5 are refused before any search
+    starts, however large the cap."""
+
+    @pytest.mark.parametrize(
+        "enumerate_, n, ceiling",
+        [(enumerate_quandles, 7, 6), (enumerate_trivial_structures, 6, 5), (enumerate_trivial_structures, 7, 5)],
+    )
+    def test_refused_whatever_the_cap(self, monkeypatch, enumerate_, n, ceiling):
+        def no_search(n):
+            raise AssertionError("the search started")
+
+        # both searches start by listing S_n
+        monkeypatch.setattr(enumeration, "_symmetric_group", no_search)
+        with pytest.raises(DomainError, match=f"ceiling {ceiling}"):
+            enumerate_(n, cap=99)
 
 
 class TestRelabelingOrbits:

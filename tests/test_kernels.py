@@ -19,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from biquandles import _kernels as K
+from biquandles import _search
 from biquandles.combinators import holomorph_biquandle, union_quandle
 from biquandles.core import (
     _bad_columns,
@@ -281,13 +282,14 @@ def replay(tA, tB, i, img, pre):
     return K.closure_extend(K.closure_plan(tA).levels[i], tB.reshape(k, n * n), img, pre)
 
 
-def replay_tree(tA, tB, limit=400):
-    """The replay against closure_oracle at every node of the search tree,
-    up to limit closures: at level i, from each closure of the base points
-    before a_i that the oracle reached, a_i -> b for every unused b.  On a
-    success both leave the same img and pre, whose domain is the closure of
-    a_0 .. a_i.  Returns the verdicts."""
-    plan = K.closure_plan(tA)
+def replay_tree(tA, tB, limit=400, cells=None):
+    """The replay against closure_oracle at every node of the search tree
+    of the plan of tA with cells, up to limit closures: at level i, from
+    each closure of the base points before a_i that the oracle reached,
+    a_i -> b for every unused b.  On a success both leave the same img and
+    pre, whose domain is the closure of a_0 .. a_i.  Returns the
+    verdicts."""
+    plan = K.closure_plan(tA, cells)
     k, n = tA.shape[:2]
     flat_b = tB.reshape(k, n * n)
     verdicts = []
@@ -441,62 +443,107 @@ class TestClosureFrontier:
         assert both_closures(USED_IMAGE, 1, img, img.copy()) == [False, False]
 
 
-def plan_oracle(tA):
-    """(base, fixed_at) by set closures: each base point is the least
-    element outside the closure of the earlier ones."""
+def set_closure(tA, held):
+    """The closure of the set held under every table of tA."""
+    held = set(held)
+    grown = True
+    while grown:
+        reached = {int(t[x, y]) for t in tA for x in held for y in held}
+        grown = not reached <= held
+        held |= reached
+    return held
+
+
+def plan_oracle(tA, cells=None):
+    """(base, fixed_at) by set closures: among the least element outside
+    the closure of the earlier base points in each cell (every element in
+    one cell when cells is None), each base point is the one whose closure
+    with them is largest, the least on ties."""
     k, n = tA.shape[:2]
+    cells = [0] * n if cells is None else list(cells)
     held, base, fixed_at = set(), [], [None] * n
     while len(held) < n:
-        base.append(min(set(range(n)) - held))
-        held.add(base[-1])
-        grown = True
-        while grown:
-            reached = {int(t[x, y]) for t in tA for x in held for y in held}
-            grown = not reached <= held
-            held |= reached
+        free = sorted(set(range(n)) - held)
+        firsts = {min(x for x in free if cells[x] == c) for c in {cells[x] for x in free}}
+        size, a = max((len(set_closure(tA, held | {x})), -x) for x in firsts)
+        base.append(-a)
+        held = set_closure(tA, held | {-a})
         for x in held:
             if fixed_at[x] is None:
                 fixed_at[x] = len(base) - 1
     return base, fixed_at
 
 
+def invariant_cells(tA):
+    """Per element the number of its _search._invariants class."""
+    classes = {}
+    return np.array([classes.setdefault(key, len(classes)) for key in _search._invariants(tA)])
+
+
 class TestClosurePlan:
     @pytest.mark.parametrize("tables", corpus_stacks()[::2])
     def test_base_and_fixed_at(self, tables):
+        # the first-free plan, and the generating plan on invariant classes
         tA = tables[0]
-        plan = K.closure_plan(tA)
-        assert (plan.base, plan.fixed_at.tolist()) == plan_oracle(tA)
-        # each ordered pair is in one layer of one level
         k, n = tA.shape[:2]
-        assert sum(layer.products.size for layers in plan.levels for layer in layers) == k * n * n
+        for cells in (None, invariant_cells(tA)):
+            plan = K.closure_plan(tA, cells)
+            assert (plan.base, plan.fixed_at.tolist()) == plan_oracle(tA, cells)
+            # each ordered pair is in one layer of one level
+            assert sum(layer.products.size for layers in plan.levels for layer in layers) == k * n * n
+
+    @settings(max_examples=150)
+    @given(table_stacks(), st.data())
+    def test_drawn_cells(self, tables, data):
+        """Any cells give the oracle's base, and the replay of every level
+        agrees with the whole-domain oracle."""
+        tA, tB = tables
+        n = tA.shape[1]
+        cells = np.array(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)), dtype=np.int64)
+        plan = K.closure_plan(tA, cells)
+        assert (plan.base, plan.fixed_at.tolist()) == plan_oracle(tA, cells)
+        replay_tree(tA, tB, cells=cells)
+
+    def test_generating_base_of_the_holomorph(self):
+        # the first-free base's first closures hold only the base points
+        b = holomorph_biquandle(dihedral_quandle(5))
+        tA = np.stack([b.under, b.over])
+        first_free = K.closure_plan(tA)
+        assert first_free.base == [0, 1, 2, 3, 4, 5]
+        assert np.bincount(first_free.fixed_at).tolist() == [1, 1, 1, 1, 76, 20]
+        plan = K.closure_plan(tA, invariant_cells(tA))
+        assert plan.base == [4, 1, 2, 5, 0]
+        assert np.bincount(plan.fixed_at).tolist() == [5, 45, 25, 20, 5]
 
     @pytest.mark.parametrize("tables", corpus_stacks()[::2])
     def test_layers_are_grids_covering_each_pair_once(self, tables):
         """Each layer's grid x * cl + y * cc over new x cols holds the pair
         (x, y) for y in dom and (y, x) for y in old, its products are tA's
         products of those pairs, and the layers of the plan together hold
-        every ordered pair once."""
+        every ordered pair once, on the first-free plan and on the generating
+        plan of the invariant classes."""
         tA = tables[0]
         k, n = tA.shape[:2]
-        plan = K.closure_plan(tA)
-        held = np.zeros(n, dtype=bool)  # the domain before each frontier
-        cover = np.zeros(n * n, dtype=np.int64)
-        for layers in plan.levels:
-            for layer in layers:
-                old = np.flatnonzero(held)
-                held[layer.new] = True
-                dom = np.flatnonzero(held)
-                assert np.array_equal(layer.cols, np.concatenate([dom, old]))
-                pairs = [
-                    pair
-                    for x in layer.new.tolist()
-                    for pair in [*((x, y) for y in dom.tolist()), *((y, x) for y in old.tolist())]
-                ]
-                off = (layer.new[:, None] * layer.cl + layer.cols * layer.cc).ravel()
-                assert [divmod(int(v), n) for v in off] == pairs
-                assert layer.products.tolist() == [int(t[p]) for t in tA for p in pairs]
-                cover += np.bincount(off, minlength=n * n)
-        assert cover.tolist() == [1] * (n * n)
+        for cells in (None, invariant_cells(tA)):
+            plan = K.closure_plan(tA, cells)
+            held = np.zeros(n, dtype=bool)  # the domain before each frontier
+            cover = np.zeros(n * n, dtype=np.int64)
+            for layers in plan.levels:
+                for layer in layers:
+                    old = np.flatnonzero(held)
+                    held[layer.new] = True
+                    dom = np.flatnonzero(held)
+                    assert np.array_equal(layer.cols, np.concatenate([dom, old]))
+                    pairs = [
+                        pair
+                        for x in layer.new.tolist()
+                        for pair in [*((x, y) for y in dom.tolist()), *((y, x) for y in old.tolist())]
+                    ]
+                    off = (layer.new[:, None] * layer.cl + layer.cols * layer.cc).ravel()
+                    assert [divmod(int(v), n) for v in off] == pairs
+                    assert layer.products.tolist() == [int(t[p]) for t in tA for p in pairs]
+                    cover += np.bincount(off, minlength=n * n)
+            assert cover.tolist() == [1] * (n * n)
 
     def test_holomorph_r7_plan_is_one_table_stack(self):
         b = holomorph_biquandle(dihedral_quandle(7))

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biquandles.combinators import holomorph_biquandle, semidirect_biquandle, union_biquandle_constant
-from biquandles.core import FiniteBiquandle, Permutation, biquandle_of_quandle
+from biquandles.core import FiniteBiquandle, Permutation, associated_quandle, biquandle_of_quandle
 from biquandles import links
 from biquandles.errors import DomainError, MalformedInput
 from biquandles.groups import cyclic_group, symmetric_group
@@ -333,6 +333,90 @@ class TestRandomDiagramOracle:
         perm = data.draw(st.permutations(range(d.arc_count)))
         assert coloring_count_biquandle(renamed(d, perm), b) == coloring_count_biquandle(d, b) == coloring_count_bruteforce(d, b)
 
+
+
+# biquandles for the associated-quandle oracle, up to Hol(R_7), n = 294
+GUITAR_BIQUANDLES = ORACLE_BIQUANDLES + [
+    alexander_biquandle(7, 3, 2),
+    alexander_biquandle(31, 3, 2),
+    holomorph_biquandle(dihedral_quandle(3)),
+    holomorph_biquandle(dihedral_quandle(5)),
+    holomorph_biquandle(dihedral_quandle(7)),
+]
+
+
+def braid_closure(k, word, order):
+    """The closure of a braid on k strands as a diagram with no virtual
+    crossing: word lists generators i (sigma_i, the strand at position
+    i - 1 crossing over to position i) and -i (its inverse, the strand at
+    position i - 1 crossing under), and each strand's last arc is spliced
+    to its first.  order permutes the lines.  A braid closure is a planar
+    diagram; a random wiring with no V line need not be, since
+    virtual_hopf is one crossing and two splices."""
+    pos = [f"s{j}" for j in range(k)]
+    lines = []
+    for c, g in enumerate(word):
+        i = abs(g) - 1
+        left, right, to_left, to_right = pos[i], pos[i + 1], f"c{c}l", f"c{c}r"
+        if g > 0:
+            lines.append(f"X + {right} {left} {to_left} {to_right}")
+        else:
+            lines.append(f"X - {left} {right} {to_right} {to_left}")
+        pos[i], pos[i + 1] = to_left, to_right
+    lines += [f"= {pos[j]} s{j}" for j in range(k)]
+    return parse_diagram("\n".join(lines[j] for j in order))
+
+
+@st.composite
+def closed_braids(draw, pool):
+    """A biquandle of pool and the closure of a braid of at most 6
+    crossings on as many strands as keep the n^strands branch leaves at
+    most 10^5 (two for Hol(R_5) and Hol(R_7), at most 4)."""
+    b = draw(st.sampled_from(pool))
+    strands = 1
+    while strands < 4 and b.n ** (strands + 1) <= 10**5:
+        strands += 1
+    k = draw(st.integers(1, strands))
+    gens = st.integers(1, k - 1).flatmap(lambda i: st.sampled_from([i, -i])) if k > 1 else st.nothing()
+    word = draw(st.lists(gens, max_size=6 if k > 1 else 0))
+    order = draw(st.permutations(range(len(word) + k)))
+    return braid_closure(k, word, order), b
+
+
+class TestAssociatedQuandleOracle:
+    """On a classical diagram, colorings by a biquandle B are as many as
+    colorings by its associated quandle Q, x * y = O_y^-1(x u y)
+    (core.associated_quandle): the guitar map of Soloviev (Math. Res.
+    Lett. 2000) and Lebed-Vendramin (Adv. Math. 2017) carries one onto
+    the other on closed braids, and every classical link is one
+    (Alexander).  The convention check: under this module's crossing
+    rules (under_out = under_in u over_out, over_out = over_in o^-1
+    under_in at a positive crossing) the theorem's quandle is this Q, or
+    one with the same counts; the builtin classical diagrams gave equal
+    counts on Hol(R_3), Hol(R_5), Alexander(7, 3, 2) and
+    Alexander(31, 3, 2), 24 of 24.  It need not hold on a virtual diagram,
+    and virtual_hopf is pinned where the counts differ, so the oracle can
+    be seen to fail.  This reaches n = 294, past the brute-force cap."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(closed_braids(GUITAR_BIQUANDLES))
+    def test_closed_braids(self, case):
+        d, b = case
+        assert coloring_count_biquandle(d, b) == coloring_count_quandle(d, associated_quandle(b))
+
+    @pytest.mark.parametrize(
+        "b, by_b, by_q",
+        [
+            (holomorph_biquandle(dihedral_quandle(3)), 30, 54),
+            (holomorph_biquandle(dihedral_quandle(5)), 220, 500),
+            (alexander_biquandle(7, 3, 2), 1, 7),
+            (alexander_biquandle(31, 3, 2), 1, 31),
+        ],
+    )
+    def test_virtual_hopf_counts_differ(self, b, by_b, by_q):
+        d = virtual_hopf()
+        assert coloring_count_biquandle(d, b) == by_b
+        assert coloring_count_quandle(d, associated_quandle(b)) == by_q
 
 
 class TestPlan:

@@ -13,15 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biquandles import _kernels, _search, enumeration, links
-from biquandles._search import first_bijection, table_bijections
-from biquandles.automorphisms import biquandle_aut, quandle_aut
+from biquandles import _kernels, _search, automorphisms, enumeration, links
+from biquandles._search import compile_side, first_bijection, table_bijections
+from biquandles.automorphisms import biquandle_aut, quandle_aut, verify_holomorph_aut
 from biquandles.combinators import holomorph_biquandle
 from biquandles.core import FiniteBiquandle, FiniteQuandle, orbits
 from biquandles.enumeration import are_isomorphic, enumerate_quandles
 from biquandles.errors import DomainError
 from biquandles.group_constructions import dihedral_quandle, trivial_quandle
-from biquandles.groups import small_groups
+from biquandles.groups import automorphism_group, cyclic_group, dihedral_group, direct_product, small_groups
 
 
 def maps_onto(f, tables_a, tables_b):
@@ -141,7 +141,7 @@ class TestEngineOracle:
         assert ([] if f is None else [f.tolist()]) == expected[:1]
         if f is not None:
             cA = None if colours is None else (colours[0], colours[0])
-            got = f[table_bijections(tables_a, cA)]
+            got = f[table_bijections(compile_side(tables_a), cA)]
             assert [g.tolist() for g in got[np.lexsort(got.T[::-1])]] == expected
 
     @settings(max_examples=150)
@@ -150,7 +150,7 @@ class TestEngineOracle:
         # with cA != cB the listing is a covering lift's: the witness
         # composed with the automorphisms keeping cA
         tables_a, _, colours = pair
-        got = table_bijections(tables_a, colours)
+        got = table_bijections(compile_side(tables_a), colours)
         assert [f.tolist() for f in got] == bijections_oracle(tables_a, tables_a, colours)
 
 
@@ -197,7 +197,10 @@ class TestWork:
     for the first two groups below; one search per image of each base point
     made 119, 338 and 1,632 closure calls in 21, 63 and 144 searches.
     Before the closure plan, fixing the base points took one closure each,
-    34, 128 and 586 calls in all; the plan build makes none."""
+    34, 128 and 586 calls in all; the plan build makes none.  On the
+    first-free base the holomorphs took 122 and 578 closure calls in 31
+    and 61 searches; the generating base takes more searches, each far
+    shorter."""
 
     def test_trivial_quandle_7(self, closures, searches, plans):
         assert quandle_aut(trivial_quandle(7)).order == 5040
@@ -211,8 +214,8 @@ class TestWork:
         searches.clear()
         plans.clear()
         assert biquandle_aut(b).order == 20
-        assert len(closures) == 122
-        assert len(searches) == 31
+        assert len(closures) == 58
+        assert len(searches) == 38
         assert len(plans) == 1
 
     def test_holomorph_r7(self, closures, searches, plans):
@@ -223,9 +226,24 @@ class TestWork:
         g = biquandle_aut(b)
         assert g.order == 42
         assert hashlib.sha256(g.rows.tobytes()).hexdigest()[:16] == "26931ae27e5cec1f"
-        assert len(closures) == 578
-        assert len(searches) == 61
+        assert len(closures) == 128
+        assert len(searches) == 88
         assert len(plans) == 1
+
+    def test_holomorph_theorem_at_p_11(self, monkeypatch, closures):
+        """The paper's holomorph theorem at p = 11, n = 1,210: on the
+        first-free base its listing made 271,485 closure calls.  The rows
+        are pinned as that listing gave them."""
+        listed = []
+        aut = automorphisms.biquandle_aut
+        monkeypatch.setattr(automorphisms, "biquandle_aut", lambda b: listed.append(aut(b)) or listed[-1])
+        assert verify_holomorph_aut(dihedral_quandle(11))
+        assert len(closures) <= 1000
+        (g,) = listed
+        assert g.order == 110
+        assert hashlib.sha256(g.rows.tobytes()).hexdigest() == (
+            "e799990ab0b6ca17780f5b3d93b0f23cb7618b34a6439c8886913103989fe128"
+        )
 
     @pytest.mark.parametrize("p, calls, pin", [(5, 63, "b4af5ec3f8876db5"), (7, 128, "325d8606c7437d47")])
     def test_witness_against_a_relabelled_holomorph(self, closures, p, calls, pin):
@@ -260,14 +278,54 @@ class TestWork:
         assert all(any(plan is p for p in kept) for plan in searched.values())
 
 
+class TestListingMemo:
+    """An object compiles its tables for listings once (invariants and the
+    generating plan), and every listing still runs the whole search."""
+
+    @pytest.mark.parametrize(
+        "make, rows",
+        [
+            (lambda: holomorph_biquandle(dihedral_quandle(5)), lambda b: biquandle_aut(b).rows),
+            (lambda: dihedral_group(6), lambda g: np.array([a.images for a in automorphism_group(g)])),
+        ],
+        ids=["Hol(R_5)", "D6"],
+    )
+    def test_compiled_once_searched_every_call(self, monkeypatch, closures, plans, make, rows):
+        x = make()  # Hol(R_5) is built from Aut(R_5)
+        invariants = counter(monkeypatch, _search, "_invariants")
+        plans.clear()
+        counts, listings = [], []
+        for _ in range(2):
+            closures.clear()
+            listings.append(rows(x))
+            counts.append(len(closures))
+        assert len(invariants) == 1 and len(plans) == 1
+        assert counts[0] == counts[1] > 0
+        assert np.array_equal(*listings)
+
+    def test_witness_search_stays_first_free(self, closures):
+        # a listing builds the generating plan beside the witness plan,
+        # which keeps the base 0, 1, 2, ... and the least witness
+        b = holomorph_biquandle(dihedral_quandle(5))
+        biquandle_aut(b)
+        assert b._side().plan.base == [4, 1, 2, 5, 0]
+        assert b._closure_plan().base == [0, 1, 2, 3, 4, 5]
+        s = np.random.default_rng(5).permutation(b.n)
+        c = FiniteBiquandle(relabel(b.under, s), relabel(b.over, s))
+        closures.clear()
+        f = are_isomorphic(b, c).array()
+        assert len(closures) == 63
+        assert hashlib.sha256(f.tobytes()).hexdigest()[:16] == "b4af5ec3f8876db5"
+
+
 class TestListingCap:
     def test_order_above_the_cap_is_refused_before_listing(self, monkeypatch):
         t = trivial_quandle(7).table
         monkeypatch.setattr(_search, "MAX_LISTED", 5040)
-        assert len(table_bijections([t])) == 5040
+        assert len(table_bijections(compile_side([t]))) == 5040
         monkeypatch.setattr(_search, "MAX_LISTED", 5039)
         with pytest.raises(DomainError, match="can be listed"):
-            table_bijections([t])
+            table_bijections(compile_side([t]))
         # a witness search lists nothing, so the cap does not apply
         assert witness([t], [t]).tolist() == list(range(7))
 
@@ -280,6 +338,22 @@ class TestListingCap:
         (at_least,) = map(int, re.findall(r"at least (\d+) elements", str(refused.value)))
         assert _search.MAX_LISTED < at_least <= math.factorial(11)
         assert len(closures) <= 65
+
+
+    @pytest.mark.parametrize(
+        "make, listing, order, cap",
+        [
+            (lambda: holomorph_biquandle(dihedral_quandle(7)), biquandle_aut, 42, 20),
+            (lambda: direct_product(direct_product(cyclic_group(2), cyclic_group(2)), cyclic_group(2)), automorphism_group, 168, 100),
+        ],
+        ids=["Hol(R_7)", "Z2^3"],
+    )
+    def test_refusal_on_the_generating_base_is_a_lower_bound(self, monkeypatch, make, listing, order, cap):
+        monkeypatch.setattr(_search, "MAX_LISTED", cap)
+        with pytest.raises(DomainError, match="can be listed") as refused:
+            listing(make())
+        (at_least,) = map(int, re.findall(r"at least (\d+) elements", str(refused.value)))
+        assert cap < at_least <= order
 
 
 def invariants_oracle(tables):
