@@ -22,12 +22,13 @@ checks that the map stays a bijection and agrees with every product,
 with no A-side gather, mask or search for the next free element.
 Candidates are pruned by per-element invariants (column cycle types and
 orbit size), which relabeling preserves for tables whose columns are
-permutations.
+permutations.  A Side, one table stack with its invariants and both
+plans, each built on first use, is all the engine compiles of it.
 
 The two questions take two bases.  A witness search's base is 0, 1, 2, ...
 as far as the closures allow, each base point the first element the
 closure of the earlier ones leaves free, so its first leaf is the least
-bijection.  A listing's base is generating (compile_side): among the first
+bijection.  A listing's base is generating (listing_plan): among the first
 free element of each invariant class, each base point is the one whose
 closure with the earlier ones is largest (Seress 2003, ch. 4; McKay and
 Piperno 2014).  On Hol(R_11) the closures of the first ten first-free
@@ -55,8 +56,8 @@ order 7 take 27 closures, and the plan fixes the base, not 13,699.
 from __future__ import annotations
 
 from collections import Counter
+from functools import cached_property
 from itertools import chain
-from typing import NamedTuple
 
 import numpy as np
 
@@ -274,34 +275,48 @@ def first_bijection(plan, tables_b, candidates, colours=None):
     return _first_leaf(plan, tables_b.reshape(k, n * n), candidates, colours, img, img.copy(), 0)
 
 
-class Side(NamedTuple):
-    """One table stack compiled for listing its self-bijections.
+class Side:
+    """One table stack, compiled on first use for the engine's questions.
 
-    tables: the (k, n, n) int64 stack; invariants: _invariants of it;
-    plan: its generating closure plan (_kernels.closure_plan with the
-    invariant classes as cells).  compile_side builds one; FiniteQuandle,
-    FiniteBiquandle and FiniteGroup keep theirs in their memo, so a second
-    listing of one object computes neither again.
+    sources: the table objects it came from; tables: their (k, n, n)
+    int64 stack.  Each other part is built when first read: invariants
+    (_invariants of the stack), multiset (them sorted, as a tuple),
+    witness_plan (the first-free _kernels.closure_plan, for
+    first_bijection's least witness), listing_plan (the generating plan,
+    on the invariant classes, for table_bijections) and generators
+    (_kernels._generators of the first table).
     """
 
-    tables: np.ndarray
-    invariants: list
-    plan: _kernels.ClosurePlan
+    def __init__(self, tables):
+        self.sources = tuple(tables)
+        self.tables = np.stack([np.asarray(x, dtype=np.int64) for x in self.sources])
 
+    @cached_property
+    def invariants(self):
+        return _invariants(self.tables)
 
-def compile_side(tables, invariants=None):
-    """The Side of tables, a sequence of equal-size square int tables;
-    invariants: their _invariants when the caller already holds them."""
-    t = np.stack([np.asarray(x, dtype=np.int64) for x in tables])
-    inv = _invariants(t) if invariants is None else invariants
-    cells = {}
-    ids = np.array([cells.setdefault(key, len(cells)) for key in inv], dtype=np.int64)
-    return Side(t, inv, _kernels.closure_plan(t, ids))
+    @cached_property
+    def multiset(self):
+        return tuple(sorted(self.invariants))
+
+    @cached_property
+    def witness_plan(self):
+        return _kernels.closure_plan(self.tables)
+
+    @cached_property
+    def listing_plan(self):
+        cells = {}
+        ids = np.array([cells.setdefault(key, len(cells)) for key in self.invariants], dtype=np.int64)
+        return _kernels.closure_plan(self.tables, ids)
+
+    @cached_property
+    def generators(self):
+        return _kernels._generators(self.tables[0])
 
 
 def table_bijections(side, colours=None):
     """All bijections f of the carrier with f(T[a,b]) = T[f(a), f(b)] for
-    every table T of side (a Side, compile_side), as one (k, n) array of
+    every table T of side (a Side), as one (k, n) array of
     image rows, sorted lexicographically ((0, n) when there is none).
 
     The tables are equal-size square int arrays whose columns are
@@ -320,7 +335,7 @@ def table_bijections(side, colours=None):
     Both searches run on the generating plan, so t need not be the least
     such bijection; t o G, sorted, does not depend on which one it is.
     """
-    t, inv, plan = side
+    t, inv, plan = side.tables, side.invariants, side.listing_plan
     k, n = t.shape[:2]
     none = np.empty((0, n), dtype=np.int64)
     cA = cB = witness = None

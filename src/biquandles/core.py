@@ -509,56 +509,21 @@ def read_json_tables(d, kind, build):
     return build(*tables)
 
 
-def _memo_of(obj, tables):
-    """obj._inv_memo: [tables, their _search._invariants, those as a sorted
-    tuple, their first-free closure plan, a quandle table's
-    _kernels._generators, their _search.Side with the generating plan],
-    each entry None until first used, kept with the table objects it came
-    from and started over only if obj ever holds other ones.  The tables
-    are read-only copies, so the memo cannot go stale while they stay.
-    FiniteQuandle, FiniteBiquandle and FiniteGroup keep one."""
-    memo = obj._inv_memo
-    if memo is None or not all(map(operator.is_, memo[0], tables)):
-        memo = obj._inv_memo = [tables, None, None, None, None, None]
-    return memo
-
-
-def _memo(obj, tables, slot, build):
-    """Entry slot of obj's memo (_memo_of), built by build() on first use."""
-    memo = _memo_of(obj, tables)
-    if memo[slot] is None:
-        memo[slot] = build()
-    return memo[slot]
-
-
-def _memo_invariants(obj, tables):
-    """The invariants of tables and their multiset, from obj's memo: one
-    staleness check, so that are_isomorphic rejects a pair of warm objects
-    whose multisets differ at the cost of two memo reads."""
-    memo = _memo_of(obj, tables)
-    if memo[1] is None:
-        memo[1] = _search._invariants(np.stack(tables))
-        memo[2] = tuple(sorted(memo[1]))
-    return memo[1], memo[2]
-
-
-def _memo_plan(obj, tables):
-    """The first-free _kernels.closure_plan of tables stacked, from obj's
-    memo: witness searches (are_isomorphic) run on it."""
-    return _memo(obj, tables, 3, lambda: _kernels.closure_plan(np.stack(tables)))
-
-
-def _memo_side(obj, tables):
-    """The _search.Side of tables, with the generating plan, from obj's
-    memo, built on the memo's invariants: listings (table_bijections) run
-    on it.  The listing itself is never kept."""
-    return _memo(obj, tables, 5, lambda: _search.compile_side(tables, _memo_invariants(obj, tables)[0]))
+def _side_of(obj, tables):
+    """obj's _search.Side of tables, kept in obj._compiled and built again
+    only when obj holds other table objects: the tables are read-only
+    copies, so it cannot go stale while they stay.  FiniteQuandle,
+    FiniteBiquandle and FiniteGroup keep one."""
+    side = obj._compiled
+    if side is None or not all(map(operator.is_, side.sources, tables)):
+        side = obj._compiled = _search.Side(tables)
+    return side
 
 
 class FiniteQuandle:
     """A finite quandle as its validated operation table."""
 
-    __slots__ = ("n", "table", "tinv", "_inv_memo")
+    __slots__ = ("n", "table", "tinv", "_compiled")
 
     def __init__(self, table):
         t = as_table(table)
@@ -581,25 +546,18 @@ class FiniteQuandle:
         self.n = t.shape[0]
         self.table = t
         self.tinv = _invert_columns(t)  # tinv[a, b] = S_b^{-1}(a)
-        self._inv_memo = None
+        self._compiled = None
 
     def invariants(self):
         """Per-element isomorphism invariants of the table (column cycle
         type, idempotence, orbit size) and their multiset as a sorted tuple,
         computed once."""
-        return _memo_invariants(self, (self.table,))
-
-    def _closure_plan(self):
-        """The witness search's closure plan of the table, built once."""
-        return _memo_plan(self, (self.table,))
+        side = self._side()
+        return side.invariants, side.multiset
 
     def _side(self):
-        """The table compiled for automorphism listings, built once."""
-        return _memo_side(self, (self.table,))
-
-    def _generators(self):
-        """(firsts, seeds) of _kernels._generators on the table, built once."""
-        return _memo(self, (self.table,), 4, lambda: _kernels._generators(self.table))
+        """The table compiled for the bijection engine (_search.Side)."""
+        return _side_of(self, (self.table,))
 
     def op(self, a, b):
         return int(self.table[a, b])
@@ -638,7 +596,7 @@ class FiniteQuandle:
 class FiniteBiquandle:
     """A finite biquandle as its validated pair of operation tables."""
 
-    __slots__ = ("n", "under", "over", "under_inv", "over_inv", "_inv_memo")
+    __slots__ = ("n", "under", "over", "under_inv", "over_inv", "_compiled")
 
     def __init__(self, under, over):
         u, o = _as_tables(under, over)
@@ -651,7 +609,7 @@ class FiniteBiquandle:
         self.over = o
         self.under_inv = _invert_columns(u)  # alpha_b^{-1}
         self.over_inv = _invert_columns(o)   # beta_b^{-1}
-        self._inv_memo = None
+        self._compiled = None
 
     def op_under(self, a, b):
         return int(self.under[a, b])
@@ -662,17 +620,12 @@ class FiniteBiquandle:
     def invariants(self):
         """Per-element isomorphism invariants of the under and over tables
         and their multiset as a sorted tuple, computed once."""
-        return _memo_invariants(self, (self.under, self.over))
-
-    def _closure_plan(self):
-        """The witness search's closure plan of the under and over tables,
-        built once."""
-        return _memo_plan(self, (self.under, self.over))
+        side = self._side()
+        return side.invariants, side.multiset
 
     def _side(self):
-        """The under and over tables compiled for automorphism listings,
-        built once."""
-        return _memo_side(self, (self.under, self.over))
+        """Both tables compiled for the bijection engine (_search.Side)."""
+        return _side_of(self, (self.under, self.over))
 
     def alpha(self, y):
         return Permutation(tuple(int(v) for v in self.under[:, y]))

@@ -237,24 +237,18 @@ def count_connected(n, cap=DEFAULT_ENUM_CAP) -> int:
 def are_isomorphic(a, b):
     """Witness bijection preserving all tables, or None.
 
-    Accepts a pair of quandles or a pair of biquandles.  Each object
-    computes its per-element invariants once and keeps them (`invariants`),
-    so classifying many objects pairwise costs one invariant pass per
-    object; a pair whose invariant multisets differ is answered without a
-    search.  a keeps the search's closure plan of its tables the same way,
-    built at its first search, so classifying against a few
-    representatives builds one plan per representative.  The witness is
-    the least table-preserving bijection."""
-    if not (
-        (isinstance(a, FiniteQuandle) and isinstance(b, FiniteQuandle))
-        or (isinstance(a, FiniteBiquandle) and isinstance(b, FiniteBiquandle))
-    ):
+    Accepts a pair of quandles or a pair of biquandles.  Each object keeps
+    one _search.Side of its tables, so classifying many objects pairwise
+    takes one invariant pass per object, answers a pair whose invariant
+    multisets differ without a search, and builds one closure plan per
+    representative searched against.  The witness is the least
+    table-preserving bijection."""
+    if type(a) is not type(b) or not isinstance(a, (FiniteQuandle, FiniteBiquandle)):
         raise DomainError("arguments must be two quandles or two biquandles")
     if a.n != b.n:
         return None
-    (inv_a, count_a), (inv_b, count_b) = a.invariants(), b.invariants()
-    if count_a != count_b:
+    sa, sb = a._side(), b._side()
+    if sa.multiset != sb.multiset:
         return None
-    tables_b = b.table[None] if isinstance(b, FiniteQuandle) else np.stack([b.under, b.over])
-    f = first_bijection(a._closure_plan(), tables_b, _classes(inv_a, inv_b))
+    f = first_bijection(sa.witness_plan, sb.tables, _classes(sa.invariants, sb.invariants))
     return None if f is None else Permutation.from_array(f)

@@ -15,11 +15,20 @@ from .core import FiniteBiquandle, FiniteQuandle
 from .errors import DomainError
 from .groups import FiniteGroup, GroupAutomorphism, commute, is_central_automorphism
 
+# the largest n the size-parametrised constructors build: an n x n int64
+# table is 128 MB at 4,096, and construction holds several
+MAX_ORDER = 4096
+
+
+def _check_order(n):
+    """DomainError unless 1 <= n <= MAX_ORDER, before any table is built."""
+    if not 1 <= n <= MAX_ORDER:
+        raise DomainError(f"need 1 <= n <= {MAX_ORDER}, the ceiling for constructed tables; got n={n}")
+
 
 def trivial_quandle(n) -> FiniteQuandle:
     """x*y = x."""
-    if n < 1:
-        raise DomainError("need n >= 1")
+    _check_order(n)
     return FiniteQuandle(np.broadcast_to(np.arange(n)[:, None], (n, n)).copy())
 
 
@@ -45,8 +54,7 @@ def takasaki(g: FiniteGroup) -> FiniteQuandle:
 
 def dihedral_quandle(n) -> FiniteQuandle:
     """Takasaki quandle of Z_n: x*y = 2y - x mod n."""
-    if n < 1:
-        raise DomainError("need n >= 1")
+    _check_order(n)
     a = np.arange(n)
     return FiniteQuandle((2 * a[None, :] - a[:, None]) % n)
 
@@ -98,8 +106,7 @@ def gen_alexander_biquandle(g: FiniteGroup, phi: GroupAutomorphism, psi: GroupAu
 
 def alexander_biquandle(n, s, t) -> FiniteBiquandle:
     """On Z_n: x u y = t x + (s - t) y,  x o y = s x, for units s, t."""
-    if n < 1:
-        raise DomainError("need n >= 1")
+    _check_order(n)
     if math.gcd(s, n) != 1 or math.gcd(t, n) != 1:
         raise DomainError(f"s={s} and t={t} must be units mod {n}")
     a = np.arange(n)

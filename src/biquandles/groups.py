@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from ._search import preserves_tables, table_bijections
-from .core import Permutation, PermutationGroup, _in_range, _keep, _memo_side, as_table, product_table, read_json_tables
+from .core import Permutation, PermutationGroup, _in_range, _keep, _side_of, as_table, product_table, read_json_tables
 from .errors import DomainError, MalformedInput
 
 DEFAULT_ORDER_CAP = 64
@@ -22,7 +22,7 @@ DEFAULT_ORDER_CAP = 64
 class FiniteGroup:
     """A finite group given by its multiplication table."""
 
-    __slots__ = ("n", "mul", "e", "inv", "name", "_inv_memo")
+    __slots__ = ("n", "mul", "e", "inv", "name", "_compiled")
 
     def __init__(self, mul, name=None):
         t = as_table(mul, "mul")
@@ -52,11 +52,11 @@ class FiniteGroup:
         self.e = e
         self.inv = inv
         self.name = name or f"group{n}"
-        self._inv_memo = None
+        self._compiled = None
 
     def _side(self):
-        """The table compiled for automorphism listings, built once."""
-        return _memo_side(self, (self.mul,))
+        """The table compiled for the bijection engine (_search.Side)."""
+        return _side_of(self, (self.mul,))
 
     def op(self, a, b):
         return int(self.mul[a, b])

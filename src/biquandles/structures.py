@@ -89,7 +89,7 @@ def _image_rows(q: FiniteQuandle, maps):
     fits = np.array([isinstance(m, Permutation) and m.n == n for m in maps], dtype=bool)
     rows = np.array([m.images if f else range(n) for m, f in zip(maps, fits)], dtype=np.int64).reshape(len(maps), n)
     ids, distinct = _columns(rows.T)
-    ok = fits & automorphism_mask(distinct, q.table, q._generators()[1]).take(ids)
+    ok = fits & automorphism_mask(distinct, q.table, q._side().generators[1]).take(ids)
     return rows, ids, distinct, ok
 
 

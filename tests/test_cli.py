@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biquandles import core
+from biquandles import core, group_constructions, verbal
 from biquandles.cli import main
 from biquandles.group_constructions import dihedral_quandle, trivial_quandle, wada_biquandle
 from biquandles.combinators import union_biquandle_constant
@@ -203,6 +203,15 @@ class TestConstructAndCheck:
             assert code == 0, (argv, err)
             json.loads(out)
 
+    @pytest.mark.parametrize("family, params", [("trivial", ()), ("dihedral", ()), ("alexbq", ("3", "2"))])
+    def test_construct_order_ceiling(self, capsys, monkeypatch, family, params):
+        # 7 stands in for the real ceiling, so no test allocates near it
+        monkeypatch.setattr(group_constructions, "MAX_ORDER", 7)
+        code, out, _ = run(capsys, "construct", family, "7", *params)
+        assert code == 0 and json.loads(out)["n"] == 7
+        code, out, err = run(capsys, "construct", family, "8", *params)
+        assert (code, out) == (1, "") and err.startswith("error:") and "1 <= n <= 7" in err
+
     def test_construct_conj_with_huge_exponent(self, capsys):
         code, out, err = run(capsys, "construct", "conj", "--group", "z5", "--n", "1000000000")
         assert code == 0, err
@@ -323,6 +332,23 @@ class TestVerbalYbeIsoCoverEnumerate:
         code, out, _ = run(capsys, "verbal", "enumerate", "--bound", "1", "--quandle-words")
         words = [json.loads(line)["w"] for line in out.splitlines()]
         assert code == 0 and set(words) == {"x", "y^-1 x y", "y x y^-1", "y x^-1 y"}
+
+    def test_verbal_exponent_ceiling(self, capsys):
+        at, above = verbal.MAX_EXPONENT, verbal.MAX_EXPONENT + 1
+        code, out, _ = run(capsys, "verbal", "check", "--u", f"y^{at} x y^-{at}", "--v", "x")
+        assert code == 0 and out.strip() == "true"
+        for u in (f"y^{above} x y^-{above}", f"y^-{at} y^-1 x", "y^" + "9" * 5000 + " x", "y^1000000000 x y^-1000000000"):
+            code, out, err = run(capsys, "verbal", "check", "--u", u, "--v", "x")
+            assert (code, out) == (2, "") and "ceiling of 10000" in err
+
+    @pytest.mark.parametrize("flags, ceiling", [((), "MAX_BIRACK_BOUND"), (("--quandle-words",), "MAX_QUANDLE_WORD_BOUND")])
+    def test_verbal_enumeration_ceiling(self, capsys, monkeypatch, flags, ceiling):
+        monkeypatch.setattr(verbal, ceiling, 1)
+        code, out, _ = run(capsys, "verbal", "enumerate", "--bound", "1", *flags)
+        assert code == 0 and out
+        monkeypatch.setattr(verbal, "substitute", None)  # refused before any substitution
+        code, out, err = run(capsys, "verbal", "enumerate", "--bound", "2", *flags)
+        assert (code, out) == (1, "") and "ceiling of 1" in err
 
     def test_verbal_check(self, capsys):
         code, out, _ = run(capsys, "verbal", "check", "--u", "x^-1", "--v", "x^-1")

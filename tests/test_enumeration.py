@@ -4,7 +4,9 @@ import itertools
 import numpy as np
 import pytest
 
-from biquandles import _search, structures
+from biquandles import _kernels, _search, structures
+from biquandles.automorphisms import biquandle_aut
+from biquandles.combinators import holomorph_biquandle
 from biquandles.core import FiniteBiquandle, FiniteQuandle, Permutation, check_quandle, is_connected
 from biquandles import enumeration
 from biquandles.enumeration import (
@@ -18,7 +20,7 @@ from biquandles.enumeration import (
     trivial_structure_tuples,
 )
 from biquandles.errors import DomainError
-from biquandles.groups import cyclic_group, symmetric_group
+from biquandles.groups import automorphism_group, cyclic_group, dihedral_group, symmetric_group
 from biquandles.group_constructions import (
     alexander_biquandle,
     alexander_quandle,
@@ -466,15 +468,64 @@ class TestInvariantMemo:
 
     def test_plan_rebuilt_when_the_tables_are_replaced(self):
         q = dihedral_quandle(4)
-        before = q._closure_plan()
-        assert q._closure_plan() is before and before.base == [0, 1]
+        before = q._side().witness_plan
+        assert q._side().witness_plan is before and before.base == [0, 1]
         q.table = trivial_quandle(4).table
-        assert q._closure_plan().base == [0, 1, 2, 3]
+        assert q._side().witness_plan.base == [0, 1, 2, 3]
         assert are_isomorphic(q, trivial_quandle(4)) is not None
         b = alexander_biquandle(7, 2, 3)
-        assert b._closure_plan().base == [0, 1]
+        assert b._side().witness_plan.base == [0, 1]
         b.under = b.over = trivial_quandle(7).table
-        assert b._closure_plan().base == list(range(7))
+        assert b._side().witness_plan.base == list(range(7))
+
+
+def plan_builds(monkeypatch):
+    """The closure plans built from now on, by mode: "witness" for a
+    first-free plan, "listing" for a generating one."""
+    built = []
+    plan = _kernels.closure_plan
+
+    def counted(tables, cells=None):
+        built.append("witness" if cells is None else "listing")
+        return plan(tables, cells)
+
+    monkeypatch.setattr(_kernels, "closure_plan", counted)
+    return built
+
+
+class TestOneSidePerObject:
+    """Each object compiles one _search.Side, and builds each part of it
+    only when a question first needs that part."""
+
+    def test_classification_builds_witness_plans_only(self, monkeypatch):
+        built = plan_builds(monkeypatch)
+        reps, _ = classify(enumerate_quandles(5))
+        # one plan per representative that a later table's invariant
+        # multiset matches: all but one of the 22
+        assert len(reps) == 22
+        assert built == ["witness"] * 21
+
+    def test_listing_builds_one_generating_plan(self, monkeypatch):
+        b = holomorph_biquandle(dihedral_quandle(5))
+        built = plan_builds(monkeypatch)
+        biquandle_aut(b)
+        biquandle_aut(b)
+        assert built == ["listing"]
+
+    def test_structure_check_computes_no_invariants(self, monkeypatch):
+        q = dihedral_quandle(5)
+        built = plan_builds(monkeypatch)
+        invariants = []
+        monkeypatch.setattr(_search, "_invariants", lambda t: invariants.append(t))
+        assert validate_structure(q, [Permutation.identity(5)] * 5).passed
+        assert built == invariants == []
+
+    def test_group_side_rebuilt_when_the_table_is_replaced(self):
+        g = dihedral_group(4)
+        side = g._side()
+        assert g._side() is side and len(automorphism_group(g)) == 8
+        g.mul = cyclic_group(8).mul
+        assert g._side() is not side and len(automorphism_group(g)) == 4
 
 
 class TestIsomorphism:

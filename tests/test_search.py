@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biquandles import _kernels, _search, automorphisms, enumeration, links
-from biquandles._search import compile_side, first_bijection, table_bijections
+from biquandles._search import Side, first_bijection, table_bijections
 from biquandles.automorphisms import biquandle_aut, quandle_aut, verify_holomorph_aut
 from biquandles.combinators import holomorph_biquandle
 from biquandles.core import FiniteBiquandle, FiniteQuandle, orbits
@@ -141,7 +141,7 @@ class TestEngineOracle:
         assert ([] if f is None else [f.tolist()]) == expected[:1]
         if f is not None:
             cA = None if colours is None else (colours[0], colours[0])
-            got = f[table_bijections(compile_side(tables_a), cA)]
+            got = f[table_bijections(Side(tables_a), cA)]
             assert [g.tolist() for g in got[np.lexsort(got.T[::-1])]] == expected
 
     @settings(max_examples=150)
@@ -150,7 +150,7 @@ class TestEngineOracle:
         # with cA != cB the listing is a covering lift's: the witness
         # composed with the automorphisms keeping cA
         tables_a, _, colours = pair
-        got = table_bijections(compile_side(tables_a), colours)
+        got = table_bijections(Side(tables_a), colours)
         assert [f.tolist() for f in got] == bijections_oracle(tables_a, tables_a, colours)
 
 
@@ -274,7 +274,7 @@ class TestWork:
                 reps.append(q)
         assert len(reps) == 7
         assert 0 < len(plans) <= len(searched)
-        kept = [r._closure_plan() for r in reps]
+        kept = [r._side().witness_plan for r in reps]
         assert all(any(plan is p for p in kept) for plan in searched.values())
 
 
@@ -308,8 +308,8 @@ class TestListingMemo:
         # which keeps the base 0, 1, 2, ... and the least witness
         b = holomorph_biquandle(dihedral_quandle(5))
         biquandle_aut(b)
-        assert b._side().plan.base == [4, 1, 2, 5, 0]
-        assert b._closure_plan().base == [0, 1, 2, 3, 4, 5]
+        assert b._side().listing_plan.base == [4, 1, 2, 5, 0]
+        assert b._side().witness_plan.base == [0, 1, 2, 3, 4, 5]
         s = np.random.default_rng(5).permutation(b.n)
         c = FiniteBiquandle(relabel(b.under, s), relabel(b.over, s))
         closures.clear()
@@ -322,10 +322,10 @@ class TestListingCap:
     def test_order_above_the_cap_is_refused_before_listing(self, monkeypatch):
         t = trivial_quandle(7).table
         monkeypatch.setattr(_search, "MAX_LISTED", 5040)
-        assert len(table_bijections(compile_side([t]))) == 5040
+        assert len(table_bijections(Side([t]))) == 5040
         monkeypatch.setattr(_search, "MAX_LISTED", 5039)
         with pytest.raises(DomainError, match="can be listed"):
-            table_bijections(compile_side([t]))
+            table_bijections(Side([t]))
         # a witness search lists nothing, so the cap does not apply
         assert witness([t], [t]).tolist() == list(range(7))
 

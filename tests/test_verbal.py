@@ -53,6 +53,14 @@ class TestWordEngine:
         with pytest.raises(MalformedInput):
             word((("x", 0),))
 
+    def test_word_exponent_ceiling(self):
+        # the reduced word is checked: merged syllables count together
+        assert word((("x", 10**4), ("y", -(10**4)))) == (("x", 10**4), ("y", -(10**4)))
+        assert word((("x", 10**5), ("x", -(10**5)))) == ()
+        for syllables in ((("x", 10**4 + 1),), (("y", -(10**4)), ("y", -1))):
+            with pytest.raises(MalformedInput, match="ceiling of 10000"):
+                word(syllables)
+
     def test_reduce(self):
         assert parse_word("x y y^-1 x") == (("x", 2),)
         assert invert(parse_word("y x^-1 y")) == parse_word("y^-1 x y^-1")
