@@ -56,12 +56,11 @@ raise here, as 2-D indexing would, but lands on another cell of the
 table.  The callers in core guarantee the range before any check, by
 two reductions, t.min() >= 0 and t.max() < n (core._in_range), and build
 the n x n mask of out-of-range cells only to list entry-range witnesses:
-check_quandle and check_biquandle report them, and ybe_witness, which
-check_ybe calls on a FiniteBiquandle and on a raw pair alike, raises
-DomainError.  Only then does core._bad_columns sort the columns in a
-dtype narrower than int64, so no entry is clipped and none can wrap onto
-a valid value.  Tables are int64 (as_table's dtype), read in place, and
-may be in any memory order.
+check_quandle and check_biquandle report them, and ybe_witness and
+check_ybe raise DomainError on a raw pair.  Only then does
+core._bad_columns sort the columns in a dtype narrower than int64, so no
+entry is clipped and none can wrap onto a valid value.  Tables are int64
+(as_table's dtype), read in place, and may be in any memory order.
 
 The R2, exchange and braid rules write their products into block-sized
 buffers that walk allocates once per walk, and gather into them with

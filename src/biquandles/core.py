@@ -7,7 +7,8 @@ Conventions, fixed once for the whole package:
   * for a quandle, column b is the right translation S_b : a -> a*b;
   * for a biquandle, under[a][b] = a u b and over[a][b] = a o b, so the
     column maps are alpha_b (under) and beta_b (over).
-All values are immutable after validated construction; operations are pure.
+Table objects keep read-only copies of their validated tables; the attributes
+can be rebound, and the compiled Side follows (_TableObject).  Operations are pure.
 """
 
 from __future__ import annotations
@@ -509,21 +510,63 @@ def read_json_tables(d, kind, build):
     return build(*tables)
 
 
-def _side_of(obj, tables):
-    """obj's _search.Side of tables, kept in obj._compiled and built again
-    only when obj holds other table objects: the tables are read-only
-    copies, so it cannot go stale while they stay.  FiniteQuandle,
-    FiniteBiquandle and FiniteGroup keep one."""
-    side = obj._compiled
-    if side is None or not all(map(operator.is_, side.sources, tables)):
-        side = obj._compiled = _search.Side(tables)
-    return side
+class _TableObject:
+    """An object held as validated n x n operation tables: FiniteQuandle,
+    FiniteBiquandle and groups.FiniteGroup.  A subclass validates and keeps
+    its tables, sets _kind to its key of _JSON_KINDS, and defines _tables()
+    as its tables in that key order, one literal tuple (_side() reads it on
+    every isomorphism question).  Equality, hashing, invariants and the JSON
+    form are the tables'.  The tables are read-only, never written in place,
+    but an attribute holding one can be rebound (q.table = t): _side() then
+    compiles the tables bound at its next call."""
+
+    __slots__ = ("n", "_compiled")
+
+    def _side(self):
+        """The tables compiled for the bijection engine (_search.Side), built
+        again only when an attribute holds other tables than it was built from."""
+        side = self._compiled
+        tables = self._tables()
+        if side is None or not all(map(operator.is_, side.sources, tables)):
+            side = self._compiled = _search.Side(tables)
+        return side
+
+    def invariants(self):
+        """Per-element isomorphism invariants of the tables and their
+        multiset as a sorted tuple, computed once."""
+        side = self._side()
+        return side.invariants, side.multiset
+
+    def __eq__(self, other):
+        return type(other) is type(self) and all(map(np.array_equal, self._tables(), other._tables()))
+
+    def __hash__(self):
+        return hash(tuple(t.tobytes() for t in self._tables()))
+
+    def __repr__(self):
+        return f"{type(self).__name__}(n={self.n})"
+
+    def to_dict(self):
+        keys = _JSON_KINDS[self._kind][0]
+        return {"n": self.n, **{k: t.tolist() for k, t in zip(keys, self._tables())}}
+
+    @classmethod
+    def from_dict(cls, d):
+        return read_json_tables(d, cls._kind, cls)
+
+    def to_json(self):
+        return json.dumps(self.to_dict())
+
+    @classmethod
+    def from_json(cls, s):
+        return from_json_text(s, cls.from_dict)
 
 
-class FiniteQuandle:
+class FiniteQuandle(_TableObject):
     """A finite quandle as its validated operation table."""
 
-    __slots__ = ("n", "table", "tinv", "_compiled")
+    __slots__ = ("table", "tinv")
+    _kind = "quandle"
 
     def __init__(self, table):
         t = as_table(table)
@@ -548,16 +591,8 @@ class FiniteQuandle:
         self.tinv = _invert_columns(t)  # tinv[a, b] = S_b^{-1}(a)
         self._compiled = None
 
-    def invariants(self):
-        """Per-element isomorphism invariants of the table (column cycle
-        type, idempotence, orbit size) and their multiset as a sorted tuple,
-        computed once."""
-        side = self._side()
-        return side.invariants, side.multiset
-
-    def _side(self):
-        """The table compiled for the bijection engine (_search.Side)."""
-        return _side_of(self, (self.table,))
+    def _tables(self):
+        return (self.table,)
 
     def op(self, a, b):
         return int(self.table[a, b])
@@ -569,47 +604,26 @@ class FiniteQuandle:
         """The right translation S_x as a permutation."""
         return Permutation(tuple(int(v) for v in self.table[:, x]))
 
-    def __eq__(self, other):
-        return isinstance(other, FiniteQuandle) and np.array_equal(self.table, other.table)
 
-    def __hash__(self):
-        return hash(self.table.tobytes())
-
-    def __repr__(self):
-        return f"FiniteQuandle(n={self.n})"
-
-    def to_dict(self):
-        return {"n": self.n, "table": self.table.tolist()}
-
-    @staticmethod
-    def from_dict(d):
-        return read_json_tables(d, "quandle", FiniteQuandle)
-
-    def to_json(self):
-        return json.dumps(self.to_dict())
-
-    @staticmethod
-    def from_json(s):
-        return from_json_text(s, FiniteQuandle.from_dict)
-
-
-class FiniteBiquandle:
+class FiniteBiquandle(_TableObject):
     """A finite biquandle as its validated pair of operation tables."""
 
-    __slots__ = ("n", "under", "over", "under_inv", "over_inv", "_compiled")
+    __slots__ = ("under", "over", "under_inv", "over_inv")
+    _kind = "biquandle"
 
     def __init__(self, under, over):
         u, o = _as_tables(under, over)
         report = _check_biquandle(u, o)
         if not report.passed:
             raise AxiomError(report)
-        u, o = _keep(u), _keep(o)
+        self.under, self.over = u, o = _keep(u), _keep(o)
         self.n = u.shape[0]
-        self.under = u
-        self.over = o
         self.under_inv = _invert_columns(u)  # alpha_b^{-1}
         self.over_inv = _invert_columns(o)   # beta_b^{-1}
         self._compiled = None
+
+    def _tables(self):
+        return (self.under, self.over)
 
     def op_under(self, a, b):
         return int(self.under[a, b])
@@ -617,48 +631,11 @@ class FiniteBiquandle:
     def op_over(self, a, b):
         return int(self.over[a, b])
 
-    def invariants(self):
-        """Per-element isomorphism invariants of the under and over tables
-        and their multiset as a sorted tuple, computed once."""
-        side = self._side()
-        return side.invariants, side.multiset
-
-    def _side(self):
-        """Both tables compiled for the bijection engine (_search.Side)."""
-        return _side_of(self, (self.under, self.over))
-
     def alpha(self, y):
         return Permutation(tuple(int(v) for v in self.under[:, y]))
 
     def beta(self, y):
         return Permutation(tuple(int(v) for v in self.over[:, y]))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FiniteBiquandle)
-            and np.array_equal(self.under, other.under)
-            and np.array_equal(self.over, other.over)
-        )
-
-    def __hash__(self):
-        return hash((self.under.tobytes(), self.over.tobytes()))
-
-    def __repr__(self):
-        return f"FiniteBiquandle(n={self.n})"
-
-    def to_dict(self):
-        return {"n": self.n, "under": self.under.tolist(), "over": self.over.tolist()}
-
-    @staticmethod
-    def from_dict(d):
-        return read_json_tables(d, "biquandle", FiniteBiquandle)
-
-    def to_json(self):
-        return json.dumps(self.to_dict())
-
-    @staticmethod
-    def from_json(s):
-        return from_json_text(s, FiniteBiquandle.from_dict)
 
 
 # ---------------------------------------------------------------------------
@@ -763,25 +740,30 @@ def ybe_witness(under, over):
     verdict, and only a failure runs the n^3 braid sweep, whose first
     triple is the witness.
     """
-    u, o = _as_tables(under, over)
-    in_range = _in_range(u) and _in_range(o)
-    if not in_range or any(next(_bad_columns(t), None) is not None for t in (o, u)):
-        raise DomainError("pair map undefined: a column is not a permutation")
+    u, o = _pair_map_tables(under, over)
     if _kernels.exchange_holds(u, o):
         return None
     return _kernels.ybe_violation(u, o, _invert_columns(o))
 
 
+def _pair_map_tables(under, over):
+    """_as_tables, or DomainError unless every column of both is a permutation."""
+    u, o = _as_tables(under, over)
+    if not (_in_range(u) and _in_range(o)) or any(next(_bad_columns(t), None) is not None for t in (o, u)):
+        raise DomainError("pair map undefined: a column is not a permutation")
+    return u, o
+
+
 def check_ybe(b) -> bool:
     """True when the braid relation holds on all triples; b is a
-    FiniteBiquandle or an (under, over) pair, which goes through
-    ybe_witness.  A FiniteBiquandle holds without a check: its constructor
-    ran the exchange check, which ybe_witness's docstring proves
-    equivalent to the braid relation, and keeps its tables read-only."""
+    FiniteBiquandle or an (under, over) pair.  A pair meets ybe_witness's
+    precondition, and the exchange check alone, which ybe_witness proves
+    equivalent to the braid relation, is its verdict.  A FiniteBiquandle
+    holds without a check: its constructor ran the exchange check."""
     if isinstance(b, FiniteBiquandle):
         return True
     try:
         under, over = b
     except (TypeError, ValueError):
         raise MalformedInput("check_ybe needs a FiniteBiquandle or an (under, over) pair") from None
-    return ybe_witness(under, over) is None
+    return _kernels.exchange_holds(*_pair_map_tables(under, over))

@@ -13,16 +13,17 @@ import math
 import numpy as np
 
 from ._search import preserves_tables, table_bijections
-from .core import Permutation, PermutationGroup, _in_range, _keep, _side_of, as_table, product_table, read_json_tables
+from .core import Permutation, PermutationGroup, _in_range, _keep, _TableObject, as_table, product_table
 from .errors import DomainError, MalformedInput
 
 DEFAULT_ORDER_CAP = 64
 
 
-class FiniteGroup:
+class FiniteGroup(_TableObject):
     """A finite group given by its multiplication table."""
 
-    __slots__ = ("n", "mul", "e", "inv", "name", "_compiled")
+    __slots__ = ("mul", "e", "inv", "name")
+    _kind = "group"
 
     def __init__(self, mul, name=None):
         t = as_table(mul, "mul")
@@ -54,9 +55,8 @@ class FiniteGroup:
         self.name = name or f"group{n}"
         self._compiled = None
 
-    def _side(self):
-        """The table compiled for the bijection engine (_search.Side)."""
-        return _side_of(self, (self.mul,))
+    def _tables(self):
+        return (self.mul,)
 
     def op(self, a, b):
         return int(self.mul[a, b])
@@ -85,21 +85,8 @@ class FiniteGroup:
         """y^{-1} x y."""
         return self.op(self.op(self.inverse(y), x), y)
 
-    def __eq__(self, other):
-        return isinstance(other, FiniteGroup) and np.array_equal(self.mul, other.mul)
-
-    def __hash__(self):
-        return hash(self.mul.tobytes())
-
     def __repr__(self):
         return f"FiniteGroup({self.name}, n={self.n})"
-
-    def to_dict(self):
-        return {"n": self.n, "mul": self.mul.tolist()}
-
-    @staticmethod
-    def from_dict(d):
-        return read_json_tables(d, "group", FiniteGroup)
 
 
 # A group automorphism is a multiplication-preserving permutation of the

@@ -22,10 +22,12 @@ FreeWord = tuple  # of (letter, exponent) syllables, always reduced
 
 _SYLLABLE = re.compile(r"^([a-z])(?:\^(-?\d+))?$")
 
-# ceilings on one call's work: substitution multiplies out powers one
-# factor at a time, so checking y^e x y^-e takes time linear in e (0.1 s
-# at 10**4); enumerating takes 3.4 s for pairs at bound 4, 1.5 s for
-# single words at 32
+# ceilings on one call's work: power keeps a conjugate's c outside v^k,
+# so checking y^e x y^-e costs the same at every e (0.07 ms), but other
+# shapes reduce v^k over k copies of v and a word's table on a group takes
+# one gather per unit of exponent, linear in e (y^e x y^e: 24 ms to check
+# and 20 ms for its table on S4, at 10**4; 2 vCPUs); enumerating takes
+# 3.4 s for pairs at bound 4, 1.5 s for single words at 32
 MAX_EXPONENT = 10**4
 MAX_BIRACK_BOUND = 4
 MAX_QUANDLE_WORD_BOUND = 32
@@ -104,12 +106,20 @@ def invert(w: FreeWord) -> FreeWord:
 
 
 def power(w: FreeWord, k: int) -> FreeWord:
+    """w^k, reduced.  w splits as c v c^-1, c as many whole syllables as
+    cancel, and w^k = c v^k c^-1: v^k is one syllable when v is, else one
+    reduce_word over k copies of v, which merge only where copies meet."""
     if k < 0:
         return power(invert(w), -k)
-    out: FreeWord = ()
-    for _ in range(k):
-        out = multiply(out, w)
-    return out
+    w = reduce_word(w)
+    if not w or k == 0:
+        return ()
+    i = 0  # reduced, so the pairs stop before the middle
+    while w[i][0] == w[-1 - i][0] and w[i][1] == -w[-1 - i][1]:
+        i += 1
+    c, v = w[:i], w[i:len(w) - i]
+    vk = ((v[0][0], v[0][1] * k),) if len(v) == 1 else reduce_word(v * k)
+    return c + vk + invert(c)
 
 
 def substitute(w: FreeWord, mapping) -> FreeWord:

@@ -4,6 +4,7 @@ import math
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -417,6 +418,86 @@ class TestAssociatedQuandleOracle:
         d = virtual_hopf()
         assert coloring_count_biquandle(d, b) == by_b
         assert coloring_count_quandle(d, associated_quandle(b)) == by_q
+
+
+def virtual_braid_closure(m, word):
+    """The closure of a virtual braid on m strands as a diagram.  word lists
+    (kind, i), i in 0..m-2: kind "+" is sigma_i, the strand at position i
+    passing under to i + 1, "-" is its inverse and "v" the virtual
+    crossing v_i.  With s the arcs entering a crossing and t the new ones,
+    sigma_i is X + s_i s_(i+1) t_(i+1) t_i, its inverse
+    X - s_(i+1) s_i t_i t_(i+1), v_i is V s_i s_(i+1) t_(i+1) t_i, and
+    strand j closes with = t_j s_j."""
+    pos = [f"s{j}" for j in range(m)]
+    lines = []
+    for c, (kind, i) in enumerate(word):
+        s, t = (pos[i], pos[i + 1]), (f"c{c}a", f"c{c}b")
+        if kind == "+":
+            lines.append(f"X + {s[0]} {s[1]} {t[1]} {t[0]}")
+        elif kind == "-":
+            lines.append(f"X - {s[1]} {s[0]} {t[0]} {t[1]}")
+        else:
+            lines.append(f"V {s[0]} {s[1]} {t[1]} {t[0]}")
+        pos[i], pos[i + 1] = t
+    lines += [f"= {pos[j]} s{j}" for j in range(m)]
+    return parse_diagram("\n".join(lines))
+
+
+def braid_fixed_points(m, word, b):
+    """The number of states of X^m that the word's braid action fixes, by
+    one gather per generator over all n^m states at once: sigma_i acts on the
+    colours (x, y) at positions (i, i + 1) by F(x, y) = (w, x u w) with
+    w = y o^-1 x, its inverse by F^-1(x, y) = (z, x o z) with
+    z = y u^-1 x, and v_i by the swap."""
+    start = np.indices((b.n,) * m).reshape(m, -1)  # start[j]: colour at j
+    cur = list(start)
+    for kind, i in word:
+        x, y = cur[i], cur[i + 1]
+        if kind == "+":
+            w = b.over_inv[y, x]
+            cur[i], cur[i + 1] = w, b.under[x, w]
+        elif kind == "-":
+            z = b.under_inv[y, x]
+            cur[i], cur[i + 1] = z, b.over[x, z]
+        else:
+            cur[i], cur[i + 1] = y, x
+    return int(np.logical_and.reduce([c == s for c, s in zip(cur, start)]).sum())
+
+
+@st.composite
+def virtual_braids(draw, pool):
+    """A biquandle of pool and a virtual braid word of at most 6
+    generators on as many strands as keep n^strands at most 10^6 (two for
+    Hol(R_7), three for Hol(R_5), at most 4)."""
+    b = draw(st.sampled_from(pool))
+    strands = 1
+    while strands < 4 and b.n ** (strands + 1) <= 10**6:
+        strands += 1
+    m = draw(st.integers(1, strands))
+    gens = st.tuples(st.sampled_from("+-v"), st.integers(0, m - 2)) if m > 1 else st.nothing()
+    return m, draw(st.lists(gens, max_size=6 if m > 1 else 0)), b
+
+
+class TestClosedBraidFixedPoints:
+    """The colorings of a closed virtual braid are the fixed points of the
+    braid's action on X^m (the birack braid action of Fenn, Jordan-Santana
+    and Kauffman, Biquandles and virtual links, 2004): an oracle with no
+    arc cap, on virtual diagrams too, up to Hol(R_7), n = 294."""
+
+    @settings(max_examples=100)
+    @given(virtual_braids(GUITAR_BIQUANDLES))
+    def test_counts_are_fixed_points(self, case):
+        m, word, b = case
+        assert coloring_count_biquandle(virtual_braid_closure(m, word), b) == braid_fixed_points(m, word, b)
+
+    def test_torus_links_by_braids(self):
+        # T(2, k) is the closure of sigma_1^k
+        b = holomorph_biquandle(dihedral_quandle(3))
+        counts = [braid_fixed_points(2, [("+", 0)] * k, b) for k in (2, 3, 4)]
+        assert counts == [coloring_count_biquandle(parse_diagram(torus(k)), b) for k in (2, 3, 4)] == [54, 108, 90]
+        # a virtual crossing between the two classical ones: 12, not 54
+        word = [("+", 0), ("v", 0), ("+", 0)]
+        assert braid_fixed_points(2, word, b) == coloring_count_biquandle(virtual_braid_closure(2, word), b) == 12
 
 
 class TestPlan:

@@ -1,7 +1,10 @@
 import random
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biquandles.core import check_biquandle, check_quandle, check_ybe
 from biquandles.errors import DomainError, MalformedInput
@@ -21,6 +24,7 @@ from biquandles.verbal import (
     is_verbal_quandle_word,
     multiply,
     parse_word,
+    power,
     reduce_word,
     shape_word,
     substitute,
@@ -82,6 +86,42 @@ class TestWordEngine:
         for a in range(6):
             for b in range(6):
                 assert evaluate_word(w, s3, {"x": a, "y": b}) == s3.conjugate(a, b)
+
+
+def power_by_products(w, k):
+    """w^k as |k| successive products with multiply, the oracle for power."""
+    base = w if k >= 0 else invert(w)
+    out = ()
+    for _ in range(abs(k)):
+        out = multiply(out, base)
+    return out
+
+
+syllable_lists = st.lists(st.tuples(st.sampled_from("xyz"), st.integers(-3, 3).filter(bool)), max_size=5)
+
+
+class TestPower:
+    @settings(max_examples=400)
+    @given(syllable_lists, syllable_lists, st.integers(-6, 6))
+    def test_matches_repeated_products(self, c, v, k):
+        # drawing c v c^-1 makes conjugates common; c empty gives any word
+        w = reduce_word(tuple(c) + tuple(v) + invert(tuple(c)))
+        assert power(w, k) == power_by_products(w, k)
+
+    def test_seams_merge(self):
+        w = parse_word("x^2 y x^-1")
+        assert power(w, 3) == parse_word("x^2 y x y x y x^-1")
+        assert power(parse_word("y^5 x^2 y^-5"), -4) == parse_word("y^5 x^-8 y^-5")
+
+    def test_large_conjugating_exponent_is_fast(self):
+        u = word((("y", 10**4), ("x", 1), ("y", -(10**4))))
+        best = float("inf")
+        for _ in range(3):
+            started = time.perf_counter()
+            assert is_verbal_birack(u, X)
+            best = min(best, time.perf_counter() - started)
+        # 0.07 ms on a 2-vCPU container; k successive products took 0.1 s
+        assert best < 0.005
 
 
 class TestVerbalQuandles:
