@@ -211,7 +211,9 @@ def _generators(t):
             keep = [(t[:, c] == t[:, g, None]).all(axis=0) for c in np.split(same, range(step, len(same), step))]
             same = same[np.concatenate(keep)]
         firsts.append(outside[:batch])
-        new = np.union1d(outside[:batch], same)
+        pick = np.zeros(n, dtype=bool)  # np.union1d would import numpy.ma
+        pick[outside[:batch]] = pick[same] = True
+        new = np.flatnonzero(pick)
         seeds.append(new)
         members[new] = True
         while new.size:
@@ -291,9 +293,14 @@ def _columns(t):
     cols = np.ascontiguousarray(t.T, dtype=np.int64)
     # each column as one opaque 8n-byte key.  np.unique(cols, axis=0)
     # compares field by field: 135 ms per table on Hol(R_11) against 27 ms
-    # here; return_inverse would add a third n x n copy (+11 MB peak there)
+    # here; return_inverse would add a third n x n copy (+11 MB peak there).
+    # The keys are sorted and each run's head kept, as np.unique does, whose
+    # masked-array test would import numpy.ma (about 8 ms per process)
     keys = cols.view(f"V{8 * cols.shape[1]}").ravel()
-    maps = np.unique(keys)
+    maps = np.sort(keys)
+    head = np.ones(len(maps), dtype=bool)
+    head[1:] = maps[1:] != maps[:-1]
+    maps = maps[head]
     return np.searchsorted(maps, keys), maps.view(np.int64).reshape(len(maps), cols.shape[1])
 
 

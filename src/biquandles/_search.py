@@ -56,7 +56,6 @@ order 7 take 27 closures, and the plan fixes the base, not 13,699.
 from __future__ import annotations
 
 from collections import Counter
-from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -291,27 +290,33 @@ class Side:
         self.sources = tuple(tables)
         self.tables = np.stack([np.asarray(x, dtype=np.int64) for x in self.sources])
 
-    @cached_property
-    def invariants(self):
-        return _invariants(self.tables)
+    def __getattr__(self, name):
+        """Build a part on its first read and keep it in the instance, where
+        later reads find it without this call.  (functools.cached_property
+        takes a lock every instance shares on Python 3.11, about 3 us more
+        per fresh Side.)"""
+        try:
+            build = _PARTS[name]
+        except KeyError:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}") from None
+        value = self.__dict__[name] = build(self)
+        return value
 
-    @cached_property
-    def multiset(self):
-        return tuple(sorted(self.invariants))
 
-    @cached_property
-    def witness_plan(self):
-        return _kernels.closure_plan(self.tables)
+def _listing_plan(side):
+    cells = {}
+    ids = np.array([cells.setdefault(key, len(cells)) for key in side.invariants], dtype=np.int64)
+    return _kernels.closure_plan(side.tables, ids)
 
-    @cached_property
-    def listing_plan(self):
-        cells = {}
-        ids = np.array([cells.setdefault(key, len(cells)) for key in self.invariants], dtype=np.int64)
-        return _kernels.closure_plan(self.tables, ids)
 
-    @cached_property
-    def generators(self):
-        return _kernels._generators(self.tables[0])
+# the parts of a Side, each built by its function of the Side on first read
+_PARTS = {
+    "invariants": lambda side: _invariants(side.tables),
+    "multiset": lambda side: tuple(sorted(side.invariants)),
+    "witness_plan": lambda side: _kernels.closure_plan(side.tables),
+    "listing_plan": _listing_plan,
+    "generators": lambda side: _kernels._generators(side.tables[0]),
+}
 
 
 def table_bijections(side, colours=None):

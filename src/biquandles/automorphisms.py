@@ -270,7 +270,9 @@ def verify_sequence_cardinality(q1: FiniteQuandle, q2: FiniteQuandle, psi) -> bo
     _, aut2, pairs, cent, orbs, h = _product_H(q1, q2, psi)
     c, k = len(cent), len(orbs)
     ok = c**k * pairs == c * len(h)
-    if np.isin(aut2[:, orbs[0]], orbs[0]).all():
+    first = np.zeros(q2.n, dtype=bool)  # np.isin's sort path imports numpy.ma
+    first[orbs[0]] = True
+    if first[aut2[:, orbs[0]]].all():
         ok = ok and len(h) == c ** (k - 1) * pairs
     return ok
 

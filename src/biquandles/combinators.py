@@ -124,6 +124,11 @@ def union_biquandle_constant(q1: FiniteQuandle, q2: FiniteQuandle, f: Permutatio
     Within each part the under operation is the part's own product and over
     is trivial; across parts both operations apply f (on Q1 elements) or g
     (on Q2 elements).
+
+    Once f and g are automorphisms, these tables are a biquandle by the
+    paper's union construction with constant maps (Bardakov, Nasybullov and
+    Singh, General constructions of biquandles and their symmetries, 2019),
+    so the axioms are not checked again.
     """
     _require_permutation("f", f)
     _require_permutation("g", g)
@@ -136,7 +141,7 @@ def union_biquandle_constant(q1: FiniteQuandle, q2: FiniteQuandle, f: Permutatio
     gx = np.tile(n1 + g.array()[:, None], (1, n1))
     under = np.block([[q1.table, fx], [gx, q2.table + n1]])
     over = np.block([[np.tile(np.arange(n1)[:, None], (1, n1)), fx], [gx, np.tile(np.arange(n1, n1 + n2)[:, None], (1, n2))]])
-    return FiniteBiquandle(under, over)
+    return FiniteBiquandle._proven(under, over)
 
 
 def involutory_union_check(q1: FiniteQuandle, q2: FiniteQuandle, phi, psi) -> bool:
@@ -158,6 +163,12 @@ def product_biquandle(q1: FiniteQuandle, q2: FiniteQuandle, phi, psi, case) -> F
 
     case 1 requires psi constant {f} with phi_{f(x *1 y)} = phi_{f(y)} phi_x phi_y^{-1};
     case 2 requires phi constant {g} with psi_{g(a *2 b)} = psi_{g(b)} psi_a psi_b^{-1}.
+
+    These hypotheses, with phi and psi homomorphisms into the conjugation
+    quandles of Aut(Q2) and Aut(Q1), are those of the paper's product
+    theorem (Bardakov, Nasybullov and Singh 2019), which proves the tables
+    a biquandle; so once they are checked, the axioms on the n1 n2 product
+    are not checked again.
     """
     n1, n2 = q1.n, q2.n
     phi, psi = _check_cross_maps(q1, q2, phi, psi)
@@ -178,20 +189,27 @@ def product_biquandle(q1: FiniteQuandle, q2: FiniteQuandle, phi, psi, case) -> F
     under = psi[b, q1.table[x, y]] * n2 + phi[y, a]
     over = psi[b, x] * n2 + phi[y, q2.table[a, b]]
     n = n1 * n2
-    return FiniteBiquandle(under.reshape(n, n), over.reshape(n, n))
+    return FiniteBiquandle._proven(under.reshape(n, n), over.reshape(n, n))
 
 
 def semidirect_biquandle(q1: FiniteQuandle, q2: FiniteQuandle, psi) -> FiniteBiquandle:
     """Biquandle on Q1 x Q2 with
         (x,a) u (y,b) = (psi_b(x *1 y), a)
         (x,a) o (y,b) = (psi_b(x), a *2 b)
-    for a homomorphism psi from Q2 into the conjugation quandle of Aut(Q1)."""
+    for a homomorphism psi from Q2 into the conjugation quandle of Aut(Q1):
+    case 2 of product_biquandle with phi trivial, proved by its theorem."""
     phi = _identity_maps(q1.n, q2.n)
     return product_biquandle(q1, q2, phi, psi, case=2)
 
 
 def conj_quandle_of_permgroup(perms) -> tuple[FiniteQuandle, list]:
-    """Conjugation quandle a*b = b a b^{-1} on a sorted permutation list."""
+    """Conjugation quandle a*b = b a b^{-1} on a sorted permutation list.
+
+    Once the list is closed under conjugation, it is a quandle as every
+    conjugation quandle of a group is (Joyce 1982): a*a = a, each b acts
+    by the bijection a -> b a b^{-1}, and conjugation by c carries
+    b a b^{-1} to (c b c^{-1})(c a c^{-1})(c b c^{-1})^{-1}.  So the axioms
+    are not checked again."""
     ordered = sorted(set(perms))
     n = len(ordered)
     d = ordered[0].n if ordered else 0
@@ -204,7 +222,7 @@ def conj_quandle_of_permgroup(perms) -> tuple[FiniteQuandle, list]:
     if -1 in found:
         i, j = divmod(found.index(-1), n)
         raise DomainError(f"the permutations are not closed under conjugation: b a b^-1 is not among them for a = {ordered[i].images}, b = {ordered[j].images}")
-    return FiniteQuandle(np.array(found, dtype=np.int64).reshape(n, n)), ordered
+    return FiniteQuandle._proven(np.array(found, dtype=np.int64).reshape(n, n)), ordered
 
 
 def _holomorph(q: FiniteQuandle):

@@ -7,8 +7,10 @@ Conventions, fixed once for the whole package:
   * for a quandle, column b is the right translation S_b : a -> a*b;
   * for a biquandle, under[a][b] = a u b and over[a][b] = a o b, so the
     column maps are alpha_b (under) and beta_b (over).
-Table objects keep read-only copies of their validated tables; the attributes
-can be rebound, and the compiled Side follows (_TableObject).  Operations are pure.
+Table objects keep read-only copies of their tables, validated by the public
+constructors and proved by a theorem in the library's (the _proven
+classmethods); the attributes can be rebound, and the compiled Side follows
+(_TableObject).  Operations are pure.
 """
 
 from __future__ import annotations
@@ -608,7 +610,7 @@ class FiniteQuandle(_TableObject):
 class FiniteBiquandle(_TableObject):
     """A finite biquandle as its validated pair of operation tables."""
 
-    __slots__ = ("under", "over", "under_inv", "over_inv")
+    __slots__ = ("under", "over", "under_inv", "over_inv", "_proved")
     _kind = "biquandle"
 
     def __init__(self, under, over):
@@ -616,10 +618,23 @@ class FiniteBiquandle(_TableObject):
         report = _check_biquandle(u, o)
         if not report.passed:
             raise AxiomError(report)
+        self._hold(u, o)
+
+    @classmethod
+    def _proven(cls, under, over):
+        """The biquandle of tables its caller has proved to be one (b1, b2,
+        the pair map and the exchange identities), without check_biquandle;
+        the tables still go through as_table."""
+        b = cls.__new__(cls)
+        b._hold(*_as_tables(under, over))
+        return b
+
+    def _hold(self, u, o):
         self.under, self.over = u, o = _keep(u), _keep(o)
         self.n = u.shape[0]
         self.under_inv = _invert_columns(u)  # alpha_b^{-1}
         self.over_inv = _invert_columns(o)   # beta_b^{-1}
+        self._proved = (u, o)  # the tables check_ybe trusts
         self._compiled = None
 
     def _tables(self):
@@ -695,9 +710,14 @@ def associated_quandle(b: FiniteBiquandle) -> FiniteQuandle:
 
 
 def biquandle_of_quandle(q: FiniteQuandle) -> FiniteBiquandle:
-    """Embed a quandle as the biquandle with trivial over operation."""
+    """Embed a quandle as the biquandle with trivial over operation.
+
+    q's axioms prove it a biquandle, so check_biquandle is not run: with
+    x o y = x every over column is the identity, b1 is q1, the pair map
+    (x, y) -> (y, x * y) is a bijection by r1, and each exchange identity
+    reduces to r2 of q or to an identity."""
     over = np.broadcast_to(np.arange(q.n)[:, None], (q.n, q.n)).copy()
-    return FiniteBiquandle(q.table, over)
+    return FiniteBiquandle._proven(q.table, over)
 
 
 def yang_baxter_map(b: FiniteBiquandle):
@@ -759,9 +779,13 @@ def check_ybe(b) -> bool:
     FiniteBiquandle or an (under, over) pair.  A pair meets ybe_witness's
     precondition, and the exchange check alone, which ybe_witness proves
     equivalent to the braid relation, is its verdict.  A FiniteBiquandle
-    holds without a check: its constructor ran the exchange check."""
+    holds without a check while it holds the tables its constructor
+    proved, by the exchange check or by a theorem; one whose under or over
+    attribute has been rebound is checked as the pair of its tables."""
     if isinstance(b, FiniteBiquandle):
-        return True
+        if all(map(operator.is_, b._proved, b._tables())):
+            return True
+        b = b._tables()
     try:
         under, over = b
     except (TypeError, ValueError):

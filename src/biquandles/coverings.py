@@ -36,7 +36,7 @@ def is_quandle_covering(p, qt: FiniteQuandle, q: FiniteQuandle) -> bool:
         return False
     # p is onto, so the q.n fibres make q.n distinct (p(x), column class)
     # pairs exactly when each fibre has one class
-    return len(np.unique(p * qt.n + _columns(qt.table)[0])) == q.n
+    return len(set((p * qt.n + _columns(qt.table)[0]).tolist())) == q.n
 
 
 def image_quandle_SQ(q: FiniteQuandle):

@@ -2,6 +2,11 @@
 
 All constructors index (bi)quandle elements by the group's element indices,
 so group homomorphisms transport directly to the derived structures.
+
+Each family is a quandle or biquandle on every group once its parameters
+pass the checks below (each docstring names the result), so the tables are
+built as proven objects (FiniteQuandle._proven, FiniteBiquandle._proven),
+with no axiom sweep.
 """
 
 from __future__ import annotations
@@ -27,22 +32,25 @@ def _check_order(n):
 
 
 def trivial_quandle(n) -> FiniteQuandle:
-    """x*y = x."""
+    """x*y = x: every column is the identity, so q1, r1 and r2 hold."""
     _check_order(n)
-    return FiniteQuandle(np.broadcast_to(np.arange(n)[:, None], (n, n)).copy())
+    return FiniteQuandle._proven(np.broadcast_to(np.arange(n)[:, None], (n, n)).copy())
 
 
 def conj_quandle(g: FiniteGroup, n=1) -> FiniteQuandle:
-    """x*y = y^{-n} x y^n."""
+    """x*y = y^{-n} x y^n: column y is conjugation by y^n, an automorphism of
+    g, so it is a bijection (r1) and distributes over the operation (r2), and
+    x*x = x (q1)."""
     yn = np.array([g.power(y, n) for y in range(g.n)], dtype=np.int64)
     x = np.arange(g.n)[:, None]
-    return FiniteQuandle(g.mul[g.mul[g.inv[yn], x], yn])
+    return FiniteQuandle._proven(g.mul[g.mul[g.inv[yn], x], yn])
 
 
 def core_quandle(g: FiniteGroup) -> FiniteQuandle:
-    """x*y = y x^{-1} y."""
+    """x*y = y x^{-1} y: the core quandle, a quandle on every group (Joyce,
+    A classifying invariant of knots, the knot quandle, 1982)."""
     y = np.arange(g.n)
-    return FiniteQuandle(g.mul[g.mul[y, g.inv[:, None]], y])
+    return FiniteQuandle._proven(g.mul[g.mul[y, g.inv[:, None]], y])
 
 
 def takasaki(g: FiniteGroup) -> FiniteQuandle:
@@ -53,31 +61,37 @@ def takasaki(g: FiniteGroup) -> FiniteQuandle:
 
 
 def dihedral_quandle(n) -> FiniteQuandle:
-    """Takasaki quandle of Z_n: x*y = 2y - x mod n."""
+    """Takasaki quandle of Z_n: x*y = 2y - x mod n, the core quandle of the
+    abelian group Z_n (Takasaki 1943)."""
     _check_order(n)
     a = np.arange(n)
-    return FiniteQuandle((2 * a[None, :] - a[:, None]) % n)
+    return FiniteQuandle._proven((2 * a[None, :] - a[:, None]) % n)
 
 
 def alexander_quandle(g: FiniteGroup, phi: GroupAutomorphism) -> FiniteQuandle:
-    """x*y = phi(x y^{-1}) y."""
+    """x*y = phi(x y^{-1}) y: a quandle on every group for every automorphism
+    phi, the generalised Alexander quandle (Joyce 1982)."""
     if not preserves_tables(phi.images, [g.mul]):
         raise DomainError("phi is not an automorphism")
     ph = np.array(phi.images, dtype=np.int64)
     a = np.arange(g.n)  # [x, y] from a[:, None] and a
-    return FiniteQuandle(g.mul[ph[g.mul[a[:, None], g.inv]], a])
+    return FiniteQuandle._proven(g.mul[ph[g.mul[a[:, None], g.inv]], a])
 
 
 def wada_biquandle(g: FiniteGroup) -> FiniteBiquandle:
-    """x u y = y^{-1} x^{-1} y,  x o y = y^{-2} x."""
+    """x u y = y^{-1} x^{-1} y,  x o y = y^{-2} x: Wada's biquandle, one on
+    every group (Wada 1992; Bardakov, Nasybullov and Singh 2019)."""
     a = np.arange(g.n)  # [x, y]: x varies down the rows, y along them
     under = g.mul[g.mul[g.inv, g.inv[:, None]], a]
     over = g.mul[g.mul[g.inv, g.inv], a[:, None]]
-    return FiniteBiquandle(under, over)
+    return FiniteBiquandle._proven(under, over)
 
 
 def gen_dihedral_biquandle(g: FiniteGroup, phi: GroupAutomorphism) -> FiniteBiquandle:
-    """x u y = phi(y) x^{-1} y,  x o y = phi(x); needs phi central."""
+    """x u y = phi(y) x^{-1} y,  x o y = phi(x); needs phi central.
+
+    For a central automorphism phi this is a biquandle on every group, the
+    generalised dihedral biquandle (Bardakov, Nasybullov and Singh 2019)."""
     if not preserves_tables(phi.images, [g.mul]):
         raise DomainError("phi is not an automorphism")
     if not is_central_automorphism(g, phi):
@@ -86,11 +100,15 @@ def gen_dihedral_biquandle(g: FiniteGroup, phi: GroupAutomorphism) -> FiniteBiqu
     ph = np.array(phi.images, dtype=np.int64)
     under = g.mul[g.mul[ph, g.inv[:, None]], np.arange(n)]
     over = np.broadcast_to(ph[:, None], (n, n)).copy()
-    return FiniteBiquandle(under, over)
+    return FiniteBiquandle._proven(under, over)
 
 
 def gen_alexander_biquandle(g: FiniteGroup, phi: GroupAutomorphism, psi: GroupAutomorphism) -> FiniteBiquandle:
-    """x u y = phi(x y^{-1}) psi(y),  x o y = psi(x); needs phi psi = psi phi."""
+    """x u y = phi(x y^{-1}) psi(y),  x o y = psi(x); needs phi psi = psi phi.
+
+    For commuting automorphisms phi and psi this is a biquandle on every
+    group, the generalised Alexander biquandle (Bardakov, Nasybullov and
+    Singh 2019)."""
     if not commute(phi, psi):
         raise DomainError("phi and psi must commute")
     for name, f in (("phi", phi), ("psi", psi)):
@@ -101,18 +119,20 @@ def gen_alexander_biquandle(g: FiniteGroup, phi: GroupAutomorphism, psi: GroupAu
     ps = np.array(psi.images, dtype=np.int64)
     under = g.mul[ph[g.mul[np.arange(n)[:, None], g.inv]], ps]
     over = np.broadcast_to(ps[:, None], (n, n)).copy()
-    return FiniteBiquandle(under, over)
+    return FiniteBiquandle._proven(under, over)
 
 
 def alexander_biquandle(n, s, t) -> FiniteBiquandle:
-    """On Z_n: x u y = t x + (s - t) y,  x o y = s x, for units s, t."""
+    """On Z_n: x u y = t x + (s - t) y,  x o y = s x, for units s, t: the
+    generalised Alexander biquandle of Z_n with phi = t, psi = s, which
+    commute (gen_alexander_biquandle)."""
     _check_order(n)
     if math.gcd(s, n) != 1 or math.gcd(t, n) != 1:
         raise DomainError(f"s={s} and t={t} must be units mod {n}")
     a = np.arange(n)
     under = (t * a[:, None] + (s - t) * a[None, :]) % n
     over = np.broadcast_to((s * a % n)[:, None], (n, n)).copy()
-    return FiniteBiquandle(under, over)
+    return FiniteBiquandle._proven(under, over)
 
 
 def exponent(g: FiniteGroup) -> int:

@@ -306,16 +306,21 @@ def enumerate_verbal_quandle_words(bound: int):
 
 def _word_table(w: FreeWord, g: FiniteGroup):
     """The n x n table of w(x, y) over all pairs of elements: each syllable
-    is one gather mul[out, power], a negative exponent taking powers of
-    g.inv."""
+    is one gather mul[out, power], where power maps each element to its
+    power, built by square-and-multiply on element maps (about 2 log2|e|
+    gathers), a negative exponent taking powers of g.inv."""
     out = np.full((g.n, g.n), g.e, dtype=np.int64)
     for let, exp in w:
         if let not in ("x", "y"):
             raise DomainError(f"letter {let!r} has no assignment")
-        base = np.arange(g.n) if exp > 0 else g.inv
-        power = base
-        for _ in range(abs(exp) - 1):
-            power = g.mul[power, base]
+        power = np.full(g.n, g.e, dtype=np.int64)
+        square = np.arange(g.n) if exp > 0 else g.inv  # x -> x^(+-2^i)
+        k = abs(exp)
+        while k:
+            if k & 1:
+                power = g.mul[power, square]
+            square = g.mul[square, square]
+            k >>= 1
         out = g.mul[out, power[:, None] if let == "x" else power]
     return out
 

@@ -303,6 +303,19 @@ class TestYangBaxter:
         with pytest.raises(MalformedInput, match=r"FiniteBiquandle or an \(under, over\) pair"):
             check_ybe(wrap(under))
 
+    def test_check_ybe_checks_a_rebound_biquandle(self):
+        # a proven biquandle is trusted only while it holds its own tables
+        b = alexander_biquandle(7, 3, 2)
+        assert check_ybe(b) is True
+        swapped = np.array(b.over)
+        swapped[[0, 1]] = swapped[[1, 0]]
+        b.over = swapped
+        assert check_ybe((b.under, b.over)) is False
+        assert check_ybe(b) is False
+        b.under = np.zeros((7, 7), dtype=np.int64)
+        with pytest.raises(DomainError, match="pair map undefined"):
+            check_ybe(b)
+
     @pytest.mark.parametrize(
         "b",
         [

@@ -8,9 +8,13 @@ n = 31 and 100 against numpy oracles that index each product as t[I, J].
 """
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from operator import ne
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -1522,3 +1526,28 @@ class TestBadColumnsNarrowKeys:
             assert list(_bad_columns(t)) == np.flatnonzero(want).tolist()
             assert list(_bad_columns(np.asfortranarray(t))) == np.flatnonzero(want).tolist()
         assert columns_biject(base) and all(not _in_range(t) or not columns_biject(t) for t in tables[1:])
+
+
+def test_hot_paths_do_not_import_numpy_ma():
+    """np.unique with no return_* flag and np.union1d test for masked
+    arrays, which imports numpy.ma (about 8 ms a process): building a
+    holomorph, checking it and listing its automorphisms avoid them."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+    def run(code):
+        return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+
+    if run("import sys, numpy; sys.exit('numpy.ma' in sys.modules)").returncode:
+        pytest.skip("import numpy alone loads numpy.ma")
+    out = run(
+        "import sys\n"
+        "from biquandles.automorphisms import biquandle_aut\n"
+        "from biquandles.combinators import holomorph_biquandle\n"
+        "from biquandles.core import check_biquandle\n"
+        "from biquandles.group_constructions import dihedral_quandle\n"
+        "b = holomorph_biquandle(dihedral_quandle(5))\n"
+        "assert check_biquandle(b.under, b.over).passed and len(biquandle_aut(b).rows) == 20\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    assert (out.returncode, out.stdout.strip()) == (0, "False"), out.stderr

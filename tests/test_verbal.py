@@ -13,6 +13,7 @@ from biquandles.groups import cyclic_group, direct_product, quaternion_group, sm
 from biquandles.verbal import (
     EXTRA_VERBAL_BIQUANDLES,
     X,
+    _word_table,
     classify_verbal_biquandle,
     classify_verbal_quandle,
     enumerate_verbal_biracks,
@@ -282,6 +283,12 @@ class TestTablesByGathers:
         for u, v in enumerate_verbal_biracks(2):
             b = verbal_biquandle_tables(u, v, g)
             assert np.array_equal(b.over, cells[u]) and np.array_equal(b.under, cells[v]), (format_word(u), format_word(v))
+
+    @pytest.mark.parametrize("e", [1, -1, 2, -2, 7, -7, 10**4, -(10**4)])
+    def test_powers_by_squaring(self, e):
+        s4 = symmetric_group(4)
+        for w in (word([("y", e), ("x", 1), ("y", -e)]), word([("x", e), ("y", 1)]), word([("x", e), ("y", e)])):
+            assert np.array_equal(_word_table(w, s4), cellwise(w, s4)), format_word(w)
 
     def test_letter_without_a_value(self):
         z3 = cyclic_group(3)
