@@ -304,6 +304,17 @@ def _columns(t):
     return np.searchsorted(maps, keys), maps.view(np.int64).reshape(len(maps), cols.shape[1])
 
 
+def invert_columns(t):
+    """inv with inv[t[a, b], b] = a for every column b, read-only."""
+    n = t.shape[0]
+    inv = np.empty_like(t)
+    rows = np.broadcast_to(np.arange(n)[:, None], (n, n))
+    cols = np.broadcast_to(np.arange(n)[None, :], (n, n))
+    inv[t, cols] = rows
+    inv.setflags(write=False)
+    return inv
+
+
 def _composites_differ(maps, quads):
     """The mask of the quadruples (a, b, c, d) of the id arrays quads at
     which M_a M_b != M_c M_d as maps of x, where maps holds each M_i as row

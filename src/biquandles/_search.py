@@ -22,8 +22,9 @@ checks that the map stays a bijection and agrees with every product,
 with no A-side gather, mask or search for the next free element.
 Candidates are pruned by per-element invariants (column cycle types and
 orbit size), which relabeling preserves for tables whose columns are
-permutations.  A Side, one table stack with its invariants and both
-plans, each built on first use, is all the engine compiles of it.
+permutations.  A Side, one table stack with its column inverses,
+invariants and both plans, each built on first use, is all the engine
+compiles of it.
 
 The two questions take two bases.  A witness search's base is 0, 1, 2, ...
 as far as the closures allow, each base point the first element the
@@ -277,18 +278,19 @@ def first_bijection(plan, tables_b, candidates, colours=None):
 class Side:
     """One table stack, compiled on first use for the engine's questions.
 
-    sources: the table objects it came from; tables: their (k, n, n)
-    int64 stack.  Each other part is built when first read: invariants
-    (_invariants of the stack), multiset (them sorted, as a tuple),
-    witness_plan (the first-free _kernels.closure_plan, for
-    first_bijection's least witness), listing_plan (the generating plan,
-    on the invariant classes, for table_bijections) and generators
-    (_kernels._generators of the first table).
+    sources: the read-only n x n tables it came from.  Each other part is
+    built when first read: tables (their (k, n, n) int64 stack), inverses
+    (the column inverses of the sources, one per table, as
+    _kernels.invert_columns builds them), invariants (_invariants of the
+    stack), multiset (them sorted, as a tuple), witness_plan (the
+    first-free _kernels.closure_plan, for first_bijection's least witness),
+    listing_plan (the generating plan, on the invariant classes, for
+    table_bijections) and generators (_kernels._generators of the first
+    table).
     """
 
     def __init__(self, tables):
         self.sources = tuple(tables)
-        self.tables = np.stack([np.asarray(x, dtype=np.int64) for x in self.sources])
 
     def __getattr__(self, name):
         """Build a part on its first read and keep it in the instance, where
@@ -311,11 +313,13 @@ def _listing_plan(side):
 
 # the parts of a Side, each built by its function of the Side on first read
 _PARTS = {
+    "tables": lambda side: np.stack([np.asarray(x, dtype=np.int64) for x in side.sources]),
+    "inverses": lambda side: tuple(map(_kernels.invert_columns, side.sources)),
     "invariants": lambda side: _invariants(side.tables),
     "multiset": lambda side: tuple(sorted(side.invariants)),
     "witness_plan": lambda side: _kernels.closure_plan(side.tables),
     "listing_plan": _listing_plan,
-    "generators": lambda side: _kernels._generators(side.tables[0]),
+    "generators": lambda side: _kernels._generators(side.sources[0]),
 }
 
 

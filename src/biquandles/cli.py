@@ -231,6 +231,9 @@ def cmd_construct(args):
 
 
 def cmd_aut(args):
+    picked = [x for x in (args.quandle, args.biquandle, args.group) if x]
+    if len(picked) > 1:
+        raise MalformedInput("give exactly one of --quandle, --biquandle, --group")
     if args.group:
         g = _group_from_spec(args.group, args.cap_order)
         auts = groups.automorphism_group(g)
@@ -336,7 +339,7 @@ def cmd_ybe(args):
 def cmd_iso(args):
     a = _load_auto(args.a)
     b = _load_auto(args.b)
-    if isinstance(a, FiniteQuandle) != isinstance(b, FiniteQuandle):
+    if type(a) is not type(b) or not isinstance(a, (FiniteQuandle, FiniteBiquandle)):
         raise MalformedInput("iso arguments must both be quandles or both biquandles")
     wit = enumeration.are_isomorphic(a, b)
     payload = {"isomorphic": wit is not None, "witness": None if wit is None else list(wit.images)}

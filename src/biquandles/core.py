@@ -7,10 +7,11 @@ Conventions, fixed once for the whole package:
   * for a quandle, column b is the right translation S_b : a -> a*b;
   * for a biquandle, under[a][b] = a u b and over[a][b] = a o b, so the
     column maps are alpha_b (under) and beta_b (over).
-Table objects keep read-only copies of their tables, validated by the public
-constructors and proved by a theorem in the library's (the _proven
-classmethods); the attributes can be rebound, and the compiled Side follows
-(_TableObject).  Operations are pure.
+Table objects are immutable: they keep read-only copies of their tables,
+validated by the public constructors or proved by a theorem in the
+library's (the _proven classmethods), and set each attribute once; what
+they derive, such as the column inverses, is built on first use in one
+compiled Side (_TableObject).  Operations are pure.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernels, _search
+from ._kernels import invert_columns as _invert_columns
 from ._search import orbit_roots
 from .errors import AxiomError, DomainError, MalformedInput
 
@@ -95,17 +97,6 @@ def _column_witnesses(axiom, t, all_witnesses):
     """(axiom, (b,)) for the first column b of t that is not a permutation,
     or for every one when all_witnesses."""
     return [(axiom, (b,)) for b in itertools.islice(_bad_columns(t), None if all_witnesses else 1)]
-
-
-def _invert_columns(t):
-    """inv with inv[t[a, b], b] = a for every column b."""
-    n = t.shape[0]
-    inv = np.empty_like(t)
-    rows = np.broadcast_to(np.arange(n)[:, None], (n, n))
-    cols = np.broadcast_to(np.arange(n)[None, :], (n, n))
-    inv[t, cols] = rows
-    inv.setflags(write=False)
-    return inv
 
 
 @dataclass(frozen=True)
@@ -516,22 +507,33 @@ class _TableObject:
     """An object held as validated n x n operation tables: FiniteQuandle,
     FiniteBiquandle and groups.FiniteGroup.  A subclass validates and keeps
     its tables, sets _kind to its key of _JSON_KINDS, and defines _tables()
-    as its tables in that key order, one literal tuple (_side() reads it on
-    every isomorphism question).  Equality, hashing, invariants and the JSON
-    form are the tables'.  The tables are read-only, never written in place,
-    but an attribute holding one can be rebound (q.table = t): _side() then
-    compiles the tables bound at its next call."""
+    as its tables in that key order, one literal tuple.  Equality, hashing,
+    invariants and the JSON form are the tables'.
+
+    The object is immutable: the tables are read-only, and an attribute is
+    set once, so assigning or deleting one that is set raises
+    AttributeError (pickle and copy set each attribute of a new object
+    once).  So what is derived from the tables is built once, on first
+    use, in one _search.Side (_side()), and never goes stale."""
 
     __slots__ = ("n", "_compiled")
 
+    def __setattr__(self, name, value):
+        if hasattr(self, name):
+            raise AttributeError(f"{type(self).__name__} is immutable: {name!r} is already set")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: {name!r} cannot be deleted")
+
     def _side(self):
-        """The tables compiled for the bijection engine (_search.Side), built
-        again only when an attribute holds other tables than it was built from."""
-        side = self._compiled
-        tables = self._tables()
-        if side is None or not all(map(operator.is_, side.sources, tables)):
-            side = self._compiled = _search.Side(tables)
-        return side
+        """The tables compiled for the bijection engine and their column
+        inverses (_search.Side), built on first use."""
+        try:
+            return self._compiled
+        except AttributeError:
+            side = self._compiled = _search.Side(self._tables())
+            return side
 
     def invariants(self):
         """Per-element isomorphism invariants of the tables and their
@@ -565,9 +567,10 @@ class _TableObject:
 
 
 class FiniteQuandle(_TableObject):
-    """A finite quandle as its validated operation table."""
+    """A finite quandle as its validated operation table; tinv[a, b] =
+    S_b^{-1}(a), the column inverses, is built on first read."""
 
-    __slots__ = ("table", "tinv")
+    __slots__ = ("table",)
     _kind = "quandle"
 
     def __init__(self, table):
@@ -587,14 +590,15 @@ class FiniteQuandle(_TableObject):
         return q
 
     def _hold(self, t):
-        t = _keep(t)
+        self.table = t = _keep(t)
         self.n = t.shape[0]
-        self.table = t
-        self.tinv = _invert_columns(t)  # tinv[a, b] = S_b^{-1}(a)
-        self._compiled = None
 
     def _tables(self):
         return (self.table,)
+
+    @property
+    def tinv(self):
+        return self._side().inverses[0]
 
     def op(self, a, b):
         return int(self.table[a, b])
@@ -608,9 +612,11 @@ class FiniteQuandle(_TableObject):
 
 
 class FiniteBiquandle(_TableObject):
-    """A finite biquandle as its validated pair of operation tables."""
+    """A finite biquandle as its validated pair of operation tables;
+    under_inv and over_inv, the column inverses alpha_b^{-1} and
+    beta_b^{-1}, are built on first read."""
 
-    __slots__ = ("under", "over", "under_inv", "over_inv", "_proved")
+    __slots__ = ("under", "over")
     _kind = "biquandle"
 
     def __init__(self, under, over):
@@ -632,13 +638,17 @@ class FiniteBiquandle(_TableObject):
     def _hold(self, u, o):
         self.under, self.over = u, o = _keep(u), _keep(o)
         self.n = u.shape[0]
-        self.under_inv = _invert_columns(u)  # alpha_b^{-1}
-        self.over_inv = _invert_columns(o)   # beta_b^{-1}
-        self._proved = (u, o)  # the tables check_ybe trusts
-        self._compiled = None
 
     def _tables(self):
         return (self.under, self.over)
+
+    @property
+    def under_inv(self):
+        return self._side().inverses[0]
+
+    @property
+    def over_inv(self):
+        return self._side().inverses[1]
 
     def op_under(self, a, b):
         return int(self.under[a, b])
@@ -779,13 +789,10 @@ def check_ybe(b) -> bool:
     FiniteBiquandle or an (under, over) pair.  A pair meets ybe_witness's
     precondition, and the exchange check alone, which ybe_witness proves
     equivalent to the braid relation, is its verdict.  A FiniteBiquandle
-    holds without a check while it holds the tables its constructor
-    proved, by the exchange check or by a theorem; one whose under or over
-    attribute has been rebound is checked as the pair of its tables."""
+    holds without a check: its tables were proved by the exchange check or
+    by a theorem when it was built, and it is immutable."""
     if isinstance(b, FiniteBiquandle):
-        if all(map(operator.is_, b._proved, b._tables())):
-            return True
-        b = b._tables()
+        return True
     try:
         under, over = b
     except (TypeError, ValueError):

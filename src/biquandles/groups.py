@@ -53,7 +53,6 @@ class FiniteGroup(_TableObject):
         self.e = e
         self.inv = inv
         self.name = name or f"group{n}"
-        self._compiled = None
 
     def _tables(self):
         return (self.mul,)

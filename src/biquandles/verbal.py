@@ -24,10 +24,11 @@ _SYLLABLE = re.compile(r"^([a-z])(?:\^(-?\d+))?$")
 
 # ceilings on one call's work: power keeps a conjugate's c outside v^k,
 # so checking y^e x y^-e costs the same at every e (0.07 ms), but other
-# shapes reduce v^k over k copies of v and a word's table on a group takes
-# one gather per unit of exponent, linear in e (y^e x y^e: 24 ms to check
-# and 20 ms for its table on S4, at 10**4; 2 vCPUs); enumerating takes
-# 3.4 s for pairs at bound 4, 1.5 s for single words at 32
+# shapes reduce v^k over k copies of v, linear in e (checking y^e x y^e:
+# 2.5 ms at 10**3, 29 ms at 10**4; 2 vCPUs); a word's table takes about
+# 2 log2 e gathers per syllable (y^e x y^e on S4: 0.09 ms at 10**3 and at
+# 10**4); enumerating takes 3.4 s for pairs at bound 4, 1.5 s for single
+# words at 32
 MAX_EXPONENT = 10**4
 MAX_BIRACK_BOUND = 4
 MAX_QUANDLE_WORD_BOUND = 32

@@ -12,7 +12,8 @@ from biquandles.cli import main
 from biquandles.group_constructions import dihedral_quandle, trivial_quandle, wada_biquandle
 from biquandles.combinators import union_biquandle_constant
 from biquandles.core import Permutation
-from biquandles.groups import cyclic_group
+from biquandles.groups import cyclic_group, symmetric_group
+from biquandles.structures import inverse_inner_structure
 
 
 @pytest.fixture
@@ -253,6 +254,50 @@ class TestAut:
     def test_elements_listing(self, capsys, r3_file):
         code, out, _ = run(capsys, "--format", "json", "aut", "--quandle", r3_file, "--elements")
         assert len(json.loads(out)["elements"]) == 6
+
+    @pytest.mark.parametrize(
+        "flags",
+        [("--quandle", "--biquandle", "--group"), ("--quandle", "--group"), ("--quandle", "--biquandle"), ("--biquandle", "--group")],
+    )
+    def test_more_than_one_input_exits_2(self, capsys, tmp_path, r3_file, flags):
+        b = tmp_path / "w.json"
+        b.write_text(wada_biquandle(cyclic_group(3)).to_json())
+        given = {"--quandle": r3_file, "--biquandle": str(b), "--group": "z5"}
+        code, out, err = run(capsys, "aut", *(x for flag in flags for x in (flag, given[flag])))
+        assert code == 2 and out == ""
+        assert "give exactly one of --quandle, --biquandle, --group" in err
+
+
+ISO_FILES = {
+    "q": lambda: dihedral_quandle(3).to_json(),
+    "b": lambda: wada_biquandle(cyclic_group(3)).to_json(),
+    "s": lambda: json.dumps(inverse_inner_structure(dihedral_quandle(3)).to_dict()),
+    "g": lambda: symmetric_group(3).to_json(),
+}
+
+
+SAME_KIND = [("q", "q"), ("b", "b")]
+
+
+def iso_files(tmp_path, *keys):
+    """One file per key of ISO_FILES, as path strings."""
+    paths = [tmp_path / f"{i}{key}.json" for i, key in enumerate(keys)]
+    for path, key in zip(paths, keys):
+        path.write_text(ISO_FILES[key]())
+    return list(map(str, paths))
+
+
+class TestIsoInputs:
+    @pytest.mark.parametrize("a,b", SAME_KIND)
+    def test_two_of_a_kind(self, capsys, tmp_path, a, b):
+        code, out, _ = run(capsys, "--format", "json", "iso", *iso_files(tmp_path, a, b))
+        assert code == 0 and json.loads(out)["isomorphic"]
+
+    @pytest.mark.parametrize("a,b", [(a, b) for a in ISO_FILES for b in ISO_FILES if (a, b) not in SAME_KIND])
+    def test_any_other_pair_exits_2(self, capsys, tmp_path, a, b):
+        code, out, err = run(capsys, "iso", *iso_files(tmp_path, a, b))
+        assert code == 2 and out == ""
+        assert "iso arguments must both be quandles or both biquandles" in err
 
 
 class TestColor:

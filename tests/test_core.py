@@ -304,17 +304,22 @@ class TestYangBaxter:
             check_ybe(wrap(under))
 
     def test_check_ybe_checks_a_rebound_biquandle(self):
-        # a proven biquandle is trusted only while it holds its own tables
+        # a biquandle's tables cannot be rebound, so check_ybe trusts it;
+        # the raw pairs a rebinding would have held are checked
         b = alexander_biquandle(7, 3, 2)
         assert check_ybe(b) is True
         swapped = np.array(b.over)
         swapped[[0, 1]] = swapped[[1, 0]]
-        b.over = swapped
-        assert check_ybe((b.under, b.over)) is False
-        assert check_ybe(b) is False
-        b.under = np.zeros((7, 7), dtype=np.int64)
+        with pytest.raises(AttributeError):
+            b.over = swapped
+        assert check_ybe((b.under, swapped)) is False
+        assert check_ybe(b) is True
+        zero = np.zeros((7, 7), dtype=np.int64)
+        with pytest.raises(AttributeError):
+            b.under = zero
         with pytest.raises(DomainError, match="pair map undefined"):
-            check_ybe(b)
+            check_ybe((zero, swapped))
+        assert b == alexander_biquandle(7, 3, 2)
 
     @pytest.mark.parametrize(
         "b",
