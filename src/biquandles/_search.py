@@ -22,9 +22,12 @@ checks that the map stays a bijection and agrees with every product,
 with no A-side gather, mask or search for the next free element.
 Candidates are pruned by per-element invariants (column cycle types and
 orbit size), which relabeling preserves for tables whose columns are
-permutations.  A Side, one table stack with its column inverses,
-invariants and both plans, each built on first use, is all the engine
-compiles of it.
+permutations.  Both come from walk_orbits, the package's one walk of the
+orbits of 0 .. n-1 under a family of maps: the cycles of one column, or the
+orbits under all distinct columns.  It also serves core (a quandle's orbits,
+a permutation's cycles) and links (components, color variables).  A Side,
+one table stack with its column inverses, invariants and both plans, each
+built on first use, is all the engine compiles of it.
 
 The two questions take two bases.  A witness search's base is 0, 1, 2, ...
 as far as the closures allow, each base point the first element the
@@ -69,55 +72,41 @@ from .errors import DomainError
 MAX_LISTED = 10**6
 
 
-def _column_cycle_type(col):
-    """Sorted cycle lengths of the map i -> col[i] (a list)."""
-    seen = [False] * len(col)
+def walk_orbits(n, maps):
+    """The orbits of 0 .. n-1 under maps, a family of sequences of n ints,
+    each a list walked from its least element that no earlier orbit holds:
+    every map is applied to each member in turn, and what is new joins the
+    end.  So the orbits come by least member, and under one permutation an
+    orbit is its cycle in cycle order.
+
+    A map need not be a permutation: the walk then follows its arrows
+    forwards only, so a caller wanting the classes of the arrows (links'
+    continuation map) passes their reverse too."""
+    seen = [False] * n
     out = []
-    for i in range(len(col)):
-        if seen[i]:
+    for start in range(n):
+        if seen[start]:
             continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = col[j]
-            length += 1
-        out.append(length)
-    return tuple(sorted(out))
-
-
-def _union_roots(n, cols):
-    """A representative of each of the n elements' orbit under the maps
-    cols (union-find); equal roots mean the same orbit."""
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for col in cols:
-        for a, b in enumerate(col):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-    return [find(a) for a in range(n)]
-
-
-def orbit_roots(tables):
-    """A representative of each element's orbit under all column maps of
-    all tables (union-find); equal roots mean the same orbit."""
-    return _union_roots(tables.shape[1], (col for t in tables for col in t.T.tolist()))
+        seen[start] = True
+        orbit = [start]
+        for x in orbit:  # grows while it is walked
+            for f in maps:
+                y = f[x]
+                if not seen[y]:
+                    seen[y] = True
+                    orbit.append(y)
+        out.append(orbit)
+    return out
 
 
 def _invariants(tables):
     """Per element a: the cycle types of column a in each table, whether a
     is idempotent in each, and the size of its orbit.
 
-    Each distinct column is walked once, for its cycle type and in the
-    union-find of the orbits: the paper's product tables repeat their
-    columns (Hol(R_7) has 42 distinct columns per table out of 294).
+    Each distinct column is walked once for its cycle type, and the orbits
+    are walked under the distinct columns together (walk_orbits): the
+    paper's product tables repeat their columns (Hol(R_7) has 42 distinct
+    columns per table out of 294).
 
     A relabeling carries these over only when every column is a permutation:
     [[1, 1], [1, 1]] and [[0, 0], [0, 0]] are swapped by 0 <-> 1, yet the
@@ -125,11 +114,14 @@ def _invariants(tables):
     """
     n = tables.shape[1]
     cols = [list(map(tuple, t.T.tolist())) for t in tables]
-    cycle_types = {c: _column_cycle_type(c) for c in dict.fromkeys(chain.from_iterable(cols))}
-    roots = _union_roots(n, cycle_types)
-    size = Counter(roots)
+    distinct = list(dict.fromkeys(chain.from_iterable(cols)))
+    cycle_types = {c: tuple(sorted(map(len, walk_orbits(n, (c,))))) for c in distinct}
+    size = [0] * n
+    for orbit in walk_orbits(n, distinct):
+        for a in orbit:
+            size[a] = len(orbit)
     return [
-        (tuple(cycle_types[c[a]] for c in cols), tuple(c[a][a] == a for c in cols), size[roots[a]])
+        (tuple(cycle_types[c[a]] for c in cols), tuple(c[a][a] == a for c in cols), size[a])
         for a in range(n)
     ]
 
@@ -280,9 +272,9 @@ class Side:
 
     sources: the read-only n x n tables it came from.  Each other part is
     built when first read: tables (their (k, n, n) int64 stack), inverses
-    (the column inverses of the sources, one per table, as
-    _kernels.invert_columns builds them), invariants (_invariants of the
-    stack), multiset (them sorted, as a tuple), witness_plan (the
+    (per source, its column inverses as _kernels.invert_columns builds them,
+    each built by inverse(i) on its own first read), invariants (_invariants
+    of the stack), multiset (them sorted, as a tuple), witness_plan (the
     first-free _kernels.closure_plan, for first_bijection's least witness),
     listing_plan (the generating plan, on the invariant classes, for
     table_bijections) and generators (_kernels._generators of the first
@@ -304,6 +296,13 @@ class Side:
         value = self.__dict__[name] = build(self)
         return value
 
+    def inverse(self, i):
+        """The column inverses of source table i, built on first read."""
+        built = self.inverses
+        if built[i] is None:
+            built[i] = _kernels.invert_columns(self.sources[i])
+        return built[i]
+
 
 def _listing_plan(side):
     cells = {}
@@ -314,7 +313,7 @@ def _listing_plan(side):
 # the parts of a Side, each built by its function of the Side on first read
 _PARTS = {
     "tables": lambda side: np.stack([np.asarray(x, dtype=np.int64) for x in side.sources]),
-    "inverses": lambda side: tuple(map(_kernels.invert_columns, side.sources)),
+    "inverses": lambda side: [None] * len(side.sources),
     "invariants": lambda side: _invariants(side.tables),
     "multiset": lambda side: tuple(sorted(side.invariants)),
     "witness_plan": lambda side: _kernels.closure_plan(side.tables),

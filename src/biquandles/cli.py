@@ -222,10 +222,8 @@ def cmd_construct(args):
         q1, q2 = _load_quandle(params[0]), _load_quandle(params[1])
         psi = _aut_list_arg(q1, args.psi_map, q2.n) if args.psi_map else combinators._identity_maps(q2.n, q1.n)
         obj = combinators.semidirect_biquandle(q1, q2, psi)
-    elif fam == "holomorph":
+    else:  # "holomorph"
         obj = combinators.holomorph_biquandle(_load_quandle(params[0]))
-    else:
-        raise MalformedInput(f"unknown family {fam!r}")
     print(json.dumps(obj.to_dict(), sort_keys=True))
     return 0
 
@@ -288,11 +286,9 @@ def cmd_enumerate(args):
     if args.what == "trivial-structures":
         for s in enumeration.enumerate_trivial_structures(n, cap=args.cap_enum):
             print(json.dumps({"betas": [list(b.images) for b in s.betas]}))
-    elif args.what == "quandles":
+    else:  # "quandles"
         for q in enumeration.enumerate_quandles(n, cap=args.cap_enum):
             print(json.dumps(q.to_dict(), sort_keys=True))
-    else:
-        raise MalformedInput(f"unknown enumeration {args.what!r}")
     return 0
 
 
@@ -317,15 +313,13 @@ def cmd_verbal(args):
                 raise MalformedInput("check needs --w, or both --u and --v")
             ok = verbal.is_verbal_birack(verbal.parse_word(args.u), verbal.parse_word(args.v))
         _emit(args, {"accepted": ok}, ["true" if ok else "false"])
-    elif args.action == "enumerate":
+    else:  # "enumerate"
         if args.quandle_words:
             for w in verbal.enumerate_verbal_quandle_words(args.bound):
                 print(json.dumps({"w": verbal.format_word(w)}))
         else:
             for u, v in verbal.enumerate_verbal_biracks(args.bound):
                 print(json.dumps({"u": verbal.format_word(u), "v": verbal.format_word(v)}))
-    else:
-        raise MalformedInput(f"unknown verbal action {args.action!r}")
     return 0
 
 
@@ -356,18 +350,17 @@ def cmd_cover(args):
         ok = coverings.is_quandle_covering(pmap, qt, q)
         _emit(args, {"covering": ok}, ["true" if ok else "false"])
         return 0
-    if args.action == "lift":
-        if not args.structure:
-            raise MalformedInput("lift needs --structure")
-        st = BiquandleStructure.from_dict(_read_json(args.structure))
-        lifted = coverings.lift_structure_search(pmap, qt, q, st)
-        if lifted is None:
-            _emit(args, {"found": False}, ["not found within search"])
-        else:
-            payload = {"found": True, "structure": lifted.to_dict()}
-            _emit(args, payload, [json.dumps(lifted.to_dict(), sort_keys=True)])
-        return 0
-    raise MalformedInput(f"unknown cover action {args.action!r}")
+    # "lift", the other action argparse admits
+    if not args.structure:
+        raise MalformedInput("lift needs --structure")
+    st = BiquandleStructure.from_dict(_read_json(args.structure))
+    lifted = coverings.lift_structure_search(pmap, qt, q, st)
+    if lifted is None:
+        _emit(args, {"found": False}, ["not found within search"])
+    else:
+        payload = {"found": True, "structure": lifted.to_dict()}
+        _emit(args, payload, [json.dumps(lifted.to_dict(), sort_keys=True)])
+    return 0
 
 
 def build_parser():

@@ -26,7 +26,6 @@ import numpy as np
 
 from . import _kernels, _search
 from ._kernels import invert_columns as _invert_columns
-from ._search import orbit_roots
 from .errors import AxiomError, DomainError, MalformedInput
 
 
@@ -278,21 +277,9 @@ class Permutation:
         return np.array(self.images, dtype=np.int64)
 
     def cycles(self):
-        seen = [False] * self.n
-        out = []
-        for i in range(self.n):
-            if seen[i] or self.images[i] == i:
-                seen[i] = True
-                continue
-            cyc = [i]
-            seen[i] = True
-            j = self.images[i]
-            while j != i:
-                cyc.append(j)
-                seen[j] = True
-                j = self.images[j]
-            out.append(tuple(cyc))
-        return out
+        """The cycles of length at least 2, each from its least member, in
+        order of that member."""
+        return [tuple(c) for c in _search.walk_orbits(self.n, (self.images,)) if len(c) > 1]
 
     def cycle_type(self):
         return tuple(sorted(len(c) for c in self.cycles()))
@@ -598,7 +585,7 @@ class FiniteQuandle(_TableObject):
 
     @property
     def tinv(self):
-        return self._side().inverses[0]
+        return self._side().inverse(0)
 
     def op(self, a, b):
         return int(self.table[a, b])
@@ -644,11 +631,11 @@ class FiniteBiquandle(_TableObject):
 
     @property
     def under_inv(self):
-        return self._side().inverses[0]
+        return self._side().inverse(0)
 
     @property
     def over_inv(self):
-        return self._side().inverses[1]
+        return self._side().inverse(1)
 
     def op_under(self, a, b):
         return int(self.under[a, b])
@@ -676,11 +663,9 @@ def inner_group(q: FiniteQuandle) -> PermutationGroup:
 
 
 def orbits(q: FiniteQuandle):
-    """Orbit partition of the inner-group action, sorted by smallest member."""
-    out = {}
-    for a, root in enumerate(orbit_roots(q.table[None])):
-        out.setdefault(root, []).append(a)
-    return list(out.values())
+    """The orbits of the inner group (the right translations S_b, the
+    columns), each ascending, in order of least member."""
+    return [sorted(o) for o in _search.walk_orbits(q.n, q.table.T.tolist())]
 
 
 def is_connected(q: FiniteQuandle) -> bool:

@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 
+from . import _kernels
 from ._search import preserves_tables, table_bijections
 from .core import Permutation, PermutationGroup, _in_range, _keep, _TableObject, as_table, product_table
 from .errors import DomainError, MalformedInput
@@ -38,8 +39,10 @@ class FiniteGroup(_TableObject):
                 break
         if e is None:
             raise DomainError("no two-sided identity")
-        # associativity on all triples: t[t[a,b], c] == t[a, t[b,c]]
-        if not np.array_equal(t[t], t[:, t]):
+        # associativity on all triples, t[t[a,b], c] == t[a, t[b,c]], a
+        # block of (a, b) rows at a time
+        blocks = _kernels.walk(n, n, lambda a, b: t[t[a, b]] != t[a[:, None], t[b]])
+        if _kernels.first_violation(blocks) is not None:
             raise DomainError("multiplication is not associative")
         inv = np.full(n, -1, dtype=np.int64)
         for a in range(n):

@@ -21,17 +21,18 @@ of the strand, and on trivial-over biquandles the under relation collapses
 to the familiar quandle rule under_out = under_in * over_in.
 
 Counting compiles the diagram to integers: each class of arcs joined by
-virtual crossings and splices is one color variable, and each classical
-crossing one (u_in, o_in, u_out, o_out) tuple of variables.  A plan is
-fixed once per count.  It branches fail-first, as in bucket elimination:
-the next variable to branch on completes a forcing pair of some crossing
-with a variable already known, so a closed 2-braid branches on two
-variables whatever its arcs are called.  Which variables are known after
-i branches depends only on the diagram, so the plan records the crossings
-each branch fires and a depth-first search replays them at every node;
-the colors live in one int list that no backtrack has to undo.  A count
-whose n^(branch variables) leaves exceed MAX_COLOR_NODES is refused before
-it starts.
+virtual crossings and splices is one color variable (an orbit of
+_search.walk_orbits over the continuation map and its reverse), and each
+classical crossing one (u_in, o_in, u_out, o_out) tuple of variables.  A
+plan is fixed once per count.  It branches fail-first, as in bucket
+elimination: the next variable to branch on completes a forcing pair of
+some crossing with a variable already known, so a closed 2-braid branches
+on two variables whatever its arcs are called.  Which variables are known
+after i branches depends only on the diagram, so the plan records the
+crossings each branch fires and a depth-first search replays them at every
+node; the colors live in one int list that no backtrack has to undo.  A
+count whose n^(branch variables) leaves exceed MAX_COLOR_NODES is refused
+before it starts.
 
 Text format, one element per line (# starts a comment):
     X + a b c d     classical, sign, in_under in_over out_under out_over
@@ -48,7 +49,7 @@ import itertools
 
 import numpy as np
 
-from ._search import orbit_roots
+from ._search import walk_orbits
 from .core import FiniteBiquandle, FiniteQuandle
 from .errors import DomainError, MalformedInput
 
@@ -114,7 +115,8 @@ class VirtualLinkDiagram:
         return len(self.arcs)
 
     def components(self) -> int:
-        return len(set(_orbits([self.arc_index[self.successor[a]] for a in self.arcs])))
+        nxt = [self.arc_index[self.successor[a]] for a in self.arcs]
+        return len(walk_orbits(len(nxt), (nxt,)))
 
 
 def parse_diagram(text) -> VirtualLinkDiagram:
@@ -146,17 +148,16 @@ def parse_diagram(text) -> VirtualLinkDiagram:
     return VirtualLinkDiagram(crossings, closures)
 
 
-def _orbits(nxt):
-    """A representative of each arc's orbit under the arc map nxt."""
-    return orbit_roots(np.array(nxt, dtype=np.int64)[None, :, None])
-
-
 def _relations(diagram):
     """Per color variable, the (u_in, o_in, u_out, o_out) tuples of the
     classical crossings it takes part in, read against orientation at a
-    negative crossing.  The variables are the orbits of the continuation map
-    through virtual crossings and splices, numbered by first arc in sorted
-    order."""
+    negative crossing.  The variables are the classes of arcs joined by
+    virtual crossings and splices, numbered by first arc in sorted order:
+    the orbits of the continuation map nxt (input -> output there) and its
+    reverse.  nxt is no permutation, since an arc ending at a classical
+    crossing maps to itself and an arc spliced into it maps there too; but
+    each arc is an output once, so it has at most one other predecessor and
+    the reverse is a map."""
     index = diagram.arc_index
     nxt = list(range(diagram.arc_count))
     ends = []
@@ -170,13 +171,18 @@ def _relations(diagram):
             ends.append((c.out_under, c.out_over, c.in_under, c.in_over))
     for out_arc, in_arc in diagram.closures:
         nxt[index[out_arc]] = index[in_arc]
-    roots = _orbits(nxt)
-    var = {}
-    for root in roots:
-        var.setdefault(root, len(var))
-    watch = [[] for _ in var]
+    rev = list(range(len(nxt)))
+    for a, b in enumerate(nxt):
+        if a != b:
+            rev[b] = a
+    classes = walk_orbits(len(nxt), (nxt, rev))
+    var = [0] * len(nxt)
+    for v, orbit in enumerate(classes):
+        for a in orbit:
+            var[a] = v
+    watch = [[] for _ in classes]
     for e in ends:
-        rel = tuple(var[roots[index[a]]] for a in e)
+        rel = tuple(var[index[a]] for a in e)
         for v in set(rel):
             watch[v].append(rel)
     return watch

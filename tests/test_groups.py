@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -58,6 +59,23 @@ class TestConstructors:
             FiniteGroup([[0, 1], [0, 1]])
         with pytest.raises(MalformedInput):
             FiniteGroup([[0, 1]])
+
+    def test_associativity_checked_in_bounded_memory(self):
+        # two n^3 int64 arrays would take 432 MB at n = 300
+        tracemalloc.start()
+        try:
+            g = cyclic_group(300, cap=300)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.n == 300 and peak < 32 * 2**20
+
+    def test_non_associative_past_the_first_block(self):
+        # Z_200 with two products of its last row swapped keeps its identity
+        t = cyclic_group(200, cap=200).mul.copy()
+        t[199, [1, 2]] = t[199, [2, 1]]
+        with pytest.raises(DomainError, match="^multiplication is not associative$"):
+            FiniteGroup(t)
 
     def test_catalog_is_pairwise_nonisomorphic_by_order_profile(self):
         seen = {}

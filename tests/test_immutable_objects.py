@@ -175,6 +175,16 @@ class TestLazyInverses:
         yang_baxter_map(b)
         assert calls == [b.n, b.n]
 
+    def test_each_table_inverted_on_its_own_first_read(self, monkeypatch):
+        # associated_quandle and yang_baxter_map read over_inv alone
+        calls = count_inversions(monkeypatch)
+        b = holomorph_biquandle(dihedral_quandle(7))
+        associated_quandle(b)
+        yang_baxter_map(b)
+        assert calls == [b.n]
+        coloring_count_biquandle(trefoil(), b)
+        assert calls == [b.n, b.n]
+
     def test_quandle_count_inverts_once(self, monkeypatch):
         calls = count_inversions(monkeypatch)
         q = dihedral_quandle(31)

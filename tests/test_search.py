@@ -17,11 +17,12 @@ from biquandles import _kernels, _search, automorphisms, enumeration, links
 from biquandles._search import Side, first_bijection, table_bijections
 from biquandles.automorphisms import biquandle_aut, quandle_aut, verify_holomorph_aut
 from biquandles.combinators import holomorph_biquandle
-from biquandles.core import FiniteBiquandle, FiniteQuandle, orbits
+from biquandles.core import FiniteBiquandle, FiniteQuandle, Permutation, orbits
 from biquandles.enumeration import are_isomorphic, enumerate_quandles
 from biquandles.errors import DomainError
 from biquandles.group_constructions import dihedral_quandle, trivial_quandle
 from biquandles.groups import automorphism_group, cyclic_group, dihedral_group, direct_product, small_groups
+from test_links import wired_diagrams
 
 
 def maps_onto(f, tables_a, tables_b):
@@ -356,15 +357,87 @@ class TestListingCap:
         assert cap < at_least <= order
 
 
+def column_cycle_type(col):
+    """Sorted cycle lengths of the map i -> col[i], one walk per cycle."""
+    seen = [False] * len(col)
+    out = []
+    for i in range(len(col)):
+        if seen[i]:
+            continue
+        length = 0
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            j = col[j]
+            length += 1
+        out.append(length)
+    return tuple(sorted(out))
+
+
+def cycles_oracle(images):
+    """The cycles of a permutation, fixed points included, each from its
+    least member, in order of that member."""
+    seen = [False] * len(images)
+    out = []
+    for i in range(len(images)):
+        if seen[i]:
+            continue
+        cyc = [i]
+        seen[i] = True
+        j = images[i]
+        while j != i:
+            cyc.append(j)
+            seen[j] = True
+            j = images[j]
+        out.append(cyc)
+    return out
+
+
+def union_roots(n, cols):
+    """A representative of each of the n elements' class under the arrows
+    a -> col[a] of every map col (union-find); equal roots mean the same
+    class."""
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for col in cols:
+        for a, b in enumerate(col):
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[ra] = rb
+    return [find(a) for a in range(n)]
+
+
+def partition(classes):
+    """A set partition as a sorted list of sorted blocks."""
+    return sorted(sorted(c) for c in classes)
+
+
+def roots_partition(roots):
+    blocks = {}
+    for a, root in enumerate(roots):
+        blocks.setdefault(root, []).append(a)
+    return partition(blocks.values())
+
+
+def table_columns(tables):
+    return [col for t in tables for col in t.T.tolist()]
+
+
 def invariants_oracle(tables):
     """_search._invariants as one walk per column: the cycle type of every
     column, and the union-find over every column of every table."""
-    roots = _search.orbit_roots(tables)
+    roots = union_roots(tables.shape[1], table_columns(tables))
     size = Counter(roots)
     cols = [t.T.tolist() for t in tables]
     return [
         (
-            tuple(_search._column_cycle_type(c[a]) for c in cols),
+            tuple(column_cycle_type(c[a]) for c in cols),
             tuple(c[a][a] == a for c in cols),
             size[roots[a]],
         )
@@ -411,13 +484,88 @@ class TestInvariants:
         assert _search._invariants(tables) == invariants_oracle(tables)
 
     def test_orbit_outputs_are_unchanged(self):
-        # pinned as the per-column union-find gave them
+        # core.orbits pinned as the union-find gave them
         qs = [q for n in range(1, 6) for q in enumerate_quandles(n)]
-        qs += [dihedral_quandle(301), trivial_quandle(9), holomorph_biquandle(dihedral_quandle(5))]
-        got = [orbits(q) if isinstance(q, FiniteQuandle) else _search.orbit_roots(stacked(q)) for q in qs]
-        assert hashlib.sha256(repr(got).encode()).hexdigest()[:16] == "cf0ebac01a686925"
-        rng = random.Random(3)
-        maps = [list(f) for f in itertools.permutations(range(5))]
-        maps += [[rng.randrange(n) for _ in range(n)] for n in (1, 7, 40, 200)]
-        got = [links._orbits(nxt) for nxt in maps]
-        assert hashlib.sha256(repr(got).encode()).hexdigest()[:16] == "754639fae8b0c95d"
+        qs += [dihedral_quandle(301), trivial_quandle(9)]
+        got = [orbits(q) for q in qs]
+        assert hashlib.sha256(repr(got).encode()).hexdigest()[:16] == "2daa1397ad3a00cc"
+        for q, lists in zip(qs, got):
+            assert lists == partition(lists) == roots_partition(union_roots(q.n, q.table.T.tolist()))
+        t = stacked(holomorph_biquandle(dihedral_quandle(5)))
+        walked = _search.walk_orbits(t.shape[1], table_columns(t))
+        assert partition(walked) == roots_partition(union_roots(t.shape[1], table_columns(t)))
+        for f in itertools.permutations(range(5)):
+            assert partition(_search.walk_orbits(5, (f,))) == roots_partition(union_roots(5, [f]))
+
+
+def continuation_map(diagram):
+    """The map links._relations walks: input -> output at virtual crossings
+    and splices, every other arc to itself."""
+    index = diagram.arc_index
+    nxt = list(range(diagram.arc_count))
+    for c in diagram.crossings:
+        if isinstance(c, links.Virtual):
+            nxt[index[c.in1]] = index[c.out1]
+            nxt[index[c.in2]] = index[c.out2]
+    for out_arc, in_arc in diagram.closures:
+        nxt[index[out_arc]] = index[in_arc]
+    return nxt
+
+
+def relations_oracle(diagram):
+    """links._relations with the color variables read off the union-find of
+    the continuation map, numbered by first arc."""
+    roots = union_roots(diagram.arc_count, [continuation_map(diagram)])
+    var = {}
+    for root in roots:
+        var.setdefault(root, len(var))
+    watch = [[] for _ in var]
+    for c in diagram.crossings:
+        if isinstance(c, links.Classical):
+            e = (c.in_under, c.in_over, c.out_under, c.out_over)
+            rel = tuple(var[roots[diagram.arc_index[a]]] for a in (e if c.sign > 0 else e[2:] + e[:2]))
+            for v in set(rel):
+                watch[v].append(rel)
+    return watch
+
+
+@st.composite
+def permutation_families(draw):
+    n = draw(st.integers(1, 12))
+    return n, draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3))
+
+
+class TestWalkOrbits:
+    """walk_orbits against the union-find and the per-cycle walks it
+    replaced."""
+
+    @settings(max_examples=300)
+    @given(permutation_families())
+    def test_permutation_families(self, family):
+        n, maps = family
+        assert partition(_search.walk_orbits(n, maps)) == roots_partition(union_roots(n, maps))
+        for f in maps:
+            walked = _search.walk_orbits(n, (f,))
+            assert walked == cycles_oracle(f)
+            assert tuple(sorted(map(len, walked))) == column_cycle_type(f)
+            p = Permutation(tuple(f))
+            assert p.cycles() == [tuple(c) for c in cycles_oracle(f) if len(c) > 1]
+            assert p.cycle_type() == tuple(sorted(len(c) for c in cycles_oracle(f) if len(c) > 1))
+
+    @settings(max_examples=300)
+    @given(wired_diagrams(12))
+    def test_links_shaped_maps(self, diagram):
+        nxt = continuation_map(diagram)
+        rev = list(range(len(nxt)))
+        for a, b in enumerate(nxt):
+            if a != b:
+                rev[b] = a
+        assert partition(_search.walk_orbits(len(nxt), (nxt, rev))) == roots_partition(union_roots(len(nxt), [nxt]))
+        assert links._relations(diagram) == relations_oracle(diagram)
+        succ = [diagram.arc_index[diagram.successor[a]] for a in diagram.arcs]
+        assert diagram.components() == len(set(union_roots(len(succ), [succ])))
+
+    @pytest.mark.parametrize("name", sorted(links.builtin_diagrams()))
+    def test_builtin_diagrams(self, name):
+        diagram = links.builtin_diagrams()[name]
+        assert links._relations(diagram) == relations_oracle(diagram)

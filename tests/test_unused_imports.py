@@ -1,7 +1,8 @@
 """Every name a library module imports, and every private name it defines
 at module level, is referenced in that module; no library module calls
-np.unique by rows; S_n is listed by one function; and every import sits at
-module level but the one that breaks an import cycle.
+np.unique by rows; S_n is listed by one function; orbits are walked by one
+function; and every import sits at module level but the one that breaks an
+import cycle.
 
 ``__init__.py`` is exempt: its imports are the package's re-exports.
 """
@@ -145,6 +146,55 @@ def test_scanner_flags_permutation_calls():
 def test_one_symmetric_group_listing():
     found = [(path.name, where) for path in MODULES for _, where in permutation_calls(path.read_text())]
     assert found == [("groups.py", "_permutation_rows")]
+
+
+# orbit walks of their own, beside _search.walk_orbits: a union-find and
+# the cycle walks
+OWN_ORBIT_WALKS = ("_union_roots", "_column_cycle_type", "_orbits")
+
+
+def orbit_walk_definitions(source):
+    """(line, name) of each function that walks orbits of its own: one
+    named in OWN_ORBIT_WALKS, or a function named find nested in another
+    (a union-find's)."""
+    tree = ast.parse(source)
+
+    def defs(node, nested):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if child.name in OWN_ORBIT_WALKS or (nested and child.name == "find"):
+                    yield child.lineno, child.name
+                yield from defs(child, True)
+            else:
+                yield from defs(child, nested)
+
+    return sorted(defs(tree, False))
+
+
+def test_scanner_flags_orbit_walks():
+    src = (
+        "def find(a):\n"
+        "    return a\n"
+        "def roots(n):\n"
+        "    def find(a):\n"
+        "        return a\n"
+        "    return find\n"
+        "class K:\n"
+        "    def _orbits(self):\n"
+        "        def find():\n"
+        "            pass\n"
+        "    def find(self):\n"
+        "        pass\n"
+        "def _union_roots(n, cols):\n"
+        "    pass\n"
+        "_column_cycle_type = None\n"
+    )
+    assert orbit_walk_definitions(src) == [(4, "find"), (8, "_orbits"), (9, "find"), (13, "_union_roots")]
+
+
+def test_one_orbit_walk():
+    found = [(path.name, line, name) for path in MODULES for line, name in orbit_walk_definitions(path.read_text())]
+    assert found == []
 
 
 def local_imports(source):
